@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import JointDistribution, binary_entropy
+from .distributions import JointDistribution, binary_entropy, zero_bit_matrix
 
 EULER_GAMMA = 0.5772156649015328606
 LOG2E = math.log2(math.e)
@@ -241,15 +241,10 @@ def _row_entropy(rows: np.ndarray) -> np.ndarray:
     return -np.nansum(t, axis=1)
 
 
-def _zero_bit_matrix(d: int) -> np.ndarray:
-    y = np.arange(1 << d, dtype=np.int64)
-    return ((y[:, None] >> np.arange(d)[None, :]) & 1 == 0).astype(np.float64)
-
-
 def _mc_shards(d: int, draws: int, seed: int, ordered: bool, workers: int,
                shard_size: int = 500) -> tuple[float, float]:
     m = 1 << d
-    a0 = _zero_bit_matrix(d)
+    a0 = zero_bit_matrix(d)
     counts = [shard_size] * (draws // shard_size)
     if draws % shard_size:
         counts.append(draws % shard_size)

@@ -18,9 +18,6 @@ from . import bounds, coding, sources, universal, vq
 from .distributions import JointDistribution, entropy_bits
 from .search import block_bica, order_permutation
 
-EXPERIMENTS = ("classic-zipf", "theory-bounds", "universal",
-               "vq-ecvq", "vq-lattice", "compress", "decompress")
-
 
 class DataError(Exception):
     """Bad or unreadable input data (exit code 3)."""
@@ -184,34 +181,6 @@ def run_decompress(input_path: str, output_path: str) -> None:
         raise DataError(f"corrupt container: {exc}") from exc
     with open(output_path, "wb") as fh:
         fh.write(symbols.astype(np.uint8).tobytes())
-
-
-def run_experiment(name: str, config: dict):
-    """Dispatch an experiment by name with a config dict; the library-level
-    equivalent of the CLI subcommands."""
-    if name not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {name!r}")
-    if name == "classic-zipf":
-        return run_classic_zipf(config["m"], config["s_grid"], config.get("csv"))
-    if name == "theory-bounds":
-        return run_theory_bounds(config["d"], config["draws"], config["seed"],
-                                 config.get("workers", 0), config.get("csv"))
-    if name == "universal":
-        return run_universal(config["samples"], config["d"], config["b"],
-                             config["iters"], config["seed"], config.get("csv"),
-                             config.get("method", "auto"), config.get("k", 8))
-    if name == "vq-ecvq":
-        return run_vq_ecvq(config["dim"], config["n"], config["m_init"],
-                           config["lambdas"], config["seed"],
-                           config.get("variant", "ecvq"), config.get("csv"))
-    if name == "vq-lattice":
-        return run_vq_lattice(config["dim"], config["n"], config["kind"],
-                              config["scales"], config["seed"], config.get("csv"))
-    if name == "compress":
-        return run_compress(config["input"], config["output"],
-                            config.get("blocks", 2), config.get("method", "order"),
-                            config.get("k", 8))
-    return run_decompress(config["input"], config["output"])
 
 
 # ---------------------------------------------------------------------------

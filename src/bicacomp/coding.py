@@ -7,7 +7,8 @@ bits into blocks and arithmetic-codes each block stream separately.
 
 Container format (see README for the byte layout): a header carrying the
 transform and per-block quantized frequency tables, followed by the
-byte-aligned block streams. Frequencies are quantized to 16-bit totals;
+byte-aligned block streams. The per-block record and stream section are
+shared with the universal container. Frequencies are quantized to 16-bit totals;
 zero-count symbols are excluded from code construction under the contract
 that they never occur in the stream being coded.
 """
@@ -203,20 +204,14 @@ def deserialize_codebook(bits: np.ndarray, alphabet_size: int, n_coded: int) -> 
         counts.append(c)
         seen += c
     lengths = np.zeros(alphabet_size, dtype=np.int64)
-    grouped = []
     for l, c in enumerate(counts, start=1):
-        syms = []
         for _ in range(c):
             v = 0
             for _ in range(sym_bits):
                 v = (v << 1) | int(bits[pos])
                 pos += 1
-            syms.append(v)
             lengths[v] = l
-        if c:
-            grouped.append((l, tuple(syms)))
-    book = canonicalize(PrefixCode(lengths, _canonical_codes(lengths)), alphabet_size)
-    return book
+    return canonicalize(PrefixCode(lengths, _canonical_codes(lengths)), alphabet_size)
 
 
 def prefix_encode(symbols: np.ndarray, code: PrefixCode) -> np.ndarray:
@@ -427,6 +422,62 @@ def insert_block(target: np.ndarray, block_symbols: np.ndarray, positions: np.nd
         target |= ((block_symbols >> u) & 1) << int(pos)
 
 
+# Per-block table record, shared by the BAC1 and BAU1 containers:
+# n_active u32, stream_bits u64, then (symbol u32, count u16) per active
+# symbol; the byte-aligned streams of all blocks follow the last record.
+_RECORD = struct.Struct("<IQ")
+_ENTRY = np.dtype([("symbol", "<u4"), ("count", "<u2")])
+
+
+def write_block_record(out: bytearray, block_symbols: np.ndarray, b: int) -> np.ndarray:
+    """Arithmetic-code a block of b-bit values against its own quantized
+    frequency table, append the table record to ``out`` and return the
+    stream bits. A lone active symbol's count (the whole 16-bit total)
+    saturates its u16 field; ``read_block_record`` restores it."""
+    counts = np.bincount(block_symbols, minlength=1 << b)
+    if block_symbols.size:
+        counts = quantize_counts(counts / counts.sum())
+        bits = _encode_with_counts(block_symbols, counts)
+    else:
+        bits = np.zeros(0, dtype=np.uint8)
+    active = np.nonzero(counts)[0]
+    entries = np.zeros(active.size, dtype=_ENTRY)
+    entries["symbol"] = active
+    entries["count"] = np.minimum(counts[active], 0xFFFF)
+    out += _RECORD.pack(entries.size, bits.size)
+    out += entries.tobytes()
+    return bits
+
+
+def read_block_record(buf: bytes, at: int, b: int) -> tuple[np.ndarray, int, int]:
+    """Parse the table record of a b-bit block at offset ``at``; returns
+    (quantized counts, stream bits, offset past the record)."""
+    n_active, stream_bits = _RECORD.unpack_from(buf, at)
+    at += _RECORD.size
+    entries = np.frombuffer(buf, dtype=_ENTRY, count=n_active, offset=at)
+    at += entries.nbytes
+    counts = np.zeros(1 << b, dtype=np.int64)
+    counts[entries["symbol"]] = entries["count"]
+    if n_active == 1:
+        counts[counts > 0] = 1 << FREQ_TOTAL_BITS
+    return counts, stream_bits, at
+
+
+def decode_block_streams(buf: bytes, at: int, records, partition: BlockPartition,
+                         n: int) -> np.ndarray:
+    """Decode the byte-aligned streams starting at offset ``at``, one per
+    (counts, stream_bits) record in block order, and reassemble n symbols
+    from the partition's blocks."""
+    out = np.zeros(n, dtype=np.int64)
+    for (counts, nbits), positions in zip(records, partition.groups()):
+        nbytes = (nbits + 7) // 8
+        bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=at))
+        at += nbytes
+        if n:
+            insert_block(out, _decode_with_counts(bits[:nbits], counts, n), positions)
+    return out
+
+
 @dataclass(frozen=True)
 class MarginalEncoding:
     """Result of the transform-then-code-blocks codec: the container bytes
@@ -453,30 +504,16 @@ def marginal_encode(samples, g: SymbolPermutation, partition: BlockPartition) ->
                            x.size, len(gdesc))
     payload += gdesc
     payload += np.asarray(partition.assignment, dtype="<u1").tobytes()
-
-    streams: list[bytes] = []
-    block_bits: list[int] = []
+    streams = []
     for positions in partition.groups():
-        bs = extract_block(y, positions)
-        mb = 1 << positions.size
-        counts = np.bincount(bs, minlength=mb) if bs.size else np.zeros(mb, dtype=np.int64)
-        if bs.size:
-            qcounts = quantize_counts(counts / counts.sum())
-            bits = _encode_with_counts(bs, qcounts)
-        else:
-            qcounts = np.zeros(mb, dtype=np.int64)
-            bits = np.zeros(0, dtype=np.uint8)
-        act = np.nonzero(qcounts)[0]
-        payload += struct.pack("<BIQ", positions.size, act.size, int(bits.size))
-        for sym in act:
-            payload += struct.pack("<IH", int(sym), int(min(qcounts[sym], 0xFFFF)))
-        streams.append(np.packbits(bits).tobytes())
-        block_bits.append(int(bits.size))
-    for s in streams:
-        payload += s
+        payload += struct.pack("<B", positions.size)
+        streams.append(write_block_record(payload, extract_block(y, positions), positions.size))
+    for bits in streams:
+        payload += np.packbits(bits).tobytes()
     blob = bytes(payload)
+    block_bits = tuple(int(bits.size) for bits in streams)
     data_bits = float(sum(block_bits))
-    return MarginalEncoding(blob, BitCost(data_bits, len(blob) * 8 - data_bits), tuple(block_bits))
+    return MarginalEncoding(blob, BitCost(data_bits, len(blob) * 8 - data_bits), block_bits)
 
 
 def marginal_decode(container: bytes) -> np.ndarray:
@@ -492,31 +529,11 @@ def marginal_decode(container: bytes) -> np.ndarray:
     at += glen
     assignment = np.frombuffer(container, dtype="<u1", count=d, offset=at).astype(np.int64)
     at += d
-
-    metas = []
-    sizes = []
+    sizes, records = [], []
     for _ in range(n_blocks):
-        b_v, nact, nbits = struct.unpack_from("<BIQ", container, at)
-        at += struct.calcsize("<BIQ")
-        counts = np.zeros(1 << b_v, dtype=np.int64)
-        for _ in range(nact):
-            sym, cnt = struct.unpack_from("<IH", container, at)
-            at += struct.calcsize("<IH")
-            counts[sym] = cnt
-        if nact == 1:
-            # a lone symbol's count saturated the u16 field on the way in
-            counts[counts > 0] = 1 << FREQ_TOTAL_BITS
-        metas.append((b_v, counts, nbits))
-        sizes.append(b_v)
-
-    partition = BlockPartition(assignment, tuple(sizes))
-    y = np.zeros(n, dtype=np.int64)
-    for (b_v, counts, nbits), positions in zip(metas, partition.groups()):
-        nbytes = (nbits + 7) // 8
-        raw = np.frombuffer(container, dtype=np.uint8, count=nbytes, offset=at)
-        at += nbytes
-        bits = np.unpackbits(raw)[:nbits] if nbits else np.zeros(0, dtype=np.uint8)
-        bs = _decode_with_counts(bits, counts, n) if n else np.zeros(0, dtype=np.int64)
-        insert_block(y, bs, positions)
-    g = SymbolPermutation(d, gmap)
-    return g.unapply(y)
+        b = container[at]
+        counts, nbits, at = read_block_record(container, at + 1, b)
+        sizes.append(b)
+        records.append((counts, nbits))
+    y = decode_block_streams(container, at, records, BlockPartition(assignment, tuple(sizes)), n)
+    return SymbolPermutation(d, gmap).unapply(y)

@@ -105,6 +105,8 @@ class SymbolPermutation:
         m = 1 << self.d
         if g.shape != (m,):
             raise ValueError(f"map must have {m} entries")
+        if np.any((g < 0) | (g >= m)):
+            raise ValueError(f"map entries must lie in 0..{m - 1}")
         seen = np.zeros(m, dtype=bool)
         seen[g] = True
         if not seen.all():
@@ -168,6 +170,12 @@ def bit_zero_marginals(probs: np.ndarray, d: int) -> np.ndarray:
     for j in range(d):
         out[j] = p.reshape(-1, 2, 1 << j)[:, 0, :].sum()
     return out
+
+
+def zero_bit_matrix(d: int) -> np.ndarray:
+    """A0[y, j] = 1.0 where bit j of symbol y is zero."""
+    y = np.arange(1 << d, dtype=np.int64)
+    return ((y[:, None] >> np.arange(d)[None, :]) & 1 == 0).astype(np.float64)
 
 
 def joint_entropy(p: JointDistribution) -> float:

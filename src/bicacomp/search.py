@@ -26,6 +26,7 @@ from .distributions import (
     SymbolPermutation,
     binary_entropy,
     bit_zero_marginals,
+    zero_bit_matrix,
 )
 
 log = logging.getLogger(__name__)
@@ -93,12 +94,6 @@ def order_permutation(p: JointDistribution) -> SearchResult:
     return SearchResult(g, _objective(p, g), "order")
 
 
-def _zero_bit_matrix(d: int) -> np.ndarray:
-    """A0[y, j] = 1.0 where bit j of symbol y is zero."""
-    y = np.arange(1 << d, dtype=np.int64)
-    return ((y[:, None] >> np.arange(d)[None, :]) & 1 == 0).astype(np.float64)
-
-
 def solve_linear_allocation(p: JointDistribution, coeffs: np.ndarray) -> SymbolPermutation:
     """Minimize sum_y c_y * P(Y=y) over permutations: pair probabilities
     sorted descending with coefficients sorted ascending (both stable by
@@ -136,7 +131,7 @@ def piecewise_relaxation(p: JointDistribution, k: int = DEFAULT_PIECES) -> Searc
         raise ValueError("need at least one linear piece")
     env = build_envelope(k)
     d, m = p.d, p.m
-    a0 = _zero_bit_matrix(d)
+    a0 = zero_bit_matrix(d)
     p_desc_idx = np.argsort(-p.probs, kind="stable")
     p_desc = p.probs[p_desc_idx]
 
@@ -175,7 +170,7 @@ def brute_force_optimum(p: JointDistribution) -> SearchResult:
     if p.d > 3:
         raise ValueError("brute force limited to d <= 3 (m! permutations)")
     d, m = p.d, p.m
-    a0 = _zero_bit_matrix(d)
+    a0 = zero_bit_matrix(d)
     perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
     arranged = p.probs[perms]          # arranged[n, y] = P_Y(y) under perm n
     pis = arranged @ a0                # (n_perms, d)

@@ -22,15 +22,15 @@ import numpy as np
 from .bounds import pattern_dictionary_cost, standard_redundancy
 from .coding import (
     BlockPartition,
-    _decode_with_counts,
-    _encode_with_counts,
     canonicalize,
+    decode_block_streams,
     extract_block,
     huffman_build,
     insert_block,
-    quantize_counts,
+    read_block_record,
+    write_block_record,
 )
-from .distributions import JointDistribution, binary_entropy, entropy_bits
+from .distributions import JointDistribution, binary_entropy, bit_zero_marginals, entropy_bits
 from .search import block_bica
 from .sources import read_frequency_list, SourceSpec
 
@@ -67,18 +67,23 @@ class DescentResult:
         return np.array([s.block_sum for s in self.steps])
 
 
-def apply_shuffle(symbols: np.ndarray, shuffle: np.ndarray) -> np.ndarray:
-    """Bit j of the result is bit shuffle[j] of the input."""
-    out = np.zeros_like(symbols)
-    for j, src in enumerate(shuffle):
-        out |= ((symbols >> int(src)) & 1) << j
-    return out
+# A shuffle gathers all d bit positions as one block: bit j of the result
+# is bit shuffle[j] of the input.
+apply_shuffle = extract_block
 
 
 def invert_shuffle(shuffle: np.ndarray) -> np.ndarray:
     inv = np.empty_like(shuffle)
     inv[shuffle] = np.arange(shuffle.size)
     return inv
+
+
+def _map_blocks(symbols: np.ndarray, maps, partition: BlockPartition) -> np.ndarray:
+    """Replace the value v of block i in every symbol by maps[i][v]."""
+    out = np.zeros_like(symbols)
+    for gmap, positions in zip(maps, partition.groups()):
+        insert_block(out, gmap[extract_block(symbols, positions)], positions)
+    return out
 
 
 def _block_stats(symbols: np.ndarray, partition: BlockPartition) -> tuple[float, float, list[np.ndarray]]:
@@ -88,13 +93,9 @@ def _block_stats(symbols: np.ndarray, partition: BlockPartition) -> tuple[float,
     block_sum = 0.0
     counts_list = []
     for positions in partition.groups():
-        bs = extract_block(symbols, positions)
-        counts = np.bincount(bs, minlength=1 << positions.size)
-        probs = counts / n
-        block_sum += entropy_bits(probs)
-        pis = [float(counts[(np.arange(counts.size) >> u) & 1 == 0].sum()) / n
-               for u in range(positions.size)]
-        bound += float(np.sum(binary_entropy(np.array(pis))))
+        counts = np.bincount(extract_block(symbols, positions), minlength=1 << positions.size)
+        block_sum += entropy_bits(counts / n)
+        bound += float(np.sum(binary_entropy(bit_zero_marginals(counts, positions.size) / n)))
         counts_list.append(counts)
     return bound, block_sum, counts_list
 
@@ -143,27 +144,23 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
         _, _, counts_list = _block_stats(cand, partition)
         new_bound = 0.0
         transforms = []
-        blocks_new = np.zeros_like(cand)
-        for counts, positions in zip(counts_list, partition.groups()):
-            bs = extract_block(cand, positions)
+        for counts, size in zip(counts_list, partition.sizes):
             probs = counts / z.size
-            pis = np.array([probs[(np.arange(probs.size) >> u) & 1 == 0].sum()
-                            for u in range(positions.size)])
+            # a bit that is zero in every symbol can sum to one ulp past 1
+            pis = np.minimum(bit_zero_marginals(probs, size), 1.0)
             ident_obj = float(np.sum(binary_entropy(pis)))
-            res = block_bica(JointDistribution(int(positions.size), probs), method, k=k)
+            res = block_bica(JointDistribution(size, probs), method, k=k)
             if res.objective < ident_obj - 1e-15:
-                gmap = res.g.map
+                transforms.append(res.g.map)
                 new_bound += res.objective
             else:
-                gmap = np.arange(probs.size, dtype=np.int64)
+                transforms.append(np.arange(probs.size, dtype=np.int64))
                 new_bound += ident_obj
-            transforms.append(gmap)
-            insert_block(blocks_new, gmap[bs], positions)
         if bound_prev - new_bound < tol:
             stall += 1
             continue
         stall = 0
-        z = blocks_new
+        z = _map_blocks(cand, transforms, partition)
         _, bsum, _ = _block_stats(z, partition)
         steps.append(PipelineStep(len(steps), sh, tuple(transforms), new_bound, bsum))
         bound_prev = new_bound
@@ -175,11 +172,7 @@ def replay(samples, result: DescentResult) -> tuple[np.ndarray, np.ndarray]:
     z = np.ascontiguousarray(samples, dtype=np.int64)
     bounds, bsums = [], []
     for step in result.steps:
-        z = apply_shuffle(z, step.shuffle)
-        out = np.zeros_like(z)
-        for gmap, positions in zip(step.transforms, result.partition.groups()):
-            insert_block(out, gmap[extract_block(z, positions)], positions)
-        z = out
+        z = _map_blocks(apply_shuffle(z, step.shuffle), step.transforms, result.partition)
         bound, bsum, _ = _block_stats(z, result.partition)
         bounds.append(bound)
         bsums.append(bsum)
@@ -287,10 +280,9 @@ def compress(samples, result: DescentResult) -> bytes:
     a decoder can decode the block streams and replay every transform and
     shuffle in reverse."""
     z = result.final_symbols
-    n = z.size
     sizes = result.partition.sizes
     out = bytearray()
-    out += struct.pack("<4sBBBBQI", UNIVERSAL_MAGIC, 1, result.d, len(sizes), 0, n,
+    out += struct.pack("<4sBBBBQI", UNIVERSAL_MAGIC, 1, result.d, len(sizes), 0, z.size,
                        len(result.steps))
     out += np.asarray(sizes, dtype="<u1").tobytes()
     out += np.asarray(result.partition.assignment, dtype="<u1").tobytes()
@@ -298,19 +290,10 @@ def compress(samples, result: DescentResult) -> bytes:
         out += np.asarray(step.shuffle, dtype="<u1").tobytes()
         for gmap in step.transforms:
             out += np.asarray(gmap, dtype="<u2").tobytes()
-    streams = []
-    for positions in result.partition.groups():
-        bs = extract_block(z, positions)
-        counts = np.bincount(bs, minlength=1 << positions.size)
-        qcounts = quantize_counts(counts / counts.sum())
-        bits = _encode_with_counts(bs, qcounts)
-        act = np.nonzero(qcounts)[0]
-        out += struct.pack("<IQ", act.size, bits.size)
-        for sym in act:
-            out += struct.pack("<IH", int(sym), int(min(qcounts[sym], 0xFFFF)))
-        streams.append(np.packbits(bits).tobytes())
-    for s in streams:
-        out += s
+    streams = [write_block_record(out, extract_block(z, positions), positions.size)
+               for positions in result.partition.groups()]
+    for bits in streams:
+        out += np.packbits(bits).tobytes()
     return bytes(out)
 
 
@@ -329,37 +312,18 @@ def decompress(blob: bytes) -> np.ndarray:
     for _ in range(n_steps):
         shuffle = np.frombuffer(blob, dtype="<u1", count=d, offset=at).astype(np.int64)
         at += d
-        transforms = []
+        inverses = []
         for s in sizes:
             gmap = np.frombuffer(blob, dtype="<u2", count=1 << s, offset=at).astype(np.int64)
             at += 2 * (1 << s)
-            transforms.append(gmap)
-        steps.append((shuffle, transforms))
-    metas = []
+            inverses.append(invert_shuffle(gmap))
+        steps.append((invert_shuffle(shuffle), inverses))
+    records = []
     for s in sizes:
-        nact, nbits = struct.unpack_from("<IQ", blob, at)
-        at += struct.calcsize("<IQ")
-        counts = np.zeros(1 << s, dtype=np.int64)
-        for _ in range(nact):
-            sym, cnt = struct.unpack_from("<IH", blob, at)
-            at += struct.calcsize("<IH")
-            counts[sym] = cnt
-        if nact == 1:
-            counts[counts > 0] = 1 << 16
-        metas.append((counts, nbits))
-    z = np.zeros(n, dtype=np.int64)
-    for (counts, nbits), positions in zip(metas, partition.groups()):
-        nbytes = (nbits + 7) // 8
-        raw = np.frombuffer(blob, dtype=np.uint8, count=nbytes, offset=at)
-        at += nbytes
-        bits = np.unpackbits(raw)[:nbits] if nbits else np.zeros(0, dtype=np.uint8)
-        insert_block(z, _decode_with_counts(bits, counts, n), positions)
+        counts, nbits, at = read_block_record(blob, at, s)
+        records.append((counts, nbits))
+    z = decode_block_streams(blob, at, records, partition, n)
     # replay the recorded history in reverse
-    for shuffle, transforms in reversed(steps):
-        out = np.zeros_like(z)
-        for gmap, positions in zip(transforms, partition.groups()):
-            inv = np.empty_like(gmap)
-            inv[gmap] = np.arange(gmap.size)
-            insert_block(out, inv[extract_block(z, positions)], positions)
-        z = apply_shuffle(out, invert_shuffle(shuffle))
+    for unshuffle, inverses in reversed(steps):
+        z = apply_shuffle(_map_blocks(z, inverses, partition), unshuffle)
     return z

@@ -147,14 +147,6 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def test_run_experiment_dispatch(tmp_path):
-    with pytest.raises(ValueError):
-        cli.run_experiment("nope", {})
-    rows = cli.run_experiment("theory-bounds",
-                              {"d": 10, "draws": 100, "seed": 1})
-    assert rows[0][0] == 1024
-
-
 def test_entry_point_help():
     out = subprocess.run([sys.executable, "-m", "bicacomp.cli", "--help"],
                          capture_output=True, text=True)

@@ -156,6 +156,10 @@ def test_distribution_validation():
 def test_permutation_validation_and_inverse():
     with pytest.raises(ValueError):
         SymbolPermutation(2, [0, 1, 1, 3])
+    with pytest.raises(ValueError):
+        SymbolPermutation(2, [0, 1, 2, -1])  # -1 must not wrap to index 3
+    with pytest.raises(ValueError):
+        SymbolPermutation(2, [0, 1, 2, 4])
     rng = np.random.default_rng(2)
     g = random_permutation(3, rng)
     gi = g.inverse()

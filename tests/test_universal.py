@@ -61,6 +61,15 @@ def test_descent_independent_bits_no_gain():
     assert result.bounds[0] - result.bounds[-1] < 0.02
 
 
+def test_descent_tolerates_a_constant_bit_summing_past_one():
+    # bits 5..7 are zero in every symbol; in one of these proposals such a
+    # bit's zero-probability, summed from float probabilities, overshoots 1
+    draws = sample(SourceSpec.zipf(32, 1.0, seed=7), 1000)
+    result = descend(draws, 8, 3, method="order", max_iters=3, seed=2)
+    assert np.all(np.diff(result.bounds) <= 1e-9)
+    assert np.array_equal(decompress(compress(draws, result)), draws)
+
+
 def test_descent_rejects_empty_and_bad_blocks():
     with pytest.raises(ValueError):
         descend(np.empty(0, dtype=np.int64), 8, 4)

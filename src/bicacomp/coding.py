@@ -319,15 +319,9 @@ def arithmetic_encode(symbols, probs, alphabet_cap: int = ALPHABET_CAP) -> np.nd
 def _encode_with_counts(syms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if syms.size and np.any(counts[syms] == 0):
         raise ValueError("zero probability assigned to an occurring symbol")
-    active = counts > 0
-    if int(active.sum()) == 1:
+    if np.count_nonzero(counts) == 1:
         return np.zeros(syms.size, dtype=np.uint8)  # one symbol: 1 bit each
-    cum = _cum_from_counts(counts)
-    cmin = int(counts[active].min())
-    worst = math.ceil(math.log2(cum[-1] / cmin)) + 3
-    out = np.empty(syms.size * worst + 128, dtype=np.uint8)
-    nb = kernels.ac_encode(syms, cum, out)
-    return out[:nb].copy()
+    return kernels.ac_encode(syms, _cum_from_counts(counts))
 
 
 def arithmetic_decode(bits, probs, n: int, alphabet_cap: int = ALPHABET_CAP) -> np.ndarray:
@@ -342,10 +336,7 @@ def _decode_with_counts(bits: np.ndarray, counts: np.ndarray, n: int) -> np.ndar
     active = np.nonzero(counts > 0)[0]
     if active.size == 1:
         return np.full(n, active[0], dtype=np.int64)
-    cum = _cum_from_counts(counts)
-    out = np.empty(n, dtype=np.int64)
-    kernels.ac_decode(bits, n, cum, out)
-    return out
+    return kernels.ac_decode(bits, n, _cum_from_counts(counts))
 
 
 def ideal_code_lengths(probs) -> np.ndarray:

@@ -1,12 +1,13 @@
-"""Hot inner loops: arithmetic-coder core and quantizer assignment.
+"""Hot inner loops: the arithmetic coder and the quantizer assignment.
 
-Each kernel is written once as a plain Python function over NumPy arrays
-and compiled with numba's @njit when available. Set BICACOMP_NUMBA=0 to
-force the uncompiled fallbacks (the two paths are bit-identical; see
-benchmarks/bench_kernels.py for a speed comparison).
+Each kernel is one plain Python/NumPy function that returns its output.
+The coder loops are sequential by nature and run in the interpreter, so
+their interval arithmetic uses Python ints (the cumulative counts are
+converted once per call); the assignment is vectorized over chunks of
+samples. Speed numbers are in ``pipebench/README.md``.
 """
 
-import os
+from bisect import bisect_right
 
 import numpy as np
 
@@ -17,43 +18,38 @@ _HALF = _TOP >> 1
 _QUARTER = _TOP >> 2
 MAX_TOTAL = 1 << 30  # range/total must stay >= 1 during interval updates
 
+# Samples x clusters distances held at once by ecvq_assign (8 bytes each).
+ASSIGN_CHUNK_CELLS = 1 << 20
 
-def numba_requested() -> bool:
-    flag = os.environ.get("BICACOMP_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
+# Read by the benchmark's environment record: no kernel is compiled.
+NUMBA_ACTIVE = False
 
 
-def _ac_encode_core(symbols, cum, out_bits):
-    """Encode symbols against cumulative counts cum (len m+1, cum[0]=0).
+def ac_encode(symbols, cum) -> np.ndarray:
+    """Encode symbols against cumulative counts cum (len m+1, cum[0]=0);
+    returns the 0/1 bits as uint8.
 
-    Writes 0/1 into out_bits, returns the bit count. Interval update is
-    the classic integer low/high recurrence; carries surface as pending
-    bits emitted on the next range split.
+    Interval update is the classic integer low/high recurrence; carries
+    surface as pending bits emitted on the next range split.
     """
+    cum = cum.tolist()
     total = cum[-1]
     low = 0
     high = _MASK
     pending = 0
-    nb = 0
-    for t in range(symbols.shape[0]):
-        s = symbols[t]
+    out = bytearray()
+    for s in memoryview(np.ascontiguousarray(symbols, dtype=np.int64)):
         span = high - low + 1
         high = low + (span * cum[s + 1]) // total - 1
         low = low + (span * cum[s]) // total
         while True:
             if high < _HALF:
-                out_bits[nb] = 0
-                nb += 1
-                for _ in range(pending):
-                    out_bits[nb] = 1
-                    nb += 1
+                out.append(0)
+                out += b"\x01" * pending
                 pending = 0
             elif low >= _HALF:
-                out_bits[nb] = 1
-                nb += 1
-                for _ in range(pending):
-                    out_bits[nb] = 0
-                    nb += 1
+                out.append(1)
+                out += b"\x00" * pending
                 pending = 0
                 low -= _HALF
                 high -= _HALF
@@ -67,25 +63,21 @@ def _ac_encode_core(symbols, cum, out_bits):
             high = high * 2 + 1
     pending += 1
     if low < _QUARTER:
-        out_bits[nb] = 0
-        nb += 1
-        for _ in range(pending):
-            out_bits[nb] = 1
-            nb += 1
+        out.append(0)
+        out += b"\x01" * pending
     else:
-        out_bits[nb] = 1
-        nb += 1
-        for _ in range(pending):
-            out_bits[nb] = 0
-            nb += 1
-    return nb
+        out.append(1)
+        out += b"\x00" * pending
+    return np.frombuffer(out, dtype=np.uint8)
 
 
-def _ac_decode_core(bits, n, cum, out_symbols):
-    """Decode n symbols from a 0/1 array; bits past the end read as 0."""
+def ac_decode(bits, n, cum) -> np.ndarray:
+    """Decode n symbols from a uint8 0/1 array; bits past the end read as 0."""
+    cum = cum.tolist()
     total = cum[-1]
-    m = cum.shape[0] - 1
-    nbits = bits.shape[0]
+    m = len(cum) - 1
+    bits = bytes(bits)
+    nbits = len(bits)
     low = 0
     high = _MASK
     code = 0
@@ -93,22 +85,15 @@ def _ac_decode_core(bits, n, cum, out_symbols):
     for _ in range(STATE_BITS):
         code <<= 1
         if pos < nbits:
-            code |= int(bits[pos])  # keep the accumulator wide off-jit too
+            code |= bits[pos]
         pos += 1
+    out = np.empty(n, dtype=np.int64)
+    symbols = memoryview(out)
     for t in range(n):
         span = high - low + 1
         target = ((code - low + 1) * total - 1) // span
-        # binary search: largest s with cum[s] <= target
-        lo = 0
-        hi = m
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            if cum[mid] <= target:
-                lo = mid
-            else:
-                hi = mid
-        s = lo
-        out_symbols[t] = s
+        s = bisect_right(cum, target, 1, m) - 1  # largest s with cum[s] <= target
+        symbols[t] = s
         high = low + (span * cum[s + 1]) // total - 1
         low = low + (span * cum[s]) // total
         while True:
@@ -128,47 +113,25 @@ def _ac_decode_core(bits, n, cum, out_symbols):
             high = high * 2 + 1
             code <<= 1
             if pos < nbits:
-                code |= int(bits[pos])
+                code |= bits[pos]
             pos += 1
+    return out
 
 
-def _ecvq_assign_core(x, centroids, bias, assign):
+def ecvq_assign(x, centroids, bias) -> np.ndarray:
     """Nearest-centroid assignment under squared distance plus a per-cluster
-    bias; returns the summed biased objective. Retired clusters carry an
-    inf bias and are never selected."""
+    bias. Retired clusters carry an inf bias and are never selected; a row
+    whose clusters are all retired gets 0. Distances are summed one
+    coordinate at a time and ties go to the lowest index, so the result
+    matches a scalar loop over clusters with a strict ``<``."""
     n, dim = x.shape
     k = centroids.shape[0]
-    total = 0.0
-    for i in range(n):
-        best = np.inf
-        arg = 0
-        for c in range(k):
-            v = bias[c]
-            if v == np.inf:
-                continue
-            for t in range(dim):
-                dlt = x[i, t] - centroids[c, t]
-                v += dlt * dlt
-            if v < best:
-                best = v
-                arg = c
-        assign[i] = arg
-        total += best
-    return total
-
-
-NUMBA_ACTIVE = False
-ac_encode = _ac_encode_core
-ac_decode = _ac_decode_core
-ecvq_assign = _ecvq_assign_core
-
-if numba_requested():
-    try:
-        from numba import njit
-
-        ac_encode = njit(cache=True)(_ac_encode_core)
-        ac_decode = njit(cache=True)(_ac_decode_core)
-        ecvq_assign = njit(cache=True)(_ecvq_assign_core)
-        NUMBA_ACTIVE = True
-    except ImportError:
-        pass
+    assign = np.empty(n, dtype=np.int64)
+    rows = max(1, ASSIGN_CHUNK_CELLS // k)
+    for start in range(0, n, rows):
+        xs = x[start:start + rows]
+        v = np.repeat(bias[None, :], xs.shape[0], axis=0)
+        for t in range(dim):
+            v += (xs[:, t, None] - centroids[None, :, t]) ** 2
+        assign[start:start + rows] = np.argmin(v, axis=1)
+    return assign

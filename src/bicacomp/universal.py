@@ -86,18 +86,23 @@ def _map_blocks(symbols: np.ndarray, maps, partition: BlockPartition) -> np.ndar
     return out
 
 
-def _block_stats(symbols: np.ndarray, partition: BlockPartition) -> tuple[float, float, list[np.ndarray]]:
-    """(bound, block_sum, per-block count vectors) of the current state."""
+def _block_stats(symbols: np.ndarray, partition: BlockPartition
+                 ) -> tuple[float, float, list[np.ndarray], list[float]]:
+    """(bound, block_sum, per-block count vectors, per-block bounds) of the
+    current state; every bound is summed from integer counts."""
     n = symbols.size
     bound = 0.0
     block_sum = 0.0
     counts_list = []
+    block_bounds = []
     for positions in partition.groups():
         counts = np.bincount(extract_block(symbols, positions), minlength=1 << positions.size)
         block_sum += entropy_bits(counts / n)
-        bound += float(np.sum(binary_entropy(bit_zero_marginals(counts, positions.size) / n)))
+        block_bound = float(np.sum(binary_entropy(bit_zero_marginals(counts, positions.size) / n)))
+        bound += block_bound
+        block_bounds.append(block_bound)
         counts_list.append(counts)
-    return bound, block_sum, counts_list
+    return bound, block_sum, counts_list, block_bounds
 
 
 def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
@@ -129,7 +134,7 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
     candidates = [np.arange(d)] + [rng.permutation(d) for _ in range(max(init_shuffles, 0))]
     for sh in candidates:
         cand = apply_shuffle(z, sh)
-        bound, bsum, _ = _block_stats(cand, partition)
+        bound, bsum, _, _ = _block_stats(cand, partition)
         if best is None or bsum < best[0] - 1e-15:
             best = (bsum, bound, sh, cand)
     bsum0, bound0, sh0, z = best
@@ -141,14 +146,11 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
     while len(steps) - 1 < max_iters and stall < patience:
         sh = rng.permutation(d)
         cand = apply_shuffle(z, sh)
-        _, _, counts_list = _block_stats(cand, partition)
+        _, _, counts_list, ident_bounds = _block_stats(cand, partition)
         new_bound = 0.0
         transforms = []
-        for counts, size in zip(counts_list, partition.sizes):
+        for counts, size, ident_obj in zip(counts_list, partition.sizes, ident_bounds):
             probs = counts / z.size
-            # a bit that is zero in every symbol can sum to one ulp past 1
-            pis = np.minimum(bit_zero_marginals(probs, size), 1.0)
-            ident_obj = float(np.sum(binary_entropy(pis)))
             res = block_bica(JointDistribution(size, probs), method, k=k)
             if res.objective < ident_obj - 1e-15:
                 transforms.append(res.g.map)
@@ -161,9 +163,8 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
             continue
         stall = 0
         z = _map_blocks(cand, transforms, partition)
-        _, bsum, _ = _block_stats(z, partition)
-        steps.append(PipelineStep(len(steps), sh, tuple(transforms), new_bound, bsum))
-        bound_prev = new_bound
+        bound_prev, bsum, _, _ = _block_stats(z, partition)
+        steps.append(PipelineStep(len(steps), sh, tuple(transforms), bound_prev, bsum))
     return DescentResult(d, int(z.size), partition, tuple(steps), z)
 
 
@@ -173,7 +174,7 @@ def replay(samples, result: DescentResult) -> tuple[np.ndarray, np.ndarray]:
     bounds, bsums = [], []
     for step in result.steps:
         z = _map_blocks(apply_shuffle(z, step.shuffle), step.transforms, result.partition)
-        bound, bsum, _ = _block_stats(z, result.partition)
+        bound, bsum, _, _ = _block_stats(z, result.partition)
         bounds.append(bound)
         bsums.append(bsum)
     return np.array(bounds), np.array(bsums)

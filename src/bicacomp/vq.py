@@ -81,7 +81,7 @@ def ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
     prev = np.inf
     for _ in range(max_sweeps):
         bias = np.where(np.isfinite(lengths), lam * lengths, np.inf)
-        kernels.ecvq_assign(x, centroids, bias, assign)
+        assign = kernels.ecvq_assign(x, centroids, bias)
         counts = np.bincount(assign, minlength=m_init)
         occupied = counts > 0
         lengths = np.where(occupied, -np.log2(np.maximum(counts, 1) / n), np.inf)
@@ -134,7 +134,7 @@ def bica_ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
     prev = np.inf
     for _ in range(max_sweeps):
         bias = np.where(np.isfinite(lengths), lam * lengths, np.inf)
-        kernels.ecvq_assign(x, centroids, bias, assign)
+        assign = kernels.ecvq_assign(x, centroids, bias)
         counts = np.bincount(assign, minlength=m_init)
         occupied = counts > 0
         probs = np.zeros(1 << d_bits)

@@ -41,8 +41,8 @@ def test_descent_improves_over_shuffle_only(zipf_run):
 def test_descent_replay_from_descriptors(zipf_run):
     draws, result = zipf_run
     bounds, bsums = replay(draws, result)
-    assert np.allclose(bounds, result.bounds, atol=1e-9)
-    assert np.allclose(bsums, result.block_sums, atol=1e-9)
+    assert np.array_equal(bounds, result.bounds)
+    assert np.array_equal(bsums, result.block_sums)
 
 
 def test_descent_lossless_container(zipf_run):

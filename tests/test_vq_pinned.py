@@ -1,0 +1,56 @@
+"""Both ECVQ fits: pinned histories, assignments and codebooks.
+
+The digests below pin every byte of ``ecvq_fit``'s
+``(history, assign, centroids, lengths)`` and, for ``bica_ecvq_fit``, of
+those plus the returned index permutation, at the shape of the benchmark's
+ECVQ sweep (n=1000 six-dimensional mixture samples, 64 initial clusters)
+and at both ends of the lambda grid. A change to the assignment kernel
+that moves a single tie or rounding shows here.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from bicacomp.sources import SourceSpec, sample
+from bicacomp.vq import bica_ecvq_fit, ecvq_fit
+
+N, DIM, M_INIT = 1000, 6, 64
+
+ECVQ_DIGESTS = {
+    (0, 0.01): "94e7ee3ed828a26ddd76526055c1a7efbceb57da5e7c91fb750342d008bb4222",
+    (0, 10.0): "145c5d21c5979bfe1d3357cd5b330c19d2c9d394a7d9a5119ac0f68da7b915e5",
+    (1, 0.01): "408cbabfe9b1f95619fa36dab17ab1eae6d0040464363485c88dc62ee26b3251",
+    (1, 10.0): "4f4166ea28026a31439fa62644d9f0ae15dd6d6e360e415594058a01dc95c9aa",
+}
+
+BICA_DIGESTS = {
+    (0, 0.01): "2e81db8660d65ba3218a5cd6e636f6ae98e9c8b6c011edaa4f9df187b6e0f305",
+    (0, 10.0): "b8934e96c2f88fb8a9c285cb0c51cf4cd02e2b299ba850b837298e684e2ea528",
+    (1, 0.01): "df273bf9e61683a1cb85c9f34ea036dceb465410f63ae6f3e162896d9e440ffd",
+    (1, 10.0): "88874d6746818a5f8c07fc16dc5188ecbb5c3baf20aa3021f0c1cbdc97b5f7d9",
+}
+
+
+def _samples(seed):
+    return sample(SourceSpec.gaussian_mixture(DIM, seed=seed), N)
+
+
+def _digest(state, *extra):
+    h = hashlib.sha256()
+    for a in (state.history, state.assign, state.centroids, state.lengths, *extra):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed, lam", sorted(ECVQ_DIGESTS))
+def test_ecvq_fit_pinned(seed, lam):
+    state = ecvq_fit(_samples(seed), M_INIT, lam, seed=seed)
+    assert _digest(state) == ECVQ_DIGESTS[seed, lam]
+
+
+@pytest.mark.parametrize("seed, lam", sorted(BICA_DIGESTS))
+def test_bica_ecvq_fit_pinned(seed, lam):
+    state, g = bica_ecvq_fit(_samples(seed), M_INIT, lam, seed=seed)
+    assert _digest(state, g.map) == BICA_DIGESTS[seed, lam]

@@ -8,13 +8,18 @@ Three routes with increasing cost/quality:
 * ``piecewise_relaxation`` -- upper-bound the concave binary entropy with k
   tangent segments, enumerate placements of the d bit marginals into the k
   segments, and solve each placement as a linear assignment of sorted
-  probabilities to sorted coefficients.
+  probabilities to sorted coefficients. The allocation orders do not
+  depend on the distribution and are cached per (d, k) in a read-only
+  ``uint16`` table of C(d+k-1, d) x 2^d entries (220 KB at (6, 8), 40 MB at
+  (10, 8)); all placements are screened in one NumPy pass, and only those
+  within the screen's error of the best are evaluated exactly.
 * ``brute_force_optimum`` -- exact minimum over all m! permutations, only
   for d <= 3; the oracle the other two are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -35,6 +40,12 @@ REGION_TOL = 1e-12  # boundary points belong to both regions
 DEFAULT_PIECES = 8
 PIECEWISE_MAX_BITS = 10
 BLOCK_MAX_BITS = 16
+# Bound on the error of a screened marginal or objective. The screen sums
+# in another order than the exact evaluation; at d = 10 the round-off is
+# under 3e-13 per marginal and 1e-10 per objective.
+SCREEN_TOL = 1e-9
+# Placements x symbols scored at once by the piecewise screen (8 bytes each).
+SCREEN_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -121,31 +132,95 @@ def _fold_marginals(dest: np.ndarray, pis: np.ndarray, d: int) -> tuple[np.ndarr
     return dest, pis
 
 
+@functools.lru_cache(maxsize=8)
+def _placements(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(regions, orders) of every placement of d marginals into k segments,
+    in enumeration order: ``regions[i]`` holds placement i's segment of
+    each bit and ``orders[i]`` its allocation order, the stable argsort of
+    its coefficients ``a0 @ slopes``. Each order is computed on its own, as
+    in the exact re-evaluation, so tied coefficients sort the same way (a
+    batched product sums in another order). Both tables are ``uint16`` and
+    read-only; the orders take C(d+k-1, d) * 2^d * 2 bytes, 220 KB at
+    (6, 8) and 40 MB at (10, 8)."""
+    env = build_envelope(k)
+    a0 = zero_bit_matrix(d)
+    combos = list(itertools.combinations_with_replacement(range(k), d))
+    orders = np.empty((len(combos), 1 << d), dtype=np.uint16)
+    for i, regs in enumerate(combos):
+        orders[i] = np.argsort(a0 @ env.slopes[list(regs)], kind="stable")
+    regions = np.array(combos, dtype=np.uint16)
+    regions.flags.writeable = False
+    orders.flags.writeable = False
+    return regions, orders
+
+
+def _screen(p_desc: np.ndarray, regions: np.ndarray, orders: np.ndarray, k: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate objectives of every placement, with +inf where the
+    realized marginals miss their segments by more than REGION_TOL +
+    SCREEN_TOL, and a mask of the placements that lie inside their inner
+    segment edges by at least SCREEN_TOL, which are certainly feasible.
+    Marginals are summed as ``bit_zero_marginals`` does, not in the exact
+    order, so they differ from the exact ones by far less than SCREEN_TOL."""
+    n_pl, m = orders.shape
+    d = regions.shape[1]
+    objs = np.empty(n_pl)
+    strict = np.empty(n_pl, dtype=bool)
+    rows = max(1, SCREEN_CHUNK_CELLS // m)
+    for start in range(0, n_pl, rows):
+        o = orders[start:start + rows]
+        regs = regions[start:start + rows]
+        c = o.shape[0]
+        q = np.zeros((c, m))
+        q[np.arange(c)[:, None], o] = p_desc  # placement r puts p_desc[i] on o[r, i]
+        pis = np.empty((c, d))
+        for j in range(d):
+            pis[:, j] = q.reshape(c, -1, 2, 1 << j)[:, :, 0, :].sum(axis=(1, 2))
+        pis = np.minimum(pis, 1 - pis)
+        lo = regs / (2 * k)
+        hi = (regs + 1.0) / (2 * k)
+        slack = REGION_TOL + SCREEN_TOL
+        feasible = np.all((pis >= lo - slack) & (pis <= hi + slack), axis=1)
+        # a folded marginal always lies in [0, 1/2]: only inner edges can fail
+        strict[start:start + c] = np.all(((regs == 0) | (pis >= lo + SCREEN_TOL))
+                                         & ((regs == k - 1) | (pis <= hi - SCREEN_TOL)), axis=1)
+        obj = np.sum(binary_entropy(np.clip(pis, 0.0, 0.5)), axis=1)
+        objs[start:start + c] = np.where(feasible, obj, np.inf)
+    return objs, strict
+
+
 def piecewise_relaxation(p: JointDistribution, k: int = DEFAULT_PIECES) -> SearchResult:
     """Enumerate all C(d+k-1, d) placements of the d marginals into the k
     envelope segments; solve each as an unconstrained linear allocation,
     keep placements whose realized marginals fall inside their assigned
     segments, and return the feasible candidate with the smallest true
-    objective."""
+    objective.
+
+    All placements are screened at once (``_screen``); only those whose
+    screened objective is within 2 * SCREEN_TOL of the best certainly
+    feasible one are evaluated exactly, in enumeration order, with the
+    same first-best rule as a full scan. Every other placement is worse
+    than the exact optimum by more than the screen's error, so it could
+    never win the full scan, and the result is the full scan's."""
     if k < 1:
         raise ValueError("need at least one linear piece")
-    env = build_envelope(k)
     d, m = p.d, p.m
     a0 = zero_bit_matrix(d)
     p_desc_idx = np.argsort(-p.probs, kind="stable")
     p_desc = p.probs[p_desc_idx]
+    regions, orders = _placements(d, k)
+    objs, strict = _screen(p_desc, regions, orders, k)
+    limit = np.min(objs[strict], initial=np.inf) + 2 * SCREEN_TOL
 
     best_obj = np.inf
     best_map = None
-    for regs in itertools.combinations_with_replacement(range(k), d):
-        slopes = env.slopes[list(regs)]
-        coeffs = a0 @ slopes
-        dest = np.argsort(coeffs, kind="stable")
+    for i in np.flatnonzero(np.isfinite(objs) & (objs <= limit)):
+        dest = orders[i].astype(np.int64)
         # realized zero-marginals of the allocation: p_desc lands on dest
         pis = p_desc @ a0[dest]
         dest_f, pis_f = _fold_marginals(dest, pis, d)
-        lo = np.array([r / (2 * k) for r in regs])
-        hi = np.array([(r + 1) / (2 * k) for r in regs])
+        lo = regions[i] / (2 * k)
+        hi = (regions[i] + 1.0) / (2 * k)
         if np.any(pis_f < lo - REGION_TOL) or np.any(pis_f > hi + REGION_TOL):
             continue
         obj = float(np.sum(binary_entropy(pis_f)))

@@ -9,6 +9,11 @@ empirical block entropies; the final representation is entropy-coded
 block-wise and the total size is charged for the data, the per-block
 model redundancy, and the descriptions of every shuffle and transform the
 decoder must replay.
+
+Shuffles and block transforms are bijections on symbols, so the descent,
+``replay`` and ``decompress`` apply them to the distinct symbols only and
+count blocks with the symbols' multiplicities: after one sort of the
+sample, each proposal costs O(distinct symbols) instead of O(n).
 """
 
 from __future__ import annotations
@@ -73,6 +78,10 @@ apply_shuffle = extract_block
 
 
 def invert_shuffle(shuffle: np.ndarray) -> np.ndarray:
+    """Inverse of a permutation of 0..size-1 (a bit shuffle or a block map);
+    raises ValueError on anything else."""
+    if not np.array_equal(np.sort(shuffle), np.arange(shuffle.size)):
+        raise ValueError("shuffle or block map is not a permutation")
     inv = np.empty_like(shuffle)
     inv[shuffle] = np.arange(shuffle.size)
     return inv
@@ -86,17 +95,19 @@ def _map_blocks(symbols: np.ndarray, maps, partition: BlockPartition) -> np.ndar
     return out
 
 
-def _block_stats(symbols: np.ndarray, partition: BlockPartition
+def _block_stats(values: np.ndarray, weights: np.ndarray, partition: BlockPartition
                  ) -> tuple[float, float, list[np.ndarray], list[float]]:
     """(bound, block_sum, per-block count vectors, per-block bounds) of the
-    current state; every bound is summed from integer counts."""
-    n = symbols.size
+    distinct symbols ``values`` occurring ``weights`` times each; the counts
+    are exact integers and every bound is summed from them."""
+    n = int(weights.sum())
     bound = 0.0
     block_sum = 0.0
     counts_list = []
     block_bounds = []
     for positions in partition.groups():
-        counts = np.bincount(extract_block(symbols, positions), minlength=1 << positions.size)
+        counts = np.bincount(extract_block(values, positions), weights=weights,
+                             minlength=1 << positions.size).astype(np.int64)
         block_sum += entropy_bits(counts / n)
         block_bound = float(np.sum(binary_entropy(bit_zero_marginals(counts, positions.size) / n)))
         bound += block_bound
@@ -120,10 +131,14 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
     are discarded. Terminates at ``max_iters`` accepted iterations or once
     ``patience`` consecutive proposals fail to improve (the point where the
     bound can no longer be decreased, as far as random search can tell).
+    Raises ValueError on a symbol outside 0..2^d-1.
     """
-    z = np.ascontiguousarray(samples, dtype=np.int64)
-    if z.size == 0:
+    x = np.ascontiguousarray(samples, dtype=np.int64)
+    if x.size == 0:
         raise ValueError("cannot descend on an empty sample")
+    z, inverse, weights = np.unique(x, return_inverse=True, return_counts=True)
+    if z[0] < 0 or z[-1] >= 1 << d:
+        raise ValueError("symbol outside alphabet")
     partition = BlockPartition.contiguous(d, b)
     if method == "auto":
         method = "piecewise" if b <= 10 else "order"
@@ -134,7 +149,7 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
     candidates = [np.arange(d)] + [rng.permutation(d) for _ in range(max(init_shuffles, 0))]
     for sh in candidates:
         cand = apply_shuffle(z, sh)
-        bound, bsum, _, _ = _block_stats(cand, partition)
+        bound, bsum, _, _ = _block_stats(cand, weights, partition)
         if best is None or bsum < best[0] - 1e-15:
             best = (bsum, bound, sh, cand)
     bsum0, bound0, sh0, z = best
@@ -146,11 +161,11 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
     while len(steps) - 1 < max_iters and stall < patience:
         sh = rng.permutation(d)
         cand = apply_shuffle(z, sh)
-        _, _, counts_list, ident_bounds = _block_stats(cand, partition)
+        _, _, counts_list, ident_bounds = _block_stats(cand, weights, partition)
         new_bound = 0.0
         transforms = []
         for counts, size, ident_obj in zip(counts_list, partition.sizes, ident_bounds):
-            probs = counts / z.size
+            probs = counts / x.size
             res = block_bica(JointDistribution(size, probs), method, k=k)
             if res.objective < ident_obj - 1e-15:
                 transforms.append(res.g.map)
@@ -163,18 +178,18 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
             continue
         stall = 0
         z = _map_blocks(cand, transforms, partition)
-        bound_prev, bsum, _, _ = _block_stats(z, partition)
+        bound_prev, bsum, _, _ = _block_stats(z, weights, partition)
         steps.append(PipelineStep(len(steps), sh, tuple(transforms), bound_prev, bsum))
-    return DescentResult(d, int(z.size), partition, tuple(steps), z)
+    return DescentResult(d, int(x.size), partition, tuple(steps), z[inverse])
 
 
 def replay(samples, result: DescentResult) -> tuple[np.ndarray, np.ndarray]:
     """Recompute (bounds, block_sums) from the stored descriptors alone."""
-    z = np.ascontiguousarray(samples, dtype=np.int64)
+    z, weights = np.unique(np.asarray(samples, dtype=np.int64), return_counts=True)
     bounds, bsums = [], []
     for step in result.steps:
         z = _map_blocks(apply_shuffle(z, step.shuffle), step.transforms, result.partition)
-        bound, bsum, _, _ = _block_stats(z, result.partition)
+        bound, bsum, _, _ = _block_stats(z, weights, result.partition)
         bounds.append(bound)
         bsums.append(bsum)
     return np.array(bounds), np.array(bsums)
@@ -323,8 +338,9 @@ def decompress(blob: bytes) -> np.ndarray:
     for s in sizes:
         counts, nbits, at = read_block_record(blob, at, s)
         records.append((counts, nbits))
-    z = decode_block_streams(blob, at, records, partition, n)
-    # replay the recorded history in reverse
+    z, inverse = np.unique(decode_block_streams(blob, at, records, partition, n),
+                           return_inverse=True)
+    # replay the recorded history in reverse, on the distinct symbols
     for unshuffle, inverses in reversed(steps):
         z = apply_shuffle(_map_blocks(z, inverses, partition), unshuffle)
-    return z
+    return z[inverse]

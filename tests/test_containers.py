@@ -4,7 +4,7 @@
 share the per-block table record and stream section. The digests below
 pin every byte of both formats on seeded inputs covering the edge shapes:
 n=0 and n=1, a block holding one lone symbol, b not dividing d, d=10, and
-the piecewise and order descents.
+the piecewise and order descents, one of them at the benchmark's d=12, b=6.
 """
 
 import hashlib
@@ -74,6 +74,12 @@ def _bau1_order():
     return x, descend(x, 10, 5, method="order", max_iters=4, seed=2)
 
 
+def _bau1_piecewise_d12():
+    # the benchmark's block shape: two 6-bit blocks, 1716 placements each
+    x = sample(SourceSpec.zipf(4096, 1.2, seed=8), 5000)
+    return x, descend(x, 12, 6, method="piecewise", max_iters=5, seed=3)
+
+
 def _bau1_lone():
     # bits 4..7 are always zero; the last recorded shuffle keeps them in one block
     x = sample(SourceSpec.zipf(16, 1.0, seed=7), 1000)
@@ -82,6 +88,8 @@ def _bau1_lone():
 
 BAU1_CASES = {
     "piecewise": (_bau1_piecewise, "48d067c7d7809c2c2e766a21700eb39bbe120de7629de23fc2c2a2c0c17d40be"),
+    "piecewise_d12": (_bau1_piecewise_d12,
+                      "c8f89696c020efc26367f152b8f1d39115a015126e1a9564116c8fcb7a7bf178"),
     "order": (_bau1_order, "ff05a09a553bc3698413a24facefa20551eb84fdc04a027dd50ce92d0f19e986"),
     "lone": (_bau1_lone, "e63c743178d2b15db9603806ff5f42a13c113cd2bfe2ff14cade9328744902d6"),
 }

@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from bicacomp import search
 from bicacomp.distributions import (
     JointDistribution,
     SymbolPermutation,
     binary_entropy,
     bit_zero_marginals,
     joint_entropy,
+    zero_bit_matrix,
 )
 from bicacomp.search import (
     block_bica,
@@ -190,6 +192,80 @@ def test_piecewise_objective_nonincreasing_in_k_statistically():
     mean2 = np.mean([piecewise_relaxation(p, 2).objective for p in draws])
     mean8 = np.mean([piecewise_relaxation(p, 8).objective for p in draws])
     assert mean8 <= mean2 + 1e-12
+
+
+def reference_piecewise(p, k):
+    """The plain scan over all placements: (map, objective, fallback)."""
+    env = build_envelope(k)
+    d, m = p.d, p.m
+    a0 = zero_bit_matrix(d)
+    p_desc_idx = np.argsort(-p.probs, kind="stable")
+    p_desc = p.probs[p_desc_idx]
+    best_obj = np.inf
+    best_map = None
+    for regs in itertools.combinations_with_replacement(range(k), d):
+        dest = np.argsort(a0 @ env.slopes[list(regs)], kind="stable")
+        pis = p_desc @ a0[dest]
+        dest_f, pis_f = search._fold_marginals(dest, pis, d)
+        lo = np.array([r / (2 * k) for r in regs])
+        hi = np.array([(r + 1) / (2 * k) for r in regs])
+        if np.any(pis_f < lo - search.REGION_TOL) or np.any(pis_f > hi + search.REGION_TOL):
+            continue
+        obj = float(np.sum(binary_entropy(pis_f)))
+        if obj < best_obj - 1e-15:
+            best_obj = obj
+            best_map = np.empty(m, dtype=np.int64)
+            best_map[p_desc_idx] = dest_f
+    if best_map is None:
+        res = order_permutation(p)
+        return res.g.map, res.objective, True
+    return best_map, best_obj, False
+
+
+def reference_inputs(d, seed):
+    """Dirichlet, integer-count (ties, zero probabilities, marginals on
+    segment edges) and Zipf distributions over 2^d symbols."""
+    rng = np.random.default_rng(seed)
+    m = 1 << d
+    out = [rng.dirichlet(np.ones(m)), rng.dirichlet(np.full(m, 0.2))]
+    counts = [np.bincount(rng.integers(0, m, n), minlength=m) for n in (7, 40, 3 * m)]
+    counts += [rng.integers(0, 4, m) + (np.arange(m) == 0), 2 ** rng.integers(0, 5, m)]
+    out += [c / c.sum() for c in counts]
+    out.append(np.full(m, 1 / m))
+    for s in (0.8, 1.5):
+        z = 1 / np.arange(1, m + 1) ** s
+        out.append(rng.permutation(z / z.sum()))
+    return [JointDistribution(d, p) for p in out]
+
+
+def assert_matches_reference(p, k):
+    gmap, obj, fallback = reference_piecewise(p, k)
+    res = piecewise_relaxation(p, k)
+    assert np.array_equal(res.g.map, gmap)
+    assert res.objective == obj
+    assert res.fallback == fallback
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_piecewise_matches_reference_scan(d, k):
+    for p in reference_inputs(d, 100 * d + k):
+        assert_matches_reference(p, k)
+
+
+def test_piecewise_one_row_chunks_match_reference(monkeypatch):
+    monkeypatch.setattr(search, "SCREEN_CHUNK_CELLS", 1)
+    for d, k in ((3, 8), (4, 4)):
+        for p in reference_inputs(d, 7 * d + k):
+            assert_matches_reference(p, k)
+
+
+def test_placement_cache_holds_small_read_only_integer_tables():
+    tables = search._placements(6, 8)
+    assert len(tables[1]) == 1716
+    assert all(np.issubdtype(t.dtype, np.integer) for t in tables)
+    assert not any(t.flags.writeable for t in tables)
+    assert sum(t.nbytes for t in tables) <= 256 * 1024
 
 
 def test_piecewise_d10_runtime_seconds():

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicacomp.sources import SourceSpec, sample
 from bicacomp.universal import (
@@ -75,6 +78,67 @@ def test_descent_rejects_empty_and_bad_blocks():
         descend(np.empty(0, dtype=np.int64), 8, 4)
     with pytest.raises(ValueError):
         descend(np.zeros(10, dtype=np.int64), 8, 9)
+
+
+@pytest.mark.parametrize("bad", [256, 300, -1])
+def test_descent_rejects_symbols_outside_the_alphabet(bad):
+    # such a symbol used to lose its high bits (300 decoded as 44, -1 as 255)
+    x = np.array([0, 1, 2, bad, 5, 7, 1, 0], dtype=np.int64)
+    with pytest.raises(ValueError, match="outside alphabet"):
+        descend(x, 8, 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(2, 8), b=st.integers(1, 4), n=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1), method=st.sampled_from(["order", "piecewise"]))
+def test_descent_is_invariant_under_row_permutation(d, b, n, seed, method):
+    rng = np.random.default_rng(seed)
+    w = rng.random(1 << d) ** 4
+    x = rng.choice(1 << d, size=n, p=w / w.sum()).astype(np.int64)
+    perm = rng.permutation(n)
+    kw = dict(method=method, max_iters=3, seed=seed % 1000, init_shuffles=3, patience=2)
+    ref = descend(x, d, min(b, d), **kw)
+    got = descend(x[perm], d, min(b, d), **kw)
+    assert len(got.steps) == len(ref.steps)
+    for a, c in zip(ref.steps, got.steps):
+        assert np.array_equal(a.shuffle, c.shuffle)
+        assert all(np.array_equal(u, v) for u, v in zip(a.transforms, c.transforms))
+    assert np.array_equal(got.bounds, ref.bounds)
+    assert np.array_equal(got.block_sums, ref.block_sums)
+    assert np.array_equal(got.final_symbols, ref.final_symbols[perm])
+
+
+def _step_entries(blob):
+    """(offset, count, itemsize) of every shuffle and block map in a BAU1
+    container."""
+    head = struct.calcsize("<4sBBBBQI")
+    _, _, d, n_blocks, _, _, n_steps = struct.unpack_from("<4sBBBBQI", blob, 0)
+    sizes = blob[head:head + n_blocks]
+    at = head + n_blocks + d
+    out = []
+    for _ in range(n_steps):
+        out.append((at, d, 1))
+        at += d
+        for s in sizes:
+            out.append((at, 1 << s, 2))
+            at += 2 << s
+    return out
+
+
+def test_decompress_rejects_non_bijective_steps():
+    # the container pinned as "piecewise" in test_containers
+    draws = sample(SourceSpec.zipf(256, 1.1, seed=5), 3000)
+    blob = compress(draws, descend(draws, 8, 4, method="piecewise", max_iters=4, seed=1))
+    tried = 0
+    for at, count, size in _step_entries(blob):
+        for i in range(1, count):
+            bad = bytearray(blob)
+            # entry i repeats entry i - 1, so one value is missing
+            bad[at + i * size: at + (i + 1) * size] = blob[at + (i - 1) * size: at + i * size]
+            with pytest.raises(ValueError, match="not a permutation"):
+                decompress(bytes(bad))
+            tried += 1
+    assert tried > 100
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .coding import (
     BitCost,
     BlockPartition,
     CanonicalCodebook,
+    ContainerError,
     MarginalEncoding,
     PrefixCode,
     arithmetic_decode,

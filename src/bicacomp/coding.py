@@ -1,16 +1,19 @@
 """Lossless coders with exact bit accounting.
 
 Provides optimal prefix (Huffman) codes, canonical re-numbering with a
-compact codebook wire format, a static arithmetic coder driven by the
-kernels module, and a block codec that transforms symbols, slices their
-bits into blocks and arithmetic-codes each block stream separately.
+compact codebook wire format, a static rANS coder driven by the kernels
+module, and a block codec that transforms symbols, slices their bits into
+blocks and entropy-codes each block stream separately.
 
 Container format (see README for the byte layout): a header carrying the
 transform and per-block quantized frequency tables, followed by the
-byte-aligned block streams. The per-block record and stream section are
-shared with the universal container. Frequencies are quantized to 16-bit totals;
-zero-count symbols are excluded from code construction under the contract
-that they never occur in the stream being coded.
+byte-aligned block streams and a CRC32 trailer. The per-block record, the
+stream section and the trailer are shared with the universal container;
+readers raise ``ContainerError`` on a wrong magic or version, a checksum
+mismatch or a stream that does not decode cleanly. Frequencies are
+quantized to 16-bit totals; zero-count symbols are excluded from code
+construction under the contract that they never occur in the stream being
+coded.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +29,14 @@ import numpy as np
 from . import kernels
 from .distributions import SymbolPermutation
 
-CONTAINER_MAGIC = b"BAC1"
-FREQ_TOTAL_BITS = 16
+CONTAINER_MAGIC = b"BAC2"
+CONTAINER_VERSION = 2
+FREQ_TOTAL_BITS = kernels.FREQ_BITS
 ALPHABET_CAP = 1 << 16
+
+
+class ContainerError(ValueError):
+    """A container is malformed, of another format or version, or corrupt."""
 
 
 @dataclass(frozen=True)
@@ -256,7 +265,7 @@ def prefix_decode(bits: np.ndarray, code: PrefixCode, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic coding
+# Entropy coding of a symbol stream (rANS, see ``kernels``)
 # ---------------------------------------------------------------------------
 
 def quantize_counts(probs: np.ndarray, total: int = 1 << FREQ_TOTAL_BITS) -> np.ndarray:
@@ -297,30 +306,29 @@ def quantize_counts(probs: np.ndarray, total: int = 1 << FREQ_TOTAL_BITS) -> np.
 def _cum_from_counts(counts: np.ndarray) -> np.ndarray:
     cum = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=cum[1:])
-    if cum[-1] > kernels.MAX_TOTAL:
-        raise ValueError("frequency total exceeds coder range")
+    if cum[-1] != 1 << FREQ_TOTAL_BITS:
+        raise ValueError(f"frequency total must be 2^{FREQ_TOTAL_BITS}")
     return cum
 
 
 def arithmetic_encode(symbols, probs, alphabet_cap: int = ALPHABET_CAP) -> np.ndarray:
-    """Encode a symbol sequence against a static distribution; returns a 0/1
-    array. Rejects alphabets past the cap and symbols the distribution
-    assigns zero probability."""
+    """Encode a symbol sequence against a static distribution; returns the
+    stream as a 0/1 array. Rejects alphabets past the cap and symbols the
+    distribution assigns zero probability."""
     p = np.asarray(probs, dtype=np.float64)
     if p.size > alphabet_cap:
         raise ValueError(f"alphabet size {p.size} exceeds cap {alphabet_cap}")
     syms = np.ascontiguousarray(symbols, dtype=np.int64)
     if syms.size and (syms.min() < 0 or syms.max() >= p.size):
         raise ValueError("symbol outside alphabet")
-    counts = quantize_counts(p)
-    return _encode_with_counts(syms, counts)
+    data, nbits = _encode_with_counts(syms, quantize_counts(p))
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits)
 
 
-def _encode_with_counts(syms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _encode_with_counts(syms: np.ndarray, counts: np.ndarray) -> tuple[bytes, int]:
+    """(stream bytes, exact stream bits) of syms coded against counts."""
     if syms.size and np.any(counts[syms] == 0):
         raise ValueError("zero probability assigned to an occurring symbol")
-    if np.count_nonzero(counts) == 1:
-        return np.zeros(syms.size, dtype=np.uint8)  # one symbol: 1 bit each
     return kernels.ac_encode(syms, _cum_from_counts(counts))
 
 
@@ -328,15 +336,12 @@ def arithmetic_decode(bits, probs, n: int, alphabet_cap: int = ALPHABET_CAP) -> 
     p = np.asarray(probs, dtype=np.float64)
     if p.size > alphabet_cap:
         raise ValueError(f"alphabet size {p.size} exceeds cap {alphabet_cap}")
-    counts = quantize_counts(p)
-    return _decode_with_counts(np.ascontiguousarray(bits, dtype=np.uint8), counts, n)
+    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    return _decode_with_counts(np.packbits(bits).tobytes(), bits.size, quantize_counts(p), n)
 
 
-def _decode_with_counts(bits: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
-    active = np.nonzero(counts > 0)[0]
-    if active.size == 1:
-        return np.full(n, active[0], dtype=np.int64)
-    return kernels.ac_decode(bits, n, _cum_from_counts(counts))
+def _decode_with_counts(data: bytes, nbits: int, counts: np.ndarray, n: int) -> np.ndarray:
+    return kernels.ac_decode(data, n, _cum_from_counts(counts), nbits)
 
 
 def ideal_code_lengths(probs) -> np.ndarray:
@@ -413,31 +418,81 @@ def insert_block(target: np.ndarray, block_symbols: np.ndarray, positions: np.nd
         target |= ((block_symbols >> u) & 1) << int(pos)
 
 
-# Per-block table record, shared by the BAC1 and BAU1 containers:
+# Both containers open with this header (its last field is the transform
+# length in BAC2 and the step count in BAU2) and end with a CRC32 of every
+# byte before the trailer.
+_HEADER = struct.Struct("<4sBBBBQI")
+_TRAILER = struct.Struct("<I")
+# Per-block table record, shared by the BAC2 and BAU2 containers:
 # n_active u32, stream_bits u64, then (symbol u32, count u16) per active
 # symbol; the byte-aligned streams of all blocks follow the last record.
 _RECORD = struct.Struct("<IQ")
 _ENTRY = np.dtype([("symbol", "<u4"), ("count", "<u2")])
 
 
-def write_block_record(out: bytearray, block_symbols: np.ndarray, b: int) -> np.ndarray:
-    """Arithmetic-code a block of b-bit values against its own quantized
+def container_header(magic: bytes, d: int, n_blocks: int, n: int, last: int) -> bytearray:
+    """A new container's bytes: its header, at the current version."""
+    return bytearray(_HEADER.pack(magic, CONTAINER_VERSION, d, n_blocks, 0, n, last))
+
+
+def seal_container(payload: bytearray) -> bytes:
+    """Append the CRC32 trailer of every byte written so far."""
+    payload += _TRAILER.pack(zlib.crc32(payload))
+    return bytes(payload)
+
+
+def open_container(blob: bytes, magic: bytes) -> tuple[int, int, int, int, memoryview, int]:
+    """Check the magic, the version and the CRC32 trailer; returns (d,
+    n_blocks, n, last header field, a view of the bytes before the trailer,
+    offset past the header). Raises ContainerError on any mismatch."""
+    blob = bytes(blob)
+    if len(blob) < _HEADER.size + _TRAILER.size or blob[:4] != magic:
+        raise ContainerError(f"not a {magic.decode()} container")
+    body = memoryview(blob)[:-_TRAILER.size]
+    if zlib.crc32(body) != _TRAILER.unpack_from(blob, len(body))[0]:
+        raise ContainerError("container checksum mismatch")
+    _, version, d, n_blocks, _, n, last = _HEADER.unpack_from(body)
+    if version != CONTAINER_VERSION:
+        raise ContainerError(f"unsupported {magic.decode()} version {version}")
+    return d, n_blocks, n, last, body, _HEADER.size
+
+
+def pack_map(values: np.ndarray, bits: int) -> bytes:
+    """A map on b-bit values as little-endian entries of ceil(b/8) bytes."""
+    wide = np.ascontiguousarray(values, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return wide[:, :(bits + 7) // 8].tobytes()
+
+
+def read_map(buf: bytes, at: int, bits: int) -> tuple[np.ndarray, int]:
+    """The 2^bits entries written by ``pack_map`` at offset ``at``; returns
+    (entries, offset past them)."""
+    width = (bits + 7) // 8
+    count = 1 << bits
+    wide = np.zeros((count, 4), dtype=np.uint8)
+    wide[:, :width] = np.frombuffer(buf, dtype=np.uint8, count=count * width,
+                                    offset=at).reshape(count, width)
+    return wide.view("<u4").ravel().astype(np.int64), at + count * width
+
+
+def write_block_record(out: bytearray, block_symbols: np.ndarray, b: int) -> tuple[bytes, int]:
+    """Entropy-code a block of b-bit values against its own quantized
     frequency table, append the table record to ``out`` and return the
-    stream bits. A lone active symbol's count (the whole 16-bit total)
-    saturates its u16 field; ``read_block_record`` restores it."""
+    stream as (bytes, exact bits). A lone active symbol's count (the whole
+    16-bit total) saturates its u16 field; ``read_block_record`` restores
+    it, and its stream is empty."""
     counts = np.bincount(block_symbols, minlength=1 << b)
     if block_symbols.size:
         counts = quantize_counts(counts / counts.sum())
-        bits = _encode_with_counts(block_symbols, counts)
+        data, nbits = _encode_with_counts(block_symbols, counts)
     else:
-        bits = np.zeros(0, dtype=np.uint8)
+        data, nbits = b"", 0
     active = np.nonzero(counts)[0]
     entries = np.zeros(active.size, dtype=_ENTRY)
     entries["symbol"] = active
     entries["count"] = np.minimum(counts[active], 0xFFFF)
-    out += _RECORD.pack(entries.size, bits.size)
+    out += _RECORD.pack(entries.size, nbits)
     out += entries.tobytes()
-    return bits
+    return data, nbits
 
 
 def read_block_record(buf: bytes, at: int, b: int) -> tuple[np.ndarray, int, int]:
@@ -456,16 +511,25 @@ def read_block_record(buf: bytes, at: int, b: int) -> tuple[np.ndarray, int, int
 
 def decode_block_streams(buf: bytes, at: int, records, partition: BlockPartition,
                          n: int) -> np.ndarray:
-    """Decode the byte-aligned streams starting at offset ``at``, one per
-    (counts, stream_bits) record in block order, and reassemble n symbols
-    from the partition's blocks."""
+    """Decode the byte-aligned streams from offset ``at`` to the end of
+    ``buf``, one per (counts, stream_bits) record in block order, and
+    reassemble n symbols from the partition's blocks. Raises ContainerError
+    when a stream runs past the end or does not decode cleanly, or when
+    bytes are left over."""
     out = np.zeros(n, dtype=np.int64)
     for (counts, nbits), positions in zip(records, partition.groups()):
-        nbytes = (nbits + 7) // 8
-        bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=at))
-        at += nbytes
+        end = at + (nbits + 7) // 8
+        if end > len(buf):
+            raise ContainerError("block stream runs past the end of the container")
         if n:
-            insert_block(out, _decode_with_counts(bits[:nbits], counts, n), positions)
+            try:
+                block = _decode_with_counts(buf[at:end], nbits, counts, n)
+            except ValueError as exc:
+                raise ContainerError(f"corrupt block stream: {exc}") from exc
+            insert_block(out, block, positions)
+        at = end
+    if at != len(buf):
+        raise ContainerError("bytes left after the last block stream")
     return out
 
 
@@ -482,49 +546,42 @@ class MarginalEncoding:
 
 def marginal_encode(samples, g: SymbolPermutation, partition: BlockPartition) -> MarginalEncoding:
     """Apply g, slice each sample's bits into the partition's blocks, and
-    arithmetic-code every block stream against its empirical distribution."""
+    entropy-code every block stream against its empirical distribution."""
     if partition.d != g.d:
         raise ValueError("partition does not cover the transform dimension")
     x = np.ascontiguousarray(samples, dtype=np.int64)
     if x.size and (x.min() < 0 or x.max() >= (1 << g.d)):
         raise ValueError("symbol outside alphabet")
     y = g.apply(x)
-    gdesc = np.asarray(g.map, dtype="<u4").tobytes()
-    payload = bytearray()
-    payload += struct.pack("<4sBBBBQI", CONTAINER_MAGIC, 1, g.d, partition.n_blocks, 0,
-                           x.size, len(gdesc))
+    gdesc = pack_map(g.map, g.d)
+    payload = container_header(CONTAINER_MAGIC, g.d, partition.n_blocks, x.size, len(gdesc))
     payload += gdesc
     payload += np.asarray(partition.assignment, dtype="<u1").tobytes()
     streams = []
     for positions in partition.groups():
         payload += struct.pack("<B", positions.size)
         streams.append(write_block_record(payload, extract_block(y, positions), positions.size))
-    for bits in streams:
-        payload += np.packbits(bits).tobytes()
-    blob = bytes(payload)
-    block_bits = tuple(int(bits.size) for bits in streams)
+    for data, _ in streams:
+        payload += data
+    blob = seal_container(payload)
+    block_bits = tuple(nbits for _, nbits in streams)
     data_bits = float(sum(block_bits))
     return MarginalEncoding(blob, BitCost(data_bits, len(blob) * 8 - data_bits), block_bits)
 
 
 def marginal_decode(container: bytes) -> np.ndarray:
     """Invert marginal_encode: decode streams, reassemble bits, undo g."""
-    magic, ver, d, n_blocks, _, n, glen = struct.unpack_from("<4sBBBBQI", container, 0)
-    if magic != CONTAINER_MAGIC or ver != 1:
-        raise ValueError("not a block-codec container")
-    at = struct.calcsize("<4sBBBBQI")
-    m = 1 << d
-    if glen != 4 * m:
-        raise ValueError("transform descriptor length does not match the alphabet")
-    gmap = np.frombuffer(container, dtype="<u4", count=m, offset=at).astype(np.int64)
-    at += glen
-    assignment = np.frombuffer(container, dtype="<u1", count=d, offset=at).astype(np.int64)
+    d, n_blocks, n, glen, body, at = open_container(container, CONTAINER_MAGIC)
+    if glen != ((d + 7) // 8) << d:
+        raise ContainerError("transform descriptor length does not match the alphabet")
+    gmap, at = read_map(body, at, d)
+    assignment = np.frombuffer(body, dtype="<u1", count=d, offset=at).astype(np.int64)
     at += d
     sizes, records = [], []
     for _ in range(n_blocks):
-        b = container[at]
-        counts, nbits, at = read_block_record(container, at + 1, b)
+        b = body[at]
+        counts, nbits, at = read_block_record(body, at + 1, b)
         sizes.append(b)
         records.append((counts, nbits))
-    y = decode_block_streams(container, at, records, BlockPartition(assignment, tuple(sizes)), n)
+    y = decode_block_streams(body, at, records, BlockPartition(assignment, tuple(sizes)), n)
     return SymbolPermutation(d, gmap).unapply(y)

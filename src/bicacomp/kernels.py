@@ -1,22 +1,37 @@
-"""Hot inner loops: the arithmetic coder and the quantizer assignment.
+"""Hot inner loops: the entropy coder and the quantizer assignment.
 
 Each kernel is one plain Python/NumPy function that returns its output.
-The coder loops are sequential by nature and run in the interpreter, so
-their interval arithmetic uses Python ints (the cumulative counts are
-converted once per call); the assignment is vectorized over chunks of
-samples. Speed numbers are in ``pipebench/README.md``.
+
+The coder is a single-lane static rANS coder (Duda, *Asymmetric numeral
+systems*, arXiv:1311.2540) over frequency tables with a total of
+``2**FREQ_BITS``. Its state is a Python int below 2^64 and it emits 32-bit
+words. ``ac_encode`` codes the symbols from the last to the first, starting
+from state 1, and emits the low word whenever the next step would carry the
+state past 2^64; ``ac_decode`` reads the words back in the opposite order
+whenever the state falls below 2^32, while words remain. The stream is the
+words in the order the decoder reads them (big-endian), then the final
+state's bits below its leading 1, most significant first; its exact length
+``32 * W + r`` fixes both the word count W and the state bit count r,
+because once a word is emitted the final state is at least 2^32 (r >= 32).
+There are no wasted start-up bits and no flush beyond the final state. A
+symbol with the whole frequency total (a lone symbol) is an identity step,
+so a block that holds one value codes to 0 bits. The decoder fails unless
+it ends in state 1 with every word consumed.
+
+The coder loops are sequential and run in the interpreter on Python ints;
+the assignment is vectorized over chunks of samples. Speed numbers are in
+``pipebench/README.md``.
 """
 
-from bisect import bisect_right
+from array import array
 
 import numpy as np
 
-STATE_BITS = 32
-_TOP = 1 << STATE_BITS
-_MASK = _TOP - 1
-_HALF = _TOP >> 1
-_QUARTER = _TOP >> 2
-MAX_TOTAL = 1 << 30  # range/total must stay >= 1 during interval updates
+FREQ_BITS = 16
+_SLOT_MASK = (1 << FREQ_BITS) - 1
+_WORD_BITS = 32
+_WORD_MASK = (1 << _WORD_BITS) - 1
+_STATE_LOW = 1 << _WORD_BITS  # the decoder reads a word below this state
 
 # Samples x clusters distances held at once by ecvq_assign (8 bytes each).
 ASSIGN_CHUNK_CELLS = 1 << 20
@@ -25,96 +40,61 @@ ASSIGN_CHUNK_CELLS = 1 << 20
 NUMBA_ACTIVE = False
 
 
-def ac_encode(symbols, cum) -> np.ndarray:
-    """Encode symbols against cumulative counts cum (len m+1, cum[0]=0);
-    returns the 0/1 bits as uint8.
-
-    Interval update is the classic integer low/high recurrence; carries
-    surface as pending bits emitted on the next range split.
-    """
-    cum = cum.tolist()
-    total = cum[-1]
-    low = 0
-    high = _MASK
-    pending = 0
-    out = bytearray()
-    for s in memoryview(np.ascontiguousarray(symbols, dtype=np.int64)):
-        span = high - low + 1
-        high = low + (span * cum[s + 1]) // total - 1
-        low = low + (span * cum[s]) // total
-        while True:
-            if high < _HALF:
-                out.append(0)
-                out += b"\x01" * pending
-                pending = 0
-            elif low >= _HALF:
-                out.append(1)
-                out += b"\x00" * pending
-                pending = 0
-                low -= _HALF
-                high -= _HALF
-            elif low >= _QUARTER and high < 3 * _QUARTER:
-                pending += 1
-                low -= _QUARTER
-                high -= _QUARTER
-            else:
-                break
-            low = low * 2
-            high = high * 2 + 1
-    pending += 1
-    if low < _QUARTER:
-        out.append(0)
-        out += b"\x01" * pending
-    else:
-        out.append(1)
-        out += b"\x00" * pending
-    return np.frombuffer(out, dtype=np.uint8)
+def ac_encode(symbols, cum) -> tuple[bytes, int]:
+    """rANS-encode symbols against cumulative counts cum (len m+1, cum[0]=0,
+    cum[-1] = 2**FREQ_BITS); returns (stream bytes, exact stream bits).
+    The last byte is zero-padded below the stream's final bit."""
+    total = 1 << FREQ_BITS
+    # per symbol: start, frequency, total - frequency, emit threshold
+    table = [(c, f, total - f, f << (2 * _WORD_BITS - FREQ_BITS))
+             for c, f in zip(cum.tolist(), np.diff(cum).tolist())]
+    x = 1
+    words = array("I")  # 32-bit words in the order they are emitted
+    emit = words.append
+    for s in reversed(memoryview(np.ascontiguousarray(symbols, dtype=np.int64))):
+        c, f, rest, top = table[s]
+        if x >= top:
+            emit(x & _WORD_MASK)
+            x >>= _WORD_BITS
+        x += c + (x // f) * rest  # (x // f) * total + x % f + c
+    r = x.bit_length() - 1
+    nbytes = (r + 7) // 8
+    tail = ((x ^ (1 << r)) << (8 * nbytes - r)).to_bytes(nbytes, "big")
+    data = np.frombuffer(words, dtype=np.uint32)[::-1].astype(">u4").tobytes() + tail
+    return data, _WORD_BITS * len(words) + r
 
 
-def ac_decode(bits, n, cum) -> np.ndarray:
-    """Decode n symbols from a uint8 0/1 array; bits past the end read as 0."""
-    cum = cum.tolist()
-    total = cum[-1]
-    m = len(cum) - 1
-    bits = bytes(bits)
-    nbits = len(bits)
-    low = 0
-    high = _MASK
-    code = 0
-    pos = 0
-    for _ in range(STATE_BITS):
-        code <<= 1
-        if pos < nbits:
-            code |= bits[pos]
-        pos += 1
+def ac_decode(data, n, cum, nbits) -> np.ndarray:
+    """Decode n symbols from the first ``nbits`` bits of an ``ac_encode``
+    stream; raises ValueError when the stream is shorter than ``nbits`` or
+    does not end in state 1 with every word consumed."""
+    if len(data) * 8 < nbits:
+        raise ValueError("rANS stream is shorter than its bit count")
+    n_words = max(0, nbits // _WORD_BITS - 1)
+    r = nbits - _WORD_BITS * n_words
+    nbytes = (r + 7) // 8
+    at = n_words * _WORD_BITS // 8
+    x = (1 << r) | (int.from_bytes(data[at:at + nbytes], "big") >> (8 * nbytes - r))
+    words = memoryview(np.frombuffer(data, dtype=">u4", count=n_words).astype(np.uint32))
+    freq = np.diff(cum)
+    small = freq.size <= 256
+    slots = np.repeat(np.arange(freq.size, dtype=np.uint8 if small else np.uint16), freq)
+    sym_of = slots.tobytes() if small else memoryview(slots)  # slot -> symbol
+    total = 1 << FREQ_BITS
+    info = [(total - f, c) for f, c in zip(freq.tolist(), cum.tolist())]
     out = np.empty(n, dtype=np.int64)
     symbols = memoryview(out)
+    pos = 0
     for t in range(n):
-        span = high - low + 1
-        target = ((code - low + 1) * total - 1) // span
-        s = bisect_right(cum, target, 1, m) - 1  # largest s with cum[s] <= target
+        s = sym_of[x & _SLOT_MASK]
         symbols[t] = s
-        high = low + (span * cum[s + 1]) // total - 1
-        low = low + (span * cum[s]) // total
-        while True:
-            if high < _HALF:
-                pass
-            elif low >= _HALF:
-                low -= _HALF
-                high -= _HALF
-                code -= _HALF
-            elif low >= _QUARTER and high < 3 * _QUARTER:
-                low -= _QUARTER
-                high -= _QUARTER
-                code -= _QUARTER
-            else:
-                break
-            low = low * 2
-            high = high * 2 + 1
-            code <<= 1
-            if pos < nbits:
-                code |= bits[pos]
+        rest, c = info[s]
+        x -= (x >> FREQ_BITS) * rest + c  # f * (x >> 16) + (x & 0xFFFF) - c
+        if x < _STATE_LOW and pos < n_words:
+            x = (x << _WORD_BITS) | words[pos]
             pos += 1
+    if x != 1 or pos != n_words:
+        raise ValueError("rANS stream does not end in state 1 with every word read")
     return out
 
 

@@ -11,8 +11,9 @@ Three routes with increasing cost/quality:
   probabilities to sorted coefficients. The allocation orders do not
   depend on the distribution and are cached per (d, k) in a read-only
   ``uint16`` table of C(d+k-1, d) x 2^d entries (220 KB at (6, 8), 40 MB at
-  (10, 8)); all placements are screened in one NumPy pass, and only those
-  within the screen's error of the best are evaluated exactly.
+  (10, 8), the largest allowed: ``PIECEWISE_MAX_ENTRIES``); all placements
+  are screened in one NumPy pass, and only those within the screen's error
+  of the best are evaluated exactly.
 * ``brute_force_optimum`` -- exact minimum over all m! permutations, only
   for d <= 3; the oracle the other two are tested against.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +41,9 @@ log = logging.getLogger(__name__)
 REGION_TOL = 1e-12  # boundary points belong to both regions
 DEFAULT_PIECES = 8
 PIECEWISE_MAX_BITS = 10
+# Entries of the largest allocation-order table piecewise search builds:
+# the (10, 8) table, C(17, 10) x 2^10 = 19,914,752 entries (40 MB).
+PIECEWISE_MAX_ENTRIES = math.comb(17, 10) << 10
 BLOCK_MAX_BITS = 16
 # Bound on the error of a screened marginal or objective. The screen sums
 # in another order than the exact evaluation; at d = 10 the round-off is
@@ -132,6 +137,11 @@ def _fold_marginals(dest: np.ndarray, pis: np.ndarray, d: int) -> tuple[np.ndarr
     return dest, pis
 
 
+def _table_entries(d: int, k: int) -> int:
+    """Entries of the (d, k) allocation-order table: C(d+k-1, d) x 2^d."""
+    return math.comb(d + k - 1, d) << d
+
+
 @functools.lru_cache(maxsize=8)
 def _placements(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(regions, orders) of every placement of d marginals into k segments,
@@ -201,10 +211,16 @@ def piecewise_relaxation(p: JointDistribution, k: int = DEFAULT_PIECES) -> Searc
     feasible one are evaluated exactly, in enumeration order, with the
     same first-best rule as a full scan. Every other placement is worse
     than the exact optimum by more than the screen's error, so it could
-    never win the full scan, and the result is the full scan's."""
+    never win the full scan, and the result is the full scan's.
+
+    Raises ValueError when the (d, k) order table would hold more than
+    PIECEWISE_MAX_ENTRIES entries."""
     if k < 1:
         raise ValueError("need at least one linear piece")
     d, m = p.d, p.m
+    if _table_entries(d, k) > PIECEWISE_MAX_ENTRIES:
+        raise ValueError(f"piecewise search at d={d}, k={k} needs {_table_entries(d, k)} "
+                         f"order-table entries, above {PIECEWISE_MAX_ENTRIES}")
     a0 = zero_bit_matrix(d)
     p_desc_idx = np.argsort(-p.probs, kind="stable")
     p_desc = p.probs[p_desc_idx]
@@ -260,15 +276,17 @@ def block_bica(p_block: JointDistribution, method: str = "order",
                k: int = DEFAULT_PIECES, max_bits: int = BLOCK_MAX_BITS) -> SearchResult:
     """Run a marginal-entropy search on a block treated as a standalone
     b-bit vector. Piecewise search over blocks wider than
-    PIECEWISE_MAX_BITS falls back to ordering with a warning."""
+    PIECEWISE_MAX_BITS, or whose (b, k) order table would exceed
+    PIECEWISE_MAX_ENTRIES, falls back to ordering with a warning."""
     b = p_block.d
     if b > max_bits:
         raise ValueError(f"block dimension {b} exceeds maximum {max_bits}")
     if method == "order":
         return order_permutation(p_block)
     if method.startswith("piecewise"):
-        if b > PIECEWISE_MAX_BITS:
-            log.warning("piecewise search infeasible at b=%d; using order permutation", b)
+        if b > PIECEWISE_MAX_BITS or _table_entries(b, k) > PIECEWISE_MAX_ENTRIES:
+            log.warning("piecewise search infeasible at b=%d, k=%d; using order permutation",
+                        b, k)
             res = order_permutation(p_block)
             return SearchResult(res.g, res.objective, res.method, fallback=True)
         return piecewise_relaxation(p_block, k)

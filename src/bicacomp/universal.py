@@ -19,7 +19,6 @@ sample, each proposal costs O(distinct symbols) instead of O(n).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,18 +27,23 @@ from .bounds import pattern_dictionary_cost, standard_redundancy
 from .coding import (
     BlockPartition,
     canonicalize,
+    container_header,
     decode_block_streams,
     extract_block,
     huffman_build,
     insert_block,
+    open_container,
+    pack_map,
     read_block_record,
+    read_map,
+    seal_container,
     write_block_record,
 )
 from .distributions import JointDistribution, binary_entropy, bit_zero_marginals, entropy_bits
 from .search import block_bica
 from .sources import read_frequency_list, SourceSpec
 
-UNIVERSAL_MAGIC = b"BAU1"
+UNIVERSAL_MAGIC = b"BAU2"
 DESCENT_TOL = 1e-6
 
 
@@ -297,48 +301,41 @@ def compress(samples, result: DescentResult) -> bytes:
     shuffle in reverse."""
     z = result.final_symbols
     sizes = result.partition.sizes
-    out = bytearray()
-    out += struct.pack("<4sBBBBQI", UNIVERSAL_MAGIC, 1, result.d, len(sizes), 0, z.size,
-                       len(result.steps))
+    out = container_header(UNIVERSAL_MAGIC, result.d, len(sizes), z.size, len(result.steps))
     out += np.asarray(sizes, dtype="<u1").tobytes()
     out += np.asarray(result.partition.assignment, dtype="<u1").tobytes()
     for step in result.steps:
         out += np.asarray(step.shuffle, dtype="<u1").tobytes()
-        for gmap in step.transforms:
-            out += np.asarray(gmap, dtype="<u2").tobytes()
+        for gmap, s in zip(step.transforms, sizes):
+            out += pack_map(gmap, s)
     streams = [write_block_record(out, extract_block(z, positions), positions.size)
                for positions in result.partition.groups()]
-    for bits in streams:
-        out += np.packbits(bits).tobytes()
-    return bytes(out)
+    for data, _ in streams:
+        out += data
+    return seal_container(out)
 
 
 def decompress(blob: bytes) -> np.ndarray:
-    head = struct.calcsize("<4sBBBBQI")
-    magic, ver, d, n_blocks, _, n, n_steps = struct.unpack_from("<4sBBBBQI", blob, 0)
-    if magic != UNIVERSAL_MAGIC or ver != 1:
-        raise ValueError("not a universal-pipeline container")
-    at = head
-    sizes = tuple(int(v) for v in np.frombuffer(blob, dtype="<u1", count=n_blocks, offset=at))
+    d, n_blocks, n, n_steps, body, at = open_container(blob, UNIVERSAL_MAGIC)
+    sizes = tuple(int(v) for v in np.frombuffer(body, dtype="<u1", count=n_blocks, offset=at))
     at += n_blocks
-    assignment = np.frombuffer(blob, dtype="<u1", count=d, offset=at).astype(np.int64)
+    assignment = np.frombuffer(body, dtype="<u1", count=d, offset=at).astype(np.int64)
     at += d
     partition = BlockPartition(assignment, sizes)
     steps = []
     for _ in range(n_steps):
-        shuffle = np.frombuffer(blob, dtype="<u1", count=d, offset=at).astype(np.int64)
+        shuffle = np.frombuffer(body, dtype="<u1", count=d, offset=at).astype(np.int64)
         at += d
         inverses = []
         for s in sizes:
-            gmap = np.frombuffer(blob, dtype="<u2", count=1 << s, offset=at).astype(np.int64)
-            at += 2 * (1 << s)
+            gmap, at = read_map(body, at, s)
             inverses.append(invert_shuffle(gmap))
         steps.append((invert_shuffle(shuffle), inverses))
     records = []
     for s in sizes:
-        counts, nbits, at = read_block_record(blob, at, s)
+        counts, nbits, at = read_block_record(body, at, s)
         records.append((counts, nbits))
-    z, inverse = np.unique(decode_block_streams(blob, at, records, partition, n),
+    z, inverse = np.unique(decode_block_streams(body, at, records, partition, n),
                            return_inverse=True)
     # replay the recorded history in reverse, on the distinct symbols
     for unshuffle, inverses in reversed(steps):

@@ -1,19 +1,25 @@
-"""Both container formats: pinned bytes and round-trip properties.
+"""Both container formats: pinned bytes, round-trip properties and the
+typed errors of their readers.
 
-``BAC1`` (``coding.marginal_encode``) and ``BAU1`` (``universal.compress``)
-share the per-block table record and stream section. The digests below
+The block-codec container (``coding.marginal_encode``, magic ``BAC2``;
+tested as ``bac1_*``) and the universal container (``universal.compress``,
+magic ``BAU2``; tested as ``bau1_*``) share the header, the per-block table
+record, the rANS stream section and the CRC32 trailer. The digests below
 pin every byte of both formats on seeded inputs covering the edge shapes:
 n=0 and n=1, a block holding one lone symbol, b not dividing d, d=10, and
 the piecewise and order descents, one of them at the benchmark's d=12, b=6.
 """
 
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicacomp import ContainerError
 from bicacomp.coding import BlockPartition, extract_block, marginal_decode, marginal_encode
 from bicacomp.distributions import JointDistribution, SymbolPermutation
 from bicacomp.search import order_permutation
@@ -56,11 +62,11 @@ def _bac1_d10():
 
 
 BAC1_CASES = {
-    "n0": (_bac1_empty, "ec9c2351191c414d0e7800c0f4d36efe83ae88a9bf7e934763604d3967c47cd1"),
-    "n1": (_bac1_one, "36fe64b3e9cb8b5bff2f7601341f04c98319d8f79b90a05c8e99ae7947be9928"),
-    "lone": (_bac1_lone, "7f8028b28126155ed4024228bee24394137aaffa260f4b926feaa46c409bdc60"),
-    "b3_d8": (_bac1_b3_d8, "fa2ced3e5e12fe8955c82a165ef1a2b835556ece7059b6a6f8032ad79e5cb3fa"),
-    "d10": (_bac1_d10, "d5fc172cbeccbdd1ef8844f03b7f774e62f612da31f0db3899379c9b20743ca2"),
+    "n0": (_bac1_empty, "bc4245982ba4ed056626b6ed27718b257207579b80021445ed4c43154657c04d"),
+    "n1": (_bac1_one, "121e2c9535ce54fa6fa4c0be5eb338802d063d420d892bdf52fc92a455ef2dc3"),
+    "lone": (_bac1_lone, "7a8b1f2325fe27119d111ae93b751cc10e7ca6871421a1d5cb33df50976565f2"),
+    "b3_d8": (_bac1_b3_d8, "ee2659ea4cc268ad1fbc63c2ec5bc3b00ed72bc2758c07398b223bb54a8c1bba"),
+    "d10": (_bac1_d10, "254d41c2a46280aae1462a57701c414a2d4e0be1cd25a2cca50dced5e8eb6213"),
 }
 
 
@@ -87,11 +93,11 @@ def _bau1_lone():
 
 
 BAU1_CASES = {
-    "piecewise": (_bau1_piecewise, "48d067c7d7809c2c2e766a21700eb39bbe120de7629de23fc2c2a2c0c17d40be"),
+    "piecewise": (_bau1_piecewise, "9ce549b282ee8c5836ba38ba0b3c4c9a150165f16fe01e28a7c25cc0753a3500"),
     "piecewise_d12": (_bau1_piecewise_d12,
-                      "c8f89696c020efc26367f152b8f1d39115a015126e1a9564116c8fcb7a7bf178"),
-    "order": (_bau1_order, "ff05a09a553bc3698413a24facefa20551eb84fdc04a027dd50ce92d0f19e986"),
-    "lone": (_bau1_lone, "e63c743178d2b15db9603806ff5f42a13c113cd2bfe2ff14cade9328744902d6"),
+                      "e2cce8ed1e6f010519d31a40e7228487de6d5bc75b048d1f9e4e7126c2b3c0dd"),
+    "order": (_bau1_order, "4df3a415205580f7a07df2ce3e55faf9ebea66a6ee3fe7977d9de5ff3c8ca2f2"),
+    "lone": (_bau1_lone, "73a9bc4a6b9f91f4482fb85ac2f8c429b0ef3f8b79195cdc6e9b2782940531bf"),
 }
 
 
@@ -103,10 +109,12 @@ def _lone_blocks(symbols, partition):
 def test_bac1_golden_bytes(case):
     make, digest = BAC1_CASES[case]
     x, g, partition = make()
-    blob = marginal_encode(x, g, partition).container
+    enc = marginal_encode(x, g, partition)
+    blob = enc.container
     assert np.array_equal(marginal_decode(blob), x)
     if case == "lone":
         assert _lone_blocks(g.apply(x), partition) == 1
+        assert 0 in enc.block_bits  # the lone block's stream is empty
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
@@ -162,3 +170,70 @@ def test_bau1_round_trip_property(src, method, seed):
     result = descend(x, d, b, method=method, max_iters=2, seed=seed,
                      init_shuffles=2, patience=2)
     assert np.array_equal(decompress(compress(x, result)), x)
+
+
+# ---------------------------------------------------------------------------
+# typed errors: version, checksum and stream checks
+# ---------------------------------------------------------------------------
+
+def _reseal(body):
+    """A container body with a valid CRC32 trailer appended."""
+    body = bytes(body)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.fixture(scope="module")
+def formats():
+    """(decoder, container, symbols, stream bytes) of a seeded case per format."""
+    x, g, partition = _bac1_d10()
+    enc = marginal_encode(x, g, partition)
+    xu, result = _bau1_order()
+    return {"BAC2": (marginal_decode, enc.container, x,
+                     sum((b + 7) // 8 for b in enc.block_bits)),
+            "BAU2": (decompress, compress(xu, result), xu, None)}
+
+
+def test_container_error_is_a_value_error():
+    assert issubclass(ContainerError, ValueError)
+
+
+@pytest.mark.parametrize("fmt", ["BAC2", "BAU2"])
+def test_old_versions_and_foreign_containers_raise(fmt, formats):
+    decode, blob = formats[fmt][:2]
+    other = formats["BAU2" if fmt == "BAC2" else "BAC2"][1]
+    old_magic = blob[:3] + b"1"  # BAC1 / BAU1
+    for bad in (_reseal(old_magic + blob[4:-4]),
+                _reseal(blob[:4] + b"\x01" + blob[5:-4]),  # version byte 1
+                other, b"", blob[:20]):
+        with pytest.raises(ContainerError, match="not a|version"):
+            decode(bad)
+
+
+@pytest.mark.parametrize("fmt", ["BAC2", "BAU2"])
+def test_checksum_mismatch_raises(fmt, formats):
+    decode, blob = formats[fmt][:2]
+    rng = np.random.default_rng(len(blob))
+    for at in sorted(set(rng.integers(4, len(blob), 40).tolist()) | {4, len(blob) - 1}):
+        bad = bytearray(blob)
+        bad[at] ^= 1 << int(rng.integers(8))
+        with pytest.raises(ContainerError, match="checksum"):
+            decode(bytes(bad))
+    for cut in (1, 4, 5, len(blob) // 2):
+        with pytest.raises(ContainerError):
+            decode(blob[:-cut])
+
+
+def test_corrupt_stream_with_a_valid_checksum_raises(formats):
+    decode, blob, x, stream_bytes = formats["BAC2"]
+    body = blob[:-4]
+    start = len(body) - stream_bytes
+    for at in range(start, len(body) - 1, 97):
+        bad = bytearray(body)
+        bad[at] ^= 0x10
+        with pytest.raises(ContainerError, match="state 1"):
+            decode(_reseal(bad))
+    with pytest.raises(ContainerError, match="past the end"):
+        decode(_reseal(body[:-1]))
+    with pytest.raises(ContainerError, match="left after"):
+        decode(_reseal(body + b"\x00"))
+    assert np.array_equal(decode(_reseal(body)), x)

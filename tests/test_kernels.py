@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicacomp import kernels
-from bicacomp.coding import quantize_counts
+from bicacomp.coding import arithmetic_encode, quantize_counts
 
 
 def _cum(p):
@@ -9,6 +12,45 @@ def _cum(p):
     cum = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=cum[1:])
     return cum
+
+
+def _ideal_bits(syms, cum):
+    """Code length of syms under the quantized table, in bits."""
+    q = np.diff(cum) / cum[-1]
+    return float(-np.log2(q[syms]).sum())
+
+
+def _bitwise_reference_bits(symbols, cum):
+    """Stream length of the bitwise interval coder the rANS coder replaced
+    (32-bit low/high recurrence, carries as pending bits, two flush bits
+    plus the pending ones): the rate the rANS coder is held to."""
+    cum = cum.tolist()
+    total = cum[-1]
+    top = 1 << 32
+    half, quarter = top >> 1, top >> 2
+    low, high, pending, nbits = 0, top - 1, 0, 0
+    for s in symbols.tolist():
+        span = high - low + 1
+        high = low + (span * cum[s + 1]) // total - 1
+        low = low + (span * cum[s]) // total
+        while True:
+            if high < half:
+                nbits += 1 + pending
+                pending = 0
+            elif low >= half:
+                nbits += 1 + pending
+                pending = 0
+                low -= half
+                high -= half
+            elif low >= quarter and high < 3 * quarter:
+                pending += 1
+                low -= quarter
+                high -= quarter
+            else:
+                break
+            low = low * 2
+            high = high * 2 + 1
+    return nbits + 2 + pending
 
 
 def _assign_reference(x, centroids, bias):
@@ -35,26 +77,120 @@ def test_encode_returns_zero_one_bits():
     rng = np.random.default_rng(1)
     p = rng.dirichlet(np.ones(16))
     syms = rng.choice(16, size=500, p=p).astype(np.int64)
-    bits = kernels.ac_encode(syms, _cum(p))
+    cum = _cum(p)
+    data, nbits = kernels.ac_encode(syms, cum)
+    assert len(data) == (nbits + 7) // 8
+    stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    assert not stream[nbits:].any()  # zero padding below the last bit
+    bits = arithmetic_encode(syms, p)
     assert bits.dtype == np.uint8
     assert set(np.unique(bits)) <= {0, 1}
-    # within two bits of the ideal code length of the quantized table
-    q = np.diff(_cum(p)) / _cum(p)[-1]
-    assert bits.size <= -np.log2(q[syms]).sum() + 2
+    assert np.array_equal(bits, stream[:nbits])
+    # within one stream's start-up and flush of the ideal code length
+    assert nbits <= _ideal_bits(syms, cum) + 32
 
 
-def test_decode_round_trip_reads_missing_bits_as_zero():
-    rng = np.random.default_rng(2)
-    p = rng.dirichlet(np.ones(8))
-    syms = rng.choice(8, size=400, p=p).astype(np.int64)
+def _zipf(m, s=1.1):
+    w = np.arange(1, m + 1, dtype=np.float64) ** -s
+    return w / w.sum()
+
+
+RATE_TABLES = {
+    "random": lambda rng: rng.dirichlet(np.ones(40)),
+    "zipf": lambda rng: _zipf(256)[rng.permutation(256)],
+    "binary": lambda rng: np.array([0.93, 0.07]),
+    "power_of_two": lambda rng: np.array([0.5, 0.25, 0.125, 0.0625, 0.0625]),
+}
+
+
+@pytest.mark.parametrize("table", sorted(RATE_TABLES))
+def test_stream_bits_within_32_of_the_bitwise_coder(table):
+    rng = np.random.default_rng(7)
+    p = RATE_TABLES[table](rng)
     cum = _cum(p)
-    bits = kernels.ac_encode(syms, cum)
-    out = kernels.ac_decode(bits, 400, cum)
+    q = np.diff(cum) / cum[-1]
+    for n in (1, 10, 1000, 20000):
+        syms = rng.choice(p.size, size=n, p=q).astype(np.int64)
+        data, nbits = kernels.ac_encode(syms, cum)
+        assert nbits <= _bitwise_reference_bits(syms, cum) + 32
+        assert np.array_equal(kernels.ac_decode(data, n, cum, nbits), syms)
+
+
+def test_lone_symbol_costs_zero_bits():
+    cum = np.array([0, 0, 1 << 16, 1 << 16])  # only symbol 1 is possible
+    syms = np.ones(1000, dtype=np.int64)
+    assert kernels.ac_encode(syms, cum) == (b"", 0)
+    assert np.array_equal(kernels.ac_decode(b"", 1000, cum, 0), syms)
+
+
+def test_full_alphabet_with_every_count_one():
+    cum = np.arange((1 << 16) + 1)
+    syms = np.random.default_rng(3).integers(0, 1 << 16, 500)
+    data, nbits = kernels.ac_encode(syms, cum)
+    assert 16 * 500 - 16 <= nbits <= 16 * 500 + 32
+    assert np.array_equal(kernels.ac_decode(data, 500, cum, nbits), syms)
+
+
+@st.composite
+def coded_streams(draw):
+    """(symbols, cum): n in {0, 1, 2, small}, alphabets of 1..2^16 symbols
+    (including the full 2^16 support where every count is 1), symbols drawn
+    from the quantized table, sometimes one lone symbol."""
+    m = draw(st.sampled_from([1, 2, 256, 257, 1 << 16]) | st.integers(1, 1 << 16))
+    n = draw(st.sampled_from([0, 1, 2]) | st.integers(3, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["lone", "flat", "skewed", "sparse"]))
+    if shape == "lone":
+        w = np.zeros(m)
+        w[rng.integers(m)] = 1.0
+    elif shape == "flat":
+        w = np.ones(m)
+    else:
+        w = rng.random(m) ** (16 if shape == "skewed" else 1)
+        if shape == "sparse":
+            w[rng.random(m) < 0.5] = 0.0
+            w[rng.integers(m)] = 1.0
+    cum = _cum(w / w.sum())
+    q = np.diff(cum) / cum[-1]
+    return rng.choice(m, size=n, p=q).astype(np.int64), cum
+
+
+@settings(max_examples=120, deadline=None)
+@given(src=coded_streams())
+def test_round_trip_property(src):
+    syms, cum = src
+    data, nbits = kernels.ac_encode(syms, cum)
+    assert len(data) == (nbits + 7) // 8
+    out = kernels.ac_decode(data, syms.size, cum, nbits)
     assert out.dtype == np.int64
     assert np.array_equal(out, syms)
-    trimmed = bits[:np.flatnonzero(bits)[-1] + 1]
-    assert np.array_equal(kernels.ac_decode(trimmed, 400, cum), syms)
-    assert kernels.ac_decode(bits, 0, cum).size == 0
+    assert nbits <= _ideal_bits(syms, cum) + 32
+    if np.count_nonzero(np.diff(cum)) == 1:
+        assert nbits == 0
+
+
+def test_decode_rejects_truncated_or_flipped_streams():
+    rng = np.random.default_rng(2)
+    cum = _cum(rng.dirichlet(np.ones(8)))
+    syms = rng.choice(8, size=400, p=np.diff(cum) / cum[-1]).astype(np.int64)
+    data, nbits = kernels.ac_encode(syms, cum)
+    assert np.array_equal(kernels.ac_decode(data, syms.size, cum, nbits), syms)
+    assert kernels.ac_decode(b"", 0, np.array([0, 1 << 16]), 0).size == 0
+    n_words = nbits // 32 - 1
+    assert n_words > 10
+    # a bit count past the bytes held
+    with pytest.raises(ValueError, match="shorter"):
+        kernels.ac_decode(data[:-1], syms.size, cum, nbits)
+    # streams cut short by whole words or by single bits
+    for cut in (1, 2, 3, 7, 8, 31, 32, 33, 64, 32 * n_words):
+        with pytest.raises(ValueError, match="state 1"):
+            kernels.ac_decode(data, syms.size, cum, nbits - cut)
+    # every word, and the final state, with one bit flipped
+    for at in range(len(data) - 1):
+        bad = bytearray(data)
+        bad[at] ^= 1 << (at % 8)
+        with pytest.raises(ValueError, match="state 1"):
+            kernels.ac_decode(bytes(bad), syms.size, cum, nbits)
 
 
 def test_assign_matches_reference_on_random_input():

@@ -372,6 +372,25 @@ def test_block_bica_piecewise_fallback_warns_and_orders():
     assert res.method == "order"
 
 
+def test_block_bica_falls_back_above_the_order_table_cap(monkeypatch):
+    # (10, 16) would need C(25, 10) x 2^10 entries, about 6.7 GB
+    assert search._table_entries(10, 16) > search.PIECEWISE_MAX_ENTRIES
+    assert search._table_entries(10, 8) <= search.PIECEWISE_MAX_ENTRIES
+
+    def refuse(d, k):
+        raise AssertionError(f"order table built at d={d}, k={k}")
+
+    monkeypatch.setattr(search, "_placements", refuse)
+    probs = np.random.default_rng(73).dirichlet(np.ones(1 << 10))
+    p = JointDistribution(10, probs)
+    res = block_bica(p, "piecewise", k=16)
+    assert res.fallback
+    assert res.method == "order"
+    assert res.objective == order_permutation(p).objective
+    with pytest.raises(ValueError, match="order-table entries"):
+        piecewise_relaxation(p, 16)
+
+
 def test_block_bica_rejects_oversized_blocks():
     p = JointDistribution(1, [0.5, 0.5])
     with pytest.raises(ValueError):

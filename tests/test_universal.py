@@ -1,5 +1,6 @@
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -109,8 +110,8 @@ def test_descent_is_invariant_under_row_permutation(d, b, n, seed, method):
 
 
 def _step_entries(blob):
-    """(offset, count, itemsize) of every shuffle and block map in a BAU1
-    container."""
+    """(offset, count, itemsize) of every shuffle and block map in a BAU2
+    container: a b-bit block map takes ceil(b/8) bytes per entry."""
     head = struct.calcsize("<4sBBBBQI")
     _, _, d, n_blocks, _, _, n_steps = struct.unpack_from("<4sBBBBQI", blob, 0)
     sizes = blob[head:head + n_blocks]
@@ -120,9 +121,16 @@ def _step_entries(blob):
         out.append((at, d, 1))
         at += d
         for s in sizes:
-            out.append((at, 1 << s, 2))
-            at += 2 << s
+            width = (s + 7) // 8
+            out.append((at, 1 << s, width))
+            at += width << s
     return out
+
+
+def _reseal(blob):
+    """The container with its CRC32 trailer recomputed after an edit."""
+    body = bytes(blob[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def test_decompress_rejects_non_bijective_steps():
@@ -136,7 +144,7 @@ def test_decompress_rejects_non_bijective_steps():
             # entry i repeats entry i - 1, so one value is missing
             bad[at + i * size: at + (i + 1) * size] = blob[at + (i - 1) * size: at + i * size]
             with pytest.raises(ValueError, match="not a permutation"):
-                decompress(bytes(bad))
+                decompress(_reseal(bad))
             tried += 1
     assert tried > 100
 

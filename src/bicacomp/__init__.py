@@ -17,7 +17,6 @@ from .search import (
     build_envelope,
     order_permutation,
     piecewise_relaxation,
-    solve_linear_allocation,
 )
 from .bounds import (
     RedundancyRegime,
@@ -47,7 +46,7 @@ from .coding import (
     marginal_encode,
 )
 from .sources import SourceSpec, sample, zipf_distribution
-from .universal import Baselines, DescentResult, baseline_costs, block_cost, descend, total_cost_curve
+from .universal import Baselines, DescentResult, baseline_costs, descend, total_cost_curve
 from .vq import Lattice, QuantizerState, bica_ecvq_fit, ecvq_fit, gaussian_rd, lattice_quantize
 
 __version__ = "0.1.0"

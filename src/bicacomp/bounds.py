@@ -255,6 +255,8 @@ def _mc_shards(d: int, draws: int, seed: int, ordered: bool, workers: int,
         p = sample_simplex(m, counts[idx], rng)
         if ordered:
             p = np.sort(p, axis=1)
+        # a matmul, not bit_zero_marginals, which moves the seeded
+        # estimates by up to 4.4e-16
         gaps = np.sum(binary_entropy(p @ a0), axis=1) - _row_entropy(p)
         return float(gaps.sum()), float((gaps * gaps).sum())
 

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import bounds, coding, sources, universal, vq
-from .distributions import JointDistribution, entropy_bits
+from .distributions import JointDistribution, SymbolPermutation, entropy_bits
 from .search import block_bica, order_permutation
 
 
@@ -158,7 +158,6 @@ def run_compress(input_path: str, output_path: str, blocks: int = 2,
         dist = JointDistribution(d, counts / counts.sum())
         g = block_bica(dist, method, k=k).g
     else:
-        from .distributions import SymbolPermutation
         g = SymbolPermutation.identity(d)
     partition = coding.BlockPartition.contiguous(d, max(1, d // blocks))
     enc = coding.marginal_encode(symbols, g, partition)

@@ -172,13 +172,6 @@ def canonicalize(code: PrefixCode, alphabet_size: int | None = None) -> Canonica
     return CanonicalCodebook(grouped, lengths, codes, overhead)
 
 
-def naive_table_bits(code: PrefixCode, alphabet_size: int) -> int:
-    """Size of a flat (symbol, length, codeword) table, for comparison."""
-    sym_bits = max(1, math.ceil(math.log2(max(alphabet_size, 2))))
-    coded = code.lengths[code.lengths > 0]
-    return int(np.sum(sym_bits + 6 + coded))
-
-
 def serialize_codebook(book: CanonicalCodebook, alphabet_size: int) -> np.ndarray:
     """Bit-exact wire form matching ``serialized_bits``: for each length
     starting at 1, the count of symbols in unary (count ones, then a zero);
@@ -337,21 +330,8 @@ def arithmetic_decode(bits, probs, n: int, alphabet_cap: int = ALPHABET_CAP) -> 
     if p.size > alphabet_cap:
         raise ValueError(f"alphabet size {p.size} exceeds cap {alphabet_cap}")
     bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    return _decode_with_counts(np.packbits(bits).tobytes(), bits.size, quantize_counts(p), n)
-
-
-def _decode_with_counts(data: bytes, nbits: int, counts: np.ndarray, n: int) -> np.ndarray:
-    return kernels.ac_decode(data, n, _cum_from_counts(counts), nbits)
-
-
-def ideal_code_lengths(probs) -> np.ndarray:
-    """-log2 p per symbol without building a code (non-integer lengths);
-    infinite for zero-probability symbols."""
-    p = np.asarray(probs, dtype=np.float64)
-    out = np.full(p.shape, np.inf)
-    nz = p > 0
-    out[nz] = -np.log2(p[nz])
-    return out
+    return kernels.ac_decode(np.packbits(bits).tobytes(), n,
+                             _cum_from_counts(quantize_counts(p)), bits.size)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +503,7 @@ def decode_block_streams(buf: bytes, at: int, records, partition: BlockPartition
             raise ContainerError("block stream runs past the end of the container")
         if n:
             try:
-                block = _decode_with_counts(buf[at:end], nbits, counts, n)
+                block = kernels.ac_decode(buf[at:end], n, _cum_from_counts(counts), nbits)
             except ValueError as exc:
                 raise ContainerError(f"corrupt block stream: {exc}") from exc
             insert_block(out, block, positions)

@@ -123,12 +123,6 @@ class SymbolPermutation:
         inv[self.map] = np.arange(self.map.size, dtype=np.int64)
         return SymbolPermutation(self.d, inv)
 
-    def compose(self, other: "SymbolPermutation") -> "SymbolPermutation":
-        """Permutation applying ``self`` first, then ``other``."""
-        if other.d != self.d:
-            raise ValueError("bit dimensions differ")
-        return SymbolPermutation(self.d, other.map[self.map])
-
     def apply(self, symbols: np.ndarray) -> np.ndarray:
         return self.map[np.asarray(symbols, dtype=np.int64)]
 
@@ -152,9 +146,10 @@ class MarginalProfile:
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.pis, dtype=np.float64)
-        if np.any(v < -1e-12) or np.any(v > 1 + 1e-12):
+        if (v < -1e-12).any() or (v > 1 + 1e-12).any():
             raise ValueError("marginal probabilities must lie in [0, 1]")
-        v = np.clip(v, 0.0, 1.0)
+        # np.clip's wrapper costs more than the two ufuncs on d-entry arrays
+        v = np.minimum(np.maximum(v, 0.0), 1.0)
         v.flags.writeable = False
         object.__setattr__(self, "pis", v)
 
@@ -164,11 +159,13 @@ class MarginalProfile:
 
 
 def bit_zero_marginals(probs: np.ndarray, d: int) -> np.ndarray:
-    """P(bit j = 0) for j = 0..d-1 of a probability vector over 2^d symbols."""
+    """P(bit j = 0) for j = 0..d-1 of probability vectors over 2^d symbols:
+    shape (..., 2^d) -> (..., d), one row per leading index."""
     p = np.asarray(probs, dtype=np.float64)
-    out = np.empty(d, dtype=np.float64)
+    lead = p.shape[:-1]
+    out = np.empty(lead + (d,), dtype=np.float64)
     for j in range(d):
-        out[j] = p.reshape(-1, 2, 1 << j)[:, 0, :].sum()
+        out[..., j] = p.reshape(lead + (-1, 2, 1 << j))[..., 0, :].sum(axis=(-2, -1))
     return out
 
 
@@ -197,30 +194,3 @@ def total_correlation(p: JointDistribution, g: SymbolPermutation) -> float:
     mutually independent.
     """
     return marginals(p, g).entropy_sum() - joint_entropy(p)
-
-
-def parse_distribution_text(text: str) -> JointDistribution:
-    """Parse the plain-text literal format: first line d, then
-    "symbol_index probability" lines."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ValueError("empty distribution literal")
-    d = int(lines[0])
-    probs = np.zeros(1 << d, dtype=np.float64)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed distribution line: {ln!r}")
-        idx, val = int(parts[0]), float(parts[1])
-        if not 0 <= idx < probs.size:
-            raise ValueError(f"symbol index {idx} out of range for d={d}")
-        probs[idx] = val
-    return JointDistribution(d, probs)
-
-
-def format_distribution_text(p: JointDistribution) -> str:
-    lines = [str(p.d)]
-    for i, v in enumerate(p.probs):
-        if v > 0:
-            lines.append(f"{i} {float(v):.17g}")
-    return "\n".join(lines) + "\n"

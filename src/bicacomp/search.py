@@ -33,6 +33,7 @@ from .distributions import (
     SymbolPermutation,
     binary_entropy,
     bit_zero_marginals,
+    marginals,
     zero_bit_matrix,
 )
 
@@ -63,19 +64,12 @@ class PiecewiseLinearEnvelope:
     slopes: np.ndarray
     intercepts: np.ndarray
 
-    def segment_of(self, q: float) -> int:
-        qf = min(q, 1.0 - q)
-        return min(int(qf * 2 * self.k), self.k - 1)
-
     def value(self, q):
         q = np.asarray(q, dtype=np.float64)
         qf = np.minimum(q, 1.0 - q)
         seg = np.minimum((qf * 2 * self.k).astype(np.int64), self.k - 1)
         out = self.slopes[seg] * qf + self.intercepts[seg]
         return float(out) if out.ndim == 0 else out
-
-    def region_bounds(self, seg: int) -> tuple[float, float]:
-        return seg / (2 * self.k), (seg + 1) / (2 * self.k)
 
 
 @dataclass(frozen=True)
@@ -95,11 +89,6 @@ def build_envelope(k: int) -> PiecewiseLinearEnvelope:
     return PiecewiseLinearEnvelope(k, slopes, intercepts)
 
 
-def _objective(p: JointDistribution, g: SymbolPermutation) -> float:
-    pis = bit_zero_marginals(g.transform(p).probs, p.d)
-    return float(np.sum(binary_entropy(pis)))
-
-
 def order_permutation(p: JointDistribution) -> SearchResult:
     """Map the i-th smallest probability to codeword i-1 (ties stable by
     original symbol index)."""
@@ -107,21 +96,7 @@ def order_permutation(p: JointDistribution) -> SearchResult:
     gmap = np.empty(p.m, dtype=np.int64)
     gmap[order] = np.arange(p.m, dtype=np.int64)
     g = SymbolPermutation(p.d, gmap)
-    return SearchResult(g, _objective(p, g), "order")
-
-
-def solve_linear_allocation(p: JointDistribution, coeffs: np.ndarray) -> SymbolPermutation:
-    """Minimize sum_y c_y * P(Y=y) over permutations: pair probabilities
-    sorted descending with coefficients sorted ascending (both stable by
-    symbol index)."""
-    c = np.asarray(coeffs, dtype=np.float64)
-    if c.shape != (p.m,):
-        raise ValueError(f"need {p.m} coefficients, got {c.shape}")
-    src = np.argsort(-p.probs, kind="stable")
-    dest = np.argsort(c, kind="stable")
-    gmap = np.empty(p.m, dtype=np.int64)
-    gmap[src] = dest
-    return SymbolPermutation(p.d, gmap)
+    return SearchResult(g, marginals(p, g).entropy_sum(), "order")
 
 
 def _fold_marginals(dest: np.ndarray, pis: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,10 +145,9 @@ def _screen(p_desc: np.ndarray, regions: np.ndarray, orders: np.ndarray, k: int
     realized marginals miss their segments by more than REGION_TOL +
     SCREEN_TOL, and a mask of the placements that lie inside their inner
     segment edges by at least SCREEN_TOL, which are certainly feasible.
-    Marginals are summed as ``bit_zero_marginals`` does, not in the exact
+    Marginals are computed by ``bit_zero_marginals``, not in the exact
     order, so they differ from the exact ones by far less than SCREEN_TOL."""
     n_pl, m = orders.shape
-    d = regions.shape[1]
     objs = np.empty(n_pl)
     strict = np.empty(n_pl, dtype=bool)
     rows = max(1, SCREEN_CHUNK_CELLS // m)
@@ -183,9 +157,7 @@ def _screen(p_desc: np.ndarray, regions: np.ndarray, orders: np.ndarray, k: int
         c = o.shape[0]
         q = np.zeros((c, m))
         q[np.arange(c)[:, None], o] = p_desc  # placement r puts p_desc[i] on o[r, i]
-        pis = np.empty((c, d))
-        for j in range(d):
-            pis[:, j] = q.reshape(c, -1, 2, 1 << j)[:, :, 0, :].sum(axis=(1, 2))
+        pis = bit_zero_marginals(q, regions.shape[1])
         pis = np.minimum(pis, 1 - pis)
         lo = regs / (2 * k)
         hi = (regs + 1.0) / (2 * k)
@@ -232,7 +204,9 @@ def piecewise_relaxation(p: JointDistribution, k: int = DEFAULT_PIECES) -> Searc
     best_map = None
     for i in np.flatnonzero(np.isfinite(objs) & (objs <= limit)):
         dest = orders[i].astype(np.int64)
-        # realized zero-marginals of the allocation: p_desc lands on dest
+        # realized zero-marginals of the allocation: p_desc lands on dest;
+        # a matmul, not bit_zero_marginals: the objective must equal the
+        # plain full scan's to the bit
         pis = p_desc @ a0[dest]
         dest_f, pis_f = _fold_marginals(dest, pis, d)
         lo = regions[i] / (2 * k)
@@ -264,7 +238,8 @@ def brute_force_optimum(p: JointDistribution) -> SearchResult:
     a0 = zero_bit_matrix(d)
     perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
     arranged = p.probs[perms]          # arranged[n, y] = P_Y(y) under perm n
-    pis = arranged @ a0                # (n_perms, d)
+    # clipped as MarginalProfile does: a sum can land 1 ulp above 1
+    pis = np.clip(arranged @ a0, 0.0, 1.0)  # (n_perms, d)
     objs = np.sum(binary_entropy(pis), axis=1)
     n_best = int(np.argmin(objs))
     gmap = np.empty(m, dtype=np.int64)

@@ -8,7 +8,6 @@ experiment replays from a single integer.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +64,8 @@ class AliasSampler:
 class SourceSpec:
     """A named sampling recipe plus its seed.
 
-    kinds: 'zipf' (m, s), 'dirichlet-uniform' (m), 'gaussian-mixture'
-    (dim, components), 'frequency-list' (path, d).
+    kinds: 'zipf' (m, s), 'gaussian-mixture' (dim, components),
+    'frequency-list' (path, d).
     """
 
     kind: str
@@ -83,12 +82,6 @@ class SourceSpec:
         if m < 1 or s <= 0:
             raise ValueError("need m >= 1 and s > 0")
         return cls("zipf", seed, m=m, s=s)
-
-    @classmethod
-    def dirichlet_uniform(cls, m: int, seed: int) -> "SourceSpec":
-        if m < 2:
-            raise ValueError("need m >= 2")
-        return cls("dirichlet-uniform", seed, m=m)
 
     @classmethod
     def gaussian_mixture(cls, dim: int, seed: int, components: int = 2) -> "SourceSpec":
@@ -120,9 +113,6 @@ def sample(spec: SourceSpec, n: int) -> np.ndarray:
         if n == 0:
             return np.empty(0, dtype=np.int64)
         return AliasSampler.build(dist.probs).draw(rng, n)
-    if spec.kind == "dirichlet-uniform":
-        z = rng.standard_exponential((n, spec.m))
-        return z / z.sum(axis=1, keepdims=True)
     if spec.kind == "gaussian-mixture":
         return gaussian_mixture_sample(spec.dim, n, rng, components=spec.components)
     raise ValueError(f"unknown source kind {spec.kind!r}")
@@ -145,14 +135,6 @@ def gaussian_mixture_sample(dim: int, n: int, rng: np.random.Generator,
         centers = (np.arange(components) - (components - 1) / 2) * 2 * spread
         means = centers[which, None] * np.ones(dim)
     return means + rng.standard_normal((n, dim))
-
-
-def empirical_distribution(symbols: np.ndarray, m: int) -> np.ndarray:
-    """Maximum-likelihood distribution: raw counts / n."""
-    counts = np.bincount(np.asarray(symbols, dtype=np.int64), minlength=m)
-    if counts.size > m:
-        raise ValueError("symbol outside alphabet")
-    return counts / counts.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -187,44 +169,3 @@ def read_frequency_list(path: str, d: int) -> tuple[JointDistribution, list[str]
     probs = np.zeros(1 << d, dtype=np.float64)
     probs[: counts.size] = counts / counts.sum()
     return JointDistribution(d, probs), [t for t, _ in entries]
-
-
-def write_frequency_list(path: str, tokens: list[str], counts) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tok, cnt in zip(tokens, counts):
-            fh.write(f"{tok} {cnt}\n")
-
-
-# ---------------------------------------------------------------------------
-# Binary symbol dumps: 8-byte header (d: u32, count: u32), then samples as
-# little-endian fixed-width integers of ceil(d/8) bytes each.
-# ---------------------------------------------------------------------------
-
-def symbol_byte_width(d: int) -> int:
-    return max(1, (d + 7) // 8)
-
-
-def write_symbols(path: str, symbols: np.ndarray, d: int) -> None:
-    sym = np.asarray(symbols, dtype=np.uint64)
-    if sym.size and int(sym.max()) >= 1 << d:
-        raise ValueError("symbol does not fit in d bits")
-    width = symbol_byte_width(d)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", d, sym.size))
-        raw = sym.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width]
-        fh.write(raw.tobytes())
-
-
-def read_symbols(path: str) -> tuple[np.ndarray, int]:
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) != 8:
-            raise ValueError(f"{path}: truncated header")
-        d, count = struct.unpack("<II", head)
-        width = symbol_byte_width(d)
-        raw = fh.read(width * count)
-    if len(raw) != width * count:
-        raise ValueError(f"{path}: truncated payload")
-    buf = np.zeros((count, 8), dtype=np.uint8)
-    buf[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(count, width)
-    return buf.view("<u8").ravel().astype(np.int64), d

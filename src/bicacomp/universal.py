@@ -203,15 +203,6 @@ def replay(samples, result: DescentResult) -> tuple[np.ndarray, np.ndarray]:
 # Cost accounting
 # ---------------------------------------------------------------------------
 
-def block_cost(n: int, b: int, B: int, block_entropies) -> float:
-    """Data plus per-block model redundancy:
-    n * sum_v H_v + B * (2^b - 1)/2 * log2(n / 2^b)."""
-    if n <= 0 or b <= 0 or B <= 0:
-        raise ValueError("n, b and B must be positive")
-    h = float(np.sum(block_entropies))
-    return n * h + B * ((1 << b) - 1) / 2 * math.log2(n / (1 << b))
-
-
 def _partition_redundancy(n: int, sizes: tuple[int, ...]) -> float:
     return sum(((1 << s) - 1) / 2 * math.log2(n / (1 << s)) for s in sizes)
 

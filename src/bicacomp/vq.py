@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .bounds import standard_redundancy
-from .distributions import JointDistribution, SymbolPermutation, binary_entropy, entropy_bits
+from .distributions import JointDistribution, SymbolPermutation, entropy_bits, marginals
 from .search import block_bica, order_permutation
 
 DEFAULT_SPHERE_STD = 5.0
@@ -103,6 +103,8 @@ def _index_bit_lengths(probs: np.ndarray, g: SymbolPermutation) -> np.ndarray:
     y = g.map
     out = np.zeros(probs.size)
     for j in range(d):
+        # a masked sum, not bit_zero_marginals: the pinned fit histories
+        # depend on its summation order
         zero_mass = float(probs[(y >> j) & 1 == 0].sum())
         bitval = (y >> j) & 1
         q = np.where(bitval == 0, zero_mass, 1.0 - zero_mass)
@@ -141,9 +143,7 @@ def bica_ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
         probs[:m_init] = counts / n
         dist = JointDistribution(d_bits, probs)
         cand = block_bica(dist, method)
-        prev_obj = float(np.sum(binary_entropy(
-            np.array([probs[(g.map >> j) & 1 == 0].sum() for j in range(d_bits)]))))
-        if cand.objective < prev_obj - 1e-15:
+        if cand.objective < marginals(dist, g).entropy_sum() - 1e-15:
             g = cand.g
         lengths = _index_bit_lengths(probs, g)[:m_init]
         lengths = np.where(occupied, lengths, np.inf)
@@ -157,29 +157,6 @@ def bica_ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
     dist_v, rate, lag = _sweep_eval(x, centroids, lengths, assign, lam)
     state = QuantizerState(centroids, assign, lengths, lag, dist_v, rate, np.array(history))
     return state, g
-
-
-def brute_force_ecvq(x: np.ndarray, m: int, lam: float) -> float:
-    """Exhaustive minimum of the ECVQ Lagrangian over all assignments of the
-    samples into at most m clusters; oracle for tiny instances."""
-    n = x.shape[0]
-    if m ** n > 2_000_000:
-        raise ValueError("instance too large for enumeration")
-    best = np.inf
-    import itertools
-    for assign in itertools.product(range(m), repeat=n):
-        a = np.array(assign)
-        lag = 0.0
-        for c in range(m):
-            sel = x[a == c]
-            if sel.size == 0:
-                continue
-            centroid = sel.mean(axis=0)
-            p = sel.shape[0] / n
-            d = np.sum((sel - centroid) ** 2) / n
-            lag += d + lam * p * (-math.log2(p))
-        best = min(best, lag)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +202,6 @@ class Lattice:
             q = np.where((da <= db)[:, None], a, b)
         q = q * self.scale
         return q if np.asarray(x).ndim == 2 else q[0]
-
-    def covering_radius(self) -> float:
-        if self.kind == "cubic":
-            r = math.sqrt(self.dim) / 2
-        elif self.kind == "d4":
-            r = 1.0
-        else:
-            r = 1.0
-        return r * self.scale
 
 
 def _nearest_even_sum(pts: np.ndarray) -> np.ndarray:

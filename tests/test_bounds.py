@@ -309,3 +309,12 @@ def test_simplex_sampler_is_on_simplex():
     draws = bounds.sample_simplex(16, 100, rng)
     assert np.allclose(draws.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(draws >= 0)
+
+
+def test_simplex_sampler_coordinate_means():
+    m, n = 32, 20000
+    draws = bounds.sample_simplex(m, n, np.random.default_rng(np.random.SeedSequence(5)))
+    assert draws.shape == (n, m)
+    assert np.allclose(draws.sum(axis=1), 1.0, atol=1e-12)
+    se = draws.std(axis=0) / np.sqrt(n)
+    assert np.all(np.abs(draws.mean(axis=0) - 1 / m) <= 3 * se)

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicacomp.distributions import (
     JointDistribution,
     MarginalProfile,
     SymbolPermutation,
     binary_entropy,
-    format_distribution_text,
+    bit_zero_marginals,
     joint_entropy,
     marginals,
-    parse_distribution_text,
     total_correlation,
+    zero_bit_matrix,
 )
 
 
@@ -163,8 +165,8 @@ def test_permutation_validation_and_inverse():
     rng = np.random.default_rng(2)
     g = random_permutation(3, rng)
     gi = g.inverse()
-    assert np.array_equal(g.compose(gi).map, np.arange(8))
-    assert np.array_equal(gi.compose(g).map, np.arange(8))
+    assert np.array_equal(gi.map[g.map], np.arange(8))
+    assert np.array_equal(g.map[gi.map], np.arange(8))
     x = rng.integers(0, 8, 100)
     assert np.array_equal(g.unapply(g.apply(x)), x)
 
@@ -176,13 +178,16 @@ def test_marginal_profile_validation():
     assert prof.entropy_sum() == pytest.approx(2.0)
 
 
-def test_text_format_round_trip():
-    p = JointDistribution(2, [0.5, 0.25, 0.125, 0.125])
-    text = format_distribution_text(p)
-    back = parse_distribution_text(text)
-    assert back.d == 2
-    assert np.allclose(back.probs, p.probs)
-    with pytest.raises(ValueError):
-        parse_distribution_text("")
-    with pytest.raises(ValueError):
-        parse_distribution_text("2\n0 0.5 extra")
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 10), rows=st.one_of(st.none(), st.integers(1, 5)),
+       alpha=st.floats(0.01, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_bit_marginals_match_row_calls_and_matmul(d, rows, alpha, seed):
+    p = np.random.default_rng(seed).dirichlet(np.full(1 << d, alpha), size=rows)
+    got = bit_zero_marginals(p, d)
+    assert got.shape == p.shape[:-1] + (d,)
+    for row, pis in zip(np.atleast_2d(p), np.atleast_2d(got)):
+        assert np.array_equal(pis, bit_zero_marginals(row, d))
+    # a marginal sums 2^(d-1) non-negative terms of total 1: any summation
+    # order is off by at most (2^(d-1) - 1) * 2^-53, so two differ by < 2^(d-53)
+    assert np.max(np.abs(got - p @ zero_bit_matrix(d))) <= 2.0 ** (d - 53)

@@ -10,6 +10,7 @@ from bicacomp.distributions import (
     binary_entropy,
     bit_zero_marginals,
     joint_entropy,
+    marginals,
     zero_bit_matrix,
 )
 from bicacomp.search import (
@@ -18,7 +19,6 @@ from bicacomp.search import (
     build_envelope,
     order_permutation,
     piecewise_relaxation,
-    solve_linear_allocation,
 )
 
 
@@ -110,45 +110,56 @@ def test_envelope_rejects_bad_k():
 # ---------------------------------------------------------------------------
 
 def brute_allocation_value(probs, coeffs):
-    best = np.inf
-    m = len(probs)
-    for perm in itertools.permutations(range(m)):
-        # perm[s] = destination of source symbol s
-        val = sum(probs[s] * coeffs[perm[s]] for s in range(m))
-        best = min(best, val)
-    return best
+    """min over permutations of sum_s probs[s] * coeffs[perm[s]]."""
+    perms = np.array(list(itertools.permutations(range(len(probs)))))
+    return float(np.min((probs * np.asarray(coeffs)[perms]).sum(axis=1)))
 
 
 def test_allocation_equal_coeffs_identity_pairing():
-    p = JointDistribution(2, [0.4, 0.3, 0.2, 0.1])
-    g = solve_linear_allocation(p, np.ones(4))
-    assert np.array_equal(g.map, np.arange(4))
+    # codewords with equal coefficients keep codeword order in every cached
+    # allocation order, so ties pair the same way in screen and re-evaluation
+    for d, k in ((2, 1), (3, 4), (4, 3)):
+        a0 = zero_bit_matrix(d)
+        slopes = build_envelope(k).slopes
+        regions, orders = search._placements(d, k)
+        for regs, order in zip(regions, orders):
+            coeffs = a0 @ slopes[regs]
+            sorted_coeffs = coeffs[order]
+            assert np.all(np.diff(sorted_coeffs) >= 0)
+            tied = np.diff(sorted_coeffs) == 0
+            assert np.all(np.diff(order.astype(np.int64))[tied] > 0)
 
 
 def test_allocation_hand_case():
+    # d=2, k=1: one placement, coefficients slope * (zero bits of the
+    # codeword) = [2s, s, s, 0]; the order is [3, 1, 2, 0]
     p = JointDistribution(2, [0.4, 0.3, 0.2, 0.1])
-    coeffs = np.array([0.0, 1.0, 1.0, 2.0])
-    g = solve_linear_allocation(p, coeffs)
-    assert g.map[0] == 0          # 0.4 -> coefficient 0
-    assert g.map[3] == 3          # 0.1 -> coefficient 2
+    regions, orders = search._placements(2, 1)
+    assert np.array_equal(orders, [[3, 1, 2, 0]])
+    g = piecewise_relaxation(p, 1).g
+    assert g.map[0] == 3          # 0.4 -> smallest coefficient 0
+    assert g.map[3] == 0          # 0.1 -> largest coefficient 2s
+    coeffs = zero_bit_matrix(2) @ build_envelope(1).slopes[regions[0]]
     value = float(np.sum(p.probs * coeffs[g.map]))
     assert value == pytest.approx(brute_allocation_value(p.probs, coeffs), abs=1e-12)
 
 
 def test_allocation_matches_exhaustive_pairing():
+    # each cached order pairs probabilities sorted descending with the
+    # placement's coefficients a0 @ slopes[regions] sorted ascending
+    d, k = 3, 4
+    a0 = zero_bit_matrix(d)
+    slopes = build_envelope(k).slopes
+    regions, orders = search._placements(d, k)
+    assert len(orders) == 20  # C(d + k - 1, d)
     rng = np.random.default_rng(31)
-    for _ in range(10):
-        p = JointDistribution(3, rng.dirichlet(np.ones(8)))
-        coeffs = rng.random(8) * 3
-        g = solve_linear_allocation(p, coeffs)
-        value = float(np.sum(p.probs * coeffs[g.map]))
-        assert value == pytest.approx(brute_allocation_value(p.probs, coeffs), abs=1e-10)
-
-
-def test_allocation_length_mismatch():
-    p = JointDistribution(2, np.full(4, 0.25))
-    with pytest.raises(ValueError):
-        solve_linear_allocation(p, np.ones(5))
+    for _ in range(5):
+        p = JointDistribution(d, rng.dirichlet(np.ones(1 << d)))
+        p_desc = np.sort(p.probs)[::-1]
+        for regs, order in zip(regions, orders):
+            coeffs = a0 @ slopes[regs]
+            value = float(np.sum(p_desc * coeffs[order]))
+            assert value == pytest.approx(brute_allocation_value(p.probs, coeffs), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +312,21 @@ def test_brute_force_dyadic_padded():
     res = brute_force_optimum(p)
     assert res.objective <= order_permutation(p).objective + 1e-12
     assert res.objective >= joint_entropy(p) - 1e-9
+
+
+def test_brute_force_accepts_marginals_rounding_above_one():
+    # arranged @ a0 sums one marginal of this input to 1 + 1 ulp
+    p = JointDistribution(3, np.array([2, 0, 2, 1, 0, 0, 1, 0]) / 6)
+    res = brute_force_optimum(p)
+    assert res.objective == pytest.approx(marginals(p, res.g).entropy_sum(), abs=1e-12)
+    assert res.objective <= order_permutation(p).objective + 1e-12
+    # sparse empirical sources: at most 30 draws over 8 symbols
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        counts = np.bincount(rng.integers(0, 8, rng.integers(1, 31)), minlength=8)
+        p = JointDistribution(3, counts / counts.sum())
+        res = brute_force_optimum(p)
+        assert res.objective <= order_permutation(p).objective + 1e-12
 
 
 # ---------------------------------------------------------------------------

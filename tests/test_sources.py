@@ -6,13 +6,9 @@ from bicacomp.distributions import entropy_bits
 from bicacomp.sources import (
     AliasSampler,
     SourceSpec,
-    empirical_distribution,
     gaussian_mixture_sample,
     read_frequency_list,
-    read_symbols,
     sample,
-    write_frequency_list,
-    write_symbols,
     zipf_distribution,
 )
 
@@ -81,17 +77,8 @@ def test_zipf_reference_draw_statistics():
     draws = sample(spec, 10 ** 6)
     n0 = np.unique(draws).size
     assert abs(n0 - 80071) / 80071 < 0.30
-    h_emp = entropy_bits(empirical_distribution(draws, 1 << 20))
+    h_emp = entropy_bits(np.bincount(draws, minlength=1 << 20) / draws.size)
     assert h_emp == pytest.approx(8.38, abs=0.05)
-
-
-def test_dirichlet_uniform_coordinate_means():
-    m, n = 32, 20000
-    draws = sample(SourceSpec.dirichlet_uniform(m, seed=5), n)
-    assert draws.shape == (n, m)
-    assert np.allclose(draws.sum(axis=1), 1.0, atol=1e-12)
-    se = draws.std(axis=0) / np.sqrt(n)
-    assert np.all(np.abs(draws.mean(axis=0) - 1 / m) <= 3 * se)
 
 
 def test_gaussian_mixture_shape_and_modes():
@@ -147,27 +134,7 @@ def test_frequency_list_round_trips_generated_ranks(tmp_path):
     counts = np.round(dist.probs[:m] * 10 ** 6).astype(int)
     tokens = [f"tok{i:04d}" for i in range(m)]
     path = tmp_path / "gen.txt"
-    write_frequency_list(str(path), tokens, counts)
+    path.write_text("".join(f"{tok} {cnt}\n" for tok, cnt in zip(tokens, counts)))
     back, kept = read_frequency_list(str(path), 6)
     assert kept == tokens  # ranks preserved
     assert np.allclose(back.probs[:m], counts / counts.sum(), atol=1e-12)
-
-
-@pytest.mark.parametrize("d", [4, 8, 12, 20])
-def test_symbol_dump_round_trip(tmp_path, d):
-    rng = np.random.default_rng(d)
-    sym = rng.integers(0, 1 << d, 257)
-    path = tmp_path / "dump.bin"
-    write_symbols(str(path), sym, d)
-    back, d_read = read_symbols(str(path))
-    assert d_read == d
-    assert np.array_equal(back, sym)
-
-
-def test_symbol_dump_validation(tmp_path):
-    path = tmp_path / "dump.bin"
-    with pytest.raises(ValueError):
-        write_symbols(str(path), np.array([16]), 4)
-    path.write_bytes(b"\x01\x02")
-    with pytest.raises(ValueError):
-        read_symbols(str(path))

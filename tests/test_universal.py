@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from bicacomp.sources import SourceSpec, sample
 from bicacomp.universal import (
+    _partition_redundancy,
     baseline_costs,
-    block_cost,
     compress,
     decompress,
     descend,
@@ -156,25 +156,19 @@ def test_decompress_rejects_non_bijective_steps():
 def test_block_cost_single_block_reduction():
     d = 10
     n = 10 ** 5
-    h = 6.2
-    got = block_cost(n, d, 1, [h])
-    assert got == pytest.approx(n * h + ((1 << d) - 1) / 2 * math.log2(n / (1 << d)), abs=1e-9)
+    got = _partition_redundancy(n, (d,))
+    assert got == pytest.approx(((1 << d) - 1) / 2 * math.log2(n / (1 << d)), abs=1e-9)
 
 
 def test_block_cost_formula_reference_rows():
     # four blocks of five bits at a million samples: the model-redundancy
     # term alone
     red4 = 4 * ((1 << 5) - 1) / 2 * math.log2(10 ** 6 / (1 << 5))
-    assert block_cost(10 ** 6, 5, 4, [9.09]) == pytest.approx(9.09e6 + red4, abs=1e-6)
+    assert _partition_redundancy(10 ** 6, (5,) * 4) == pytest.approx(red4, abs=1e-6)
     # printed-total consistency of the reference runs: data + reported
     # redundancy = reported total
     assert 10 ** 6 * 9.09 + 5.41e4 == pytest.approx(9.144e6, rel=1e-3)
     assert 10 ** 6 * 8.69 + 1.15e5 == pytest.approx(8.805e6, rel=1e-3)
-
-
-def test_block_cost_validation():
-    with pytest.raises(ValueError):
-        block_cost(0, 4, 2, [1.0])
 
 
 def test_total_cost_curve_identity(zipf_run):
@@ -195,11 +189,7 @@ def test_total_cost_curve_identity(zipf_run):
 
 def test_redundancy_decreases_with_more_blocks():
     n, d = 1 << 24, 20
-    h = [1.0]
-    reds = []
-    for b_count in (1, 2, 4):
-        b = d // b_count
-        reds.append(block_cost(n, b, b_count, [0.0] * b_count))
+    reds = [_partition_redundancy(n, (d // b_count,) * b_count) for b_count in (1, 2, 4)]
     assert reds[0] > reds[1] > reds[2]
 
 

@@ -7,7 +7,6 @@ import pytest
 from bicacomp.sources import SourceSpec, sample
 from bicacomp.vq import (
     Lattice,
-    brute_force_ecvq,
     bica_ecvq_fit,
     ecvq_fit,
     gaussian_rd,
@@ -43,6 +42,24 @@ def test_ecvq_large_lambda_collapses_clusters():
     st = ecvq_fit(x, 16, 1000.0, seed=2)
     assert np.unique(st.assign).size == 1
     assert st.mean_rate == pytest.approx(0.0, abs=1e-12)
+
+
+def brute_force_ecvq(x, m, lam):
+    """Exhaustive minimum of the ECVQ Lagrangian over all assignments of the
+    samples into at most m clusters."""
+    n = x.shape[0]
+    best = np.inf
+    for assign in itertools.product(range(m), repeat=n):
+        a = np.array(assign)
+        lag = 0.0
+        for c in range(m):
+            sel = x[a == c]
+            if sel.size == 0:
+                continue
+            p = sel.shape[0] / n
+            lag += np.sum((sel - sel.mean(axis=0)) ** 2) / n + lam * p * (-math.log2(p))
+        best = min(best, lag)
+    return best
 
 
 def test_ecvq_matches_brute_force_four_point_source():
@@ -182,12 +199,14 @@ def test_cubic_uniform_high_resolution_mse():
 
 def test_lattice_error_bounded_by_covering_radius():
     rng = np.random.default_rng(37)
-    for lat in (Lattice("cubic", 3, 0.6), Lattice("d4", 4, 0.8), Lattice("e8", 8, 0.5)):
+    # covering radii: sqrt(dim)/2 for the cubic grid, 1 for d4 and e8 (unit scale)
+    for lat, radius in ((Lattice("cubic", 3, 0.6), math.sqrt(3) / 2),
+                        (Lattice("d4", 4, 0.8), 1.0), (Lattice("e8", 8, 0.5), 1.0)):
         x = rng.standard_normal((2000, lat.dim))
         inside = np.linalg.norm(x, axis=1) <= 3.0  # stay clear of truncation
         q = lat.nearest(x[inside])
         err = np.linalg.norm(x[inside] - q, axis=1)
-        assert np.all(err <= lat.covering_radius() + 1e-9)
+        assert np.all(err <= radius * lat.scale + 1e-9)
 
 
 def test_lattice_quantize_sphere_truncation():

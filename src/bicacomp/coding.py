@@ -19,7 +19,6 @@ coded.
 from __future__ import annotations
 
 import heapq
-import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -68,8 +67,7 @@ class PrefixCode:
         cd = np.ascontiguousarray(self.codes, dtype=np.int64)
         if ln.shape != cd.shape:
             raise ValueError("lengths and codes must align")
-        coded = ln > 0
-        if coded.any() and np.sum(0.5 ** ln[coded]) > 1 + 1e-12:
+        if np.sum(0.5 ** ln[ln > 0]) > 1 + 1e-12:
             raise ValueError("Kraft inequality violated")
         ln.flags.writeable = False
         cd.flags.writeable = False
@@ -87,8 +85,7 @@ class PrefixCode:
         return float(np.dot(np.asarray(probs, dtype=np.float64), self.lengths))
 
     def kraft_sum(self) -> float:
-        coded = self.lengths > 0
-        return float(np.sum(0.5 ** self.lengths[coded]))
+        return float(np.sum(0.5 ** self.lengths[self.lengths > 0]))
 
 
 def huffman_build(probs) -> PrefixCode:
@@ -97,45 +94,50 @@ def huffman_build(probs) -> PrefixCode:
     gets a single 1-bit codeword (a self-delimiting stream cannot carry
     0-length words)."""
     p = np.asarray(probs, dtype=np.float64)
-    if p.size == 0:
-        raise ValueError("empty alphabet")
     active = np.nonzero(p > 0)[0]
-    m = p.size
-    lengths = np.zeros(m, dtype=np.int64)
-    if active.size == 0:
-        raise ValueError("no symbol has positive probability")
-    if active.size == 1:
-        lengths[active[0]] = 1
-        codes = np.zeros(m, dtype=np.int64)
-        return PrefixCode(lengths, codes)
-
-    heap = [(float(p[i]), int(i), [int(i)]) for i in active]
+    k = active.size
+    if k == 0:
+        raise ValueError("empty alphabet or no symbol with positive probability")
+    # nodes 0..k-1 are the active symbols in index order, k.. the merges in
+    # creation order: leaves win weight ties, then lower index or older merge
+    heap = list(zip(p[active].tolist(), range(k)))
     heapq.heapify(heap)
-    tick = m
-    while len(heap) > 1:
-        w1, _, grp1 = heapq.heappop(heap)
-        w2, _, grp2 = heapq.heappop(heap)
-        for s in grp1:
-            lengths[s] += 1
-        for s in grp2:
-            lengths[s] += 1
-        heapq.heappush(heap, (w1 + w2, tick, grp1 + grp2))
-        tick += 1
+    parent = [0] * (2 * k - 1)
+    for node in range(k, 2 * k - 1):
+        w1, a = heapq.heappop(heap)
+        w2, b = heap[0]
+        parent[a] = parent[b] = node
+        heapq.heapreplace(heap, (w1 + w2, node))
+    depth = [0] * (2 * k - 1)
+    for node in range(2 * k - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    lengths = np.zeros(p.size, dtype=np.int64)
+    lengths[active] = np.maximum(depth[:k], 1)  # only a lone symbol has depth 0
     return PrefixCode(lengths, _canonical_codes(lengths))
 
 
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Consecutive binary numbering, symbols visited by (length, index)."""
-    codes = np.zeros(lengths.size, dtype=np.int64)
-    order = [i for i in np.argsort(lengths, kind="stable") if lengths[i] > 0]
-    code = 0
-    prev = 0
-    for sym in order:
-        code <<= int(lengths[sym]) - prev
-        codes[sym] = code
-        prev = int(lengths[sym])
-        code += 1
-    return codes
+    """Consecutive binary numbering, symbols visited by (length, index):
+    the first code of each length plus the rank within its length class."""
+    counts = np.bincount(lengths, minlength=1)
+    if counts.size > 64:
+        raise ValueError("codewords longer than 63 bits are not supported")
+    first = [0] * counts.size
+    for l in range(2, counts.size):
+        first[l] = (first[l - 1] + int(counts[l - 1])) << 1
+    if counts.size > 1 and first[-1] + int(counts[-1]) > 1 << (counts.size - 1):
+        raise ValueError("Kraft inequality violated")
+    # code = first[l] + rank, rank = position in (length, index) order - class start
+    offset = np.array(first, dtype=np.int64) - (np.cumsum(counts) - counts)
+    order = np.argsort(lengths, kind="stable")
+    codes = np.empty_like(lengths)
+    codes[order] = offset[lengths[order]] + np.arange(lengths.size)
+    return np.where(lengths > 0, codes, 0)
+
+
+def _symbol_bits(m: int) -> int:
+    """Width of one symbol on the codebook wire: ceil(log2 m), at least 1."""
+    return max(1, (m - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,6 @@ class CanonicalCodebook:
     consecutive within each length class, so the codebook serializes as a
     count-per-length list plus the symbols in (length, symbol) order."""
 
-    symbols_by_length: tuple[tuple[int, tuple[int, ...]], ...]
     lengths: np.ndarray
     codes: np.ndarray
     serialized_bits: int
@@ -156,20 +157,10 @@ class CanonicalCodebook:
 def canonicalize(code: PrefixCode, alphabet_size: int | None = None) -> CanonicalCodebook:
     lengths = code.lengths
     m = lengths.size if alphabet_size is None else alphabet_size
-    codes = _canonical_codes(lengths)
-    by_len: dict[int, list[int]] = {}
-    for sym in np.argsort(lengths, kind="stable"):
-        l = int(lengths[sym])
-        if l > 0:
-            by_len.setdefault(l, []).append(int(sym))
-    grouped = tuple((l, tuple(by_len[l])) for l in sorted(by_len))
     n_coded = int(np.count_nonzero(lengths))
-    max_len = max(by_len) if by_len else 0
-    sym_bits = max(1, math.ceil(math.log2(max(m, 2))))
-    # unary count per length 1..max_len, then each symbol in sym_bits bits
-    overhead = sum(len(by_len.get(l, ())) + 1 for l in range(1, max_len + 1))
-    overhead += n_coded * sym_bits
-    return CanonicalCodebook(grouped, lengths, codes, overhead)
+    # a unary count per length 1..max_len (ones plus a zero), then the symbols
+    bits = n_coded * (_symbol_bits(m) + 1) + int(lengths.max(initial=0))
+    return CanonicalCodebook(lengths, _canonical_codes(lengths), bits)
 
 
 def serialize_codebook(book: CanonicalCodebook, alphabet_size: int) -> np.ndarray:
@@ -177,43 +168,43 @@ def serialize_codebook(book: CanonicalCodebook, alphabet_size: int) -> np.ndarra
     starting at 1, the count of symbols in unary (count ones, then a zero);
     the list ends once every coded symbol is counted; then the symbols in
     (length, symbol) order, each in ceil(log2 m) bits."""
-    sym_bits = max(1, math.ceil(math.log2(max(alphabet_size, 2))))
-    counts = {l: len(syms) for l, syms in book.symbols_by_length}
-    max_len = max(counts) if counts else 0
-    bits: list[int] = []
-    for l in range(1, max_len + 1):
-        bits.extend([1] * counts.get(l, 0))
-        bits.append(0)
-    for _, syms in book.symbols_by_length:
-        for s in syms:
-            bits.extend((s >> (sym_bits - 1 - t)) & 1 for t in range(sym_bits))
-    out = np.array(bits, dtype=np.uint8)
-    assert out.size == book.serialized_bits
+    w = _symbol_bits(alphabet_size)
+    lengths = book.lengths
+    counts = np.bincount(lengths)[1:]
+    n_coded = int(counts.sum())
+    head = np.ones(n_coded + counts.size, dtype=np.uint8)
+    head[np.cumsum(counts + 1) - 1] = 0
+    syms = np.argsort(lengths, kind="stable")[lengths.size - n_coded:]
+    lsb_first = np.unpackbits(syms.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+                              count=w, bitorder="little")
+    out = np.concatenate([head, lsb_first[:, ::-1].ravel()])
+    if out.size != book.serialized_bits:
+        raise ValueError("codebook was canonicalized for another alphabet size")
     return out
 
 
 def deserialize_codebook(bits: np.ndarray, alphabet_size: int, n_coded: int) -> CanonicalCodebook:
-    sym_bits = max(1, math.ceil(math.log2(max(alphabet_size, 2))))
-    pos = 0
-    counts: list[int] = []
-    seen = 0
-    while seen < n_coded:
-        c = 0
-        while bits[pos] == 1:
-            c += 1
-            pos += 1
-        pos += 1
-        counts.append(c)
-        seen += c
+    """Parse ``serialize_codebook``'s wire. Raises ``ValueError`` if the counts miss
+    ``n_coded`` within 63 lengths or a symbol is cut off, out of range or repeated."""
+    w = _symbol_bits(alphabet_size)
+    bits = np.asarray(bits)
+    zeros = np.flatnonzero(bits[:n_coded + 63] == 0)
+    seen = np.append(0, zeros - np.arange(zeros.size))  # symbols counted per length read
+    n_len = int(np.searchsorted(seen, n_coded))
+    if n_len == seen.size or seen[n_len] != n_coded:
+        raise ValueError("unary length counts do not sum to n_coded")
+    body = bits[n_coded + n_len:n_coded + n_len + n_coded * w]
+    if body.size != n_coded * w:
+        raise ValueError("codebook wire ends inside the symbol list")
+    lsb_first = body.reshape(n_coded, w)[:, ::-1]
+    syms = np.packbits(lsb_first, axis=1, bitorder="little") @ (256 ** np.arange((w + 7) // 8))
+    if np.any(syms >= alphabet_size):
+        raise ValueError("codebook symbol outside the alphabet")
     lengths = np.zeros(alphabet_size, dtype=np.int64)
-    for l, c in enumerate(counts, start=1):
-        for _ in range(c):
-            v = 0
-            for _ in range(sym_bits):
-                v = (v << 1) | int(bits[pos])
-                pos += 1
-            lengths[v] = l
-    return canonicalize(PrefixCode(lengths, _canonical_codes(lengths)), alphabet_size)
+    lengths[syms] = np.searchsorted(seen, np.arange(n_coded), side="right")
+    if np.count_nonzero(lengths) != n_coded:
+        raise ValueError("codebook symbol repeated")
+    return canonicalize(PrefixCode(lengths, np.zeros_like(lengths)), alphabet_size)
 
 
 def prefix_encode(symbols: np.ndarray, code: PrefixCode) -> np.ndarray:
@@ -222,16 +213,9 @@ def prefix_encode(symbols: np.ndarray, code: PrefixCode) -> np.ndarray:
     lens = code.lengths[syms]
     if np.any(lens == 0):
         raise ValueError("symbol without a codeword in the stream")
-    total = int(lens.sum())
-    out = np.empty(total, dtype=np.uint8)
-    pos = 0
-    for s in syms:
-        l = int(code.lengths[s])
-        c = int(code.codes[s])
-        for t in range(l - 1, -1, -1):
-            out[pos] = (c >> t) & 1
-            pos += 1
-    return out
+    # bit t of the stream is bit (end of its codeword - 1 - t) of that codeword
+    shift = np.repeat(np.cumsum(lens), lens) - 1 - np.arange(int(lens.sum()))
+    return ((np.repeat(code.codes[syms], lens) >> shift) & 1).astype(np.uint8)
 
 
 def prefix_decode(bits: np.ndarray, code: PrefixCode, n: int) -> np.ndarray:

@@ -48,11 +48,21 @@ class QuantizerState:
     history: np.ndarray
 
 
+def _fit_samples(samples, m_init: int, lam: float) -> np.ndarray:
+    """The samples as a float (n, dim) array, once both fits' shared
+    arguments check out: 1 <= m_init <= n and lam >= 0."""
+    x = np.ascontiguousarray(samples, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError("samples must be a non-empty (n, dim) array")
+    if not 1 <= m_init <= x.shape[0]:
+        raise ValueError("need between 1 initial cluster and one per sample")
+    if lam < 0:
+        raise ValueError("lambda must be non-negative")
+    return x
+
+
 def _init_centroids(x: np.ndarray, m_init: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    if m_init > n:
-        raise ValueError("more initial clusters than samples")
-    idx = rng.choice(n, size=m_init, replace=False)
+    idx = rng.choice(x.shape[0], size=m_init, replace=False)
     return x[idx].copy()
 
 
@@ -67,11 +77,7 @@ def ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
              max_sweeps: int = 200, tol: float = 1e-9) -> QuantizerState:
     """Entropy-constrained VQ by alternating assignment / length / centroid
     steps; empty clusters are retired (their length would be infinite)."""
-    x = np.ascontiguousarray(samples, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("samples must be a non-empty (n, dim) array")
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    x = _fit_samples(samples, m_init, lam)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = x.shape[0]
     centroids = _init_centroids(x, m_init, rng)
@@ -120,9 +126,7 @@ def bica_ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
     cluster indices. The new permutation is kept only when it lowers the
     marginal-entropy objective on the current occupancy, so the Lagrangian
     still never increases."""
-    x = np.ascontiguousarray(samples, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("samples must be a non-empty (n, dim) array")
+    x = _fit_samples(samples, m_init, lam)
     if m_init > 1 << 16:
         raise ValueError("cluster budget exceeds the index embedding cap")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

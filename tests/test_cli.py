@@ -95,6 +95,21 @@ def test_vq_bica_ecvq_csv(tmp_path):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("variant, flags", [
+    ("ecvq", ["--m-init", "0", "--lambdas", "0.1"]),
+    ("bica-ecvq", ["--m-init", "0", "--lambdas", "0.1"]),
+    ("bica-ecvq", ["--m-init", "16", "--lambdas", "-1"]),
+])
+def test_vq_ecvq_bad_arguments_exit_2(variant, flags):
+    assert run_main(["vq", variant, "--dim", "3", "--n", "300", *flags]) == 2
+
+
+def test_classic_zipf_codeword_past_63_bits_exits_2(capsys):
+    # at skew 12 the Huffman code of Zipf(256) needs 255-bit codewords
+    assert run_main(["classic-zipf", "--m", "256", "--s-grid", "12"]) == 2
+    assert "63 bits" in capsys.readouterr().err
+
+
 def test_compress_decompress_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     payload = rng.integers(0, 256, 4096, dtype=np.uint8).tobytes() + b"tail"

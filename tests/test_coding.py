@@ -1,7 +1,11 @@
+import hashlib
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicacomp.coding import (
     BitCost,
@@ -180,6 +184,148 @@ def test_canonical_serialization_beats_naive_table():
         sym_bits = math.ceil(math.log2(m))
         naive = int(np.sum(sym_bits + 6 + code.lengths[code.lengths > 0]))
         assert book.serialized_bits < naive
+
+
+def _reference_lengths(p):
+    """Heap-of-symbol-lists Huffman: each merge lengthens every member."""
+    lengths = [0] * len(p)
+    heap = [(float(w), i, [i]) for i, w in enumerate(p) if w > 0]
+    if len(heap) == 1:
+        lengths[heap[0][1]] = 1
+    heapq.heapify(heap)
+    tick = len(p)
+    while len(heap) > 1:
+        w1, _, grp1 = heapq.heappop(heap)
+        w2, _, grp2 = heapq.heappop(heap)
+        for s in grp1 + grp2:
+            lengths[s] += 1
+        heapq.heappush(heap, (w1 + w2, tick, grp1 + grp2))
+        tick += 1
+    return lengths
+
+
+def _reference_codes(lengths):
+    """Canonical numbering one symbol at a time, in (length, index) order."""
+    codes = [0] * len(lengths)
+    code = prev = 0
+    for sym in sorted((i for i, l in enumerate(lengths) if l > 0), key=lambda i: lengths[i]):
+        code <<= lengths[sym] - prev
+        codes[sym] = code
+        prev = lengths[sym]
+        code += 1
+    return codes
+
+
+def _reference_wire(lengths, m):
+    """Unary count per length, then each symbol in ceil(log2 m) bits."""
+    w = max(1, math.ceil(math.log2(max(m, 2))))
+    bits = []
+    for l in range(1, max(lengths) + 1):
+        bits += [1] * lengths.count(l) + [0]
+    for sym in sorted((i for i, l in enumerate(lengths) if l > 0), key=lambda i: lengths[i]):
+        bits += [(sym >> (w - 1 - t)) & 1 for t in range(w)]
+    return bits
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 4096), kind=st.sampled_from(["dirichlet", "counts", "zipf"]),
+       zero_share=st.sampled_from([0.0, 0.3, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
+def test_prefix_layer_matches_reference(m, kind, zero_share, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "dirichlet":
+        p = rng.dirichlet(np.full(m, 0.3))
+    elif kind == "counts":  # small integer counts: many ties
+        p = rng.integers(1, 4, m).astype(np.float64)
+    else:
+        p = np.arange(1, m + 1, dtype=np.float64) ** -rng.uniform(0.2, 1.2)
+    p[rng.random(m) < zero_share] = 0.0
+    p[rng.integers(m)] = 1.0
+    p /= p.sum()
+    lengths = _reference_lengths(p)
+    code = huffman_build(p)
+    assert code.lengths.tolist() == lengths
+    assert code.codes.tolist() == _reference_codes(lengths)
+    book = canonicalize(code, m)
+    assert book.codes.tolist() == code.codes.tolist()
+    wire = serialize_codebook(book, m)
+    assert wire.tolist() == _reference_wire(lengths, m)
+    assert book.serialized_bits == wire.size
+    back = deserialize_codebook(wire, m, int(np.count_nonzero(code.lengths)))
+    assert np.array_equal(back.lengths, book.lengths)
+    assert np.array_equal(back.codes, book.codes)
+    assert back.serialized_bits == book.serialized_bits
+    syms = rng.choice(m, size=200, p=p)
+    words = code.codewords
+    expect = [int(b) for s in syms for b in words[s]]
+    assert prefix_encode(syms, code).tolist() == expect
+
+
+def test_zipf16_prefix_layer_digest():
+    # lengths, codes, serialized size and wire bits of the four skews the
+    # huffman-zipf16 benchmark runs, at m = 2^16 under a seeded relabelling
+    m = 1 << 16
+    rng = np.random.default_rng(2016)
+    digest = hashlib.sha256()
+    for s in (0.4, 1.2, 2.0, 2.8):
+        w = np.arange(1, m + 1, dtype=np.float64) ** -s
+        p = (w / w.sum())[rng.permutation(m)]
+        book = canonicalize(huffman_build(p), m)
+        wire = serialize_codebook(book, m)
+        for part in (book.lengths, book.codes, [book.serialized_bits], wire):
+            digest.update(np.asarray(part, dtype="<i8").tobytes())
+    assert digest.hexdigest() == "d0649146149b1506fcded2faa57bcea7db2d6881995e27338c15fd4fa70cf965"
+
+
+def _flat8_wire():
+    # eight symbols of length 3: unary 0, 0, 11111111 0, then 3 bits each
+    book = canonicalize(PrefixCode(np.full(8, 3), np.arange(8)), 8)
+    return serialize_codebook(book, 8)
+
+
+def test_codebook_parse_rejects_wrong_coded_count():
+    with pytest.raises(ValueError, match="n_coded"):
+        deserialize_codebook(_flat8_wire(), 8, 5)
+
+
+def test_codebook_parse_rejects_repeated_symbol():
+    wire = _flat8_wire()
+    wire[-3:] = wire[-6:-3]  # the last symbol repeats the one before it
+    with pytest.raises(ValueError, match="repeated"):
+        deserialize_codebook(wire, 8, 8)
+
+
+def test_codebook_parse_rejects_symbol_outside_alphabet():
+    wire = _flat8_wire()  # symbol 7 is 111 on the wire; read it as m = 6
+    with pytest.raises(ValueError, match="alphabet"):
+        deserialize_codebook(wire, 6, 8)
+
+
+def test_codebook_parse_rejects_truncated_wire():
+    wire = _flat8_wire()
+    with pytest.raises(ValueError, match="ends"):
+        deserialize_codebook(wire[:-1], 8, 8)
+    with pytest.raises(ValueError, match="n_coded"):
+        deserialize_codebook(wire[:5], 8, 8)
+
+
+def test_codebook_parse_rejects_lengths_past_kraft():
+    # Kraft sum 1 + 2^-63: rounds to 1.0 in floats, but its last codeword
+    # would need 64 bits
+    lengths = list(range(1, 63)) + [63, 63, 63] + [0] * 63
+    with pytest.raises(ValueError, match="Kraft"):
+        deserialize_codebook(np.array(_reference_wire(lengths, 128)), 128, 65)
+
+
+def test_serialize_rejects_other_alphabet_size():
+    book = canonicalize(PrefixCode(np.full(8, 3), np.arange(8)), 8)
+    with pytest.raises(ValueError, match="alphabet"):
+        serialize_codebook(book, 1024)
+
+
+def test_codewords_longer_than_63_bits_are_rejected():
+    p = 0.5 ** np.arange(1, 71)  # geometric: Huffman lengths 1, 2, ..., 69, 69
+    with pytest.raises(ValueError, match="63"):
+        huffman_build(p / p.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,14 @@ def test_ecvq_validation():
         ecvq_fit(np.zeros((3, 2)), 4, 0.1)  # more clusters than samples
 
 
+@pytest.mark.parametrize("fit", [ecvq_fit, bica_ecvq_fit])
+@pytest.mark.parametrize("m_init, lam", [(0, 0.1), (4, -1.0)])
+def test_fits_reject_bad_cluster_budget_and_lambda(fit, m_init, lam):
+    x = np.random.default_rng(5).standard_normal((20, 2))
+    with pytest.raises(ValueError):
+        fit(x, m_init, lam)
+
+
 # ---------------------------------------------------------------------------
 # BICA variant
 # ---------------------------------------------------------------------------

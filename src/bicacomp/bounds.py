@@ -21,6 +21,8 @@ from .distributions import JointDistribution, binary_entropy, zero_bit_matrix
 
 EULER_GAMMA = 0.5772156649015328606
 LOG2E = math.log2(math.e)
+MC_SHARD_DRAWS = 500     # simplex draws per seeded shard of the gap estimates
+MC_ENTROPY_BATCH = 2000  # simplex draws per batch of the joint-entropy estimate
 
 _harmonic = np.zeros(1)  # _harmonic[i] = K_i, grown on demand
 _harmonic_comp = 0.0     # Kahan compensation carried across growths
@@ -241,13 +243,13 @@ def _row_entropy(rows: np.ndarray) -> np.ndarray:
     return -np.nansum(t, axis=1)
 
 
-def _mc_shards(d: int, draws: int, seed: int, ordered: bool, workers: int,
-               shard_size: int = 500) -> tuple[float, float]:
+def _mc_shards(d: int, draws: int, seed: int, ordered: bool, workers: int
+               ) -> tuple[float, float]:
     m = 1 << d
     a0 = zero_bit_matrix(d)
-    counts = [shard_size] * (draws // shard_size)
-    if draws % shard_size:
-        counts.append(draws % shard_size)
+    counts = [MC_SHARD_DRAWS] * (draws // MC_SHARD_DRAWS)
+    if draws % MC_SHARD_DRAWS:
+        counts.append(draws % MC_SHARD_DRAWS)
     seeds = np.random.SeedSequence(seed).spawn(len(counts))
 
     def run(idx: int) -> tuple[float, float]:
@@ -278,18 +280,18 @@ def mc_ordered_gap(d: int, draws: int, seed: int, workers: int = 1) -> tuple[flo
     return _mc_shards(d, draws, seed, ordered=True, workers=workers)
 
 
-def mc_identity_gap(d: int, draws: int, seed: int, workers: int = 1) -> tuple[float, float]:
-    """Same, with no transform applied (raw bit marginals)."""
-    return _mc_shards(d, draws, seed, ordered=False, workers=workers)
+def mc_identity_gap(d: int, draws: int, seed: int) -> tuple[float, float]:
+    """Same, with no transform applied (raw bit marginals), serially."""
+    return _mc_shards(d, draws, seed, ordered=False, workers=1)
 
 
-def mc_expected_entropy(m: int, draws: int, seed: int, batch: int = 2000) -> tuple[float, float]:
+def mc_expected_entropy(m: int, draws: int, seed: int) -> tuple[float, float]:
     """Mean and standard error of the joint entropy of uniform-simplex draws."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     s1 = s2 = 0.0
     left = draws
     while left > 0:
-        take = min(batch, left)
+        take = min(MC_ENTROPY_BATCH, left)
         h = _row_entropy(sample_simplex(m, take, rng))
         s1 += float(h.sum())
         s2 += float((h * h).sum())

@@ -7,7 +7,6 @@ reported in bits and every subcommand is reproducible from its seed.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import struct
 import sys
@@ -15,7 +14,7 @@ import sys
 import numpy as np
 
 from . import bounds, coding, sources, universal, vq
-from .distributions import JointDistribution, SymbolPermutation, entropy_bits
+from .distributions import JointDistribution, SymbolPermutation, entropy_bits, next_bit_dimension
 from .search import block_bica, order_permutation
 
 
@@ -119,7 +118,7 @@ def run_vq_ecvq(dim: int, n: int, m_init: int, lambdas, seed: int, variant: str,
         else:
             state = vq.ecvq_fit(x, m_init, float(lam), seed=seed)
             rate_joint = state.mean_rate
-            d_bits = max(1, math.ceil(math.log2(m_init)))
+            d_bits = next_bit_dimension(m_init)
             probs = np.zeros(1 << d_bits)
             probs[:m_init] = np.bincount(state.assign, minlength=m_init) / n
             rate_marginal = block_bica(JointDistribution(d_bits, probs), "order").objective
@@ -146,21 +145,23 @@ def run_vq_lattice(dim: int, n: int, kind: str, scales, seed: int,
 
 def run_compress(input_path: str, output_path: str, blocks: int = 2,
                  method: str = "order", k: int = 8) -> None:
+    d = 8
+    if not 1 <= blocks <= d:
+        raise ValueError(f"--blocks must lie in 1..{d}, got {blocks}")
+    sizes = tuple(d // blocks + (v < d % blocks) for v in range(blocks))
     try:
         with open(input_path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise DataError(str(exc)) from exc
     symbols = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-    d = 8
     counts = np.bincount(symbols, minlength=1 << d)
     if symbols.size:
         dist = JointDistribution(d, counts / counts.sum())
         g = block_bica(dist, method, k=k).g
     else:
         g = SymbolPermutation.identity(d)
-    partition = coding.BlockPartition.contiguous(d, max(1, d // blocks))
-    enc = coding.marginal_encode(symbols, g, partition)
+    enc = coding.marginal_encode(symbols, g, coding.BlockPartition(np.arange(d), sizes))
     with open(output_path, "wb") as fh:
         fh.write(enc.container)
     print(f"# {symbols.size} bytes -> {len(enc.container)} bytes "
@@ -241,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("compress", help="block-codec a file (bytes as 8-bit symbols)")
     cp.add_argument("input")
     cp.add_argument("output")
-    cp.add_argument("--blocks", type=int, default=2)
+    cp.add_argument("--blocks", type=int, default=2,
+                    help="bit blocks per byte, 1-8; widths differ by at most one, wider first")
     cp.add_argument("--method", default="order", choices=["order", "piecewise"])
     cp.add_argument("--k", type=int, default=8, help="piecewise-envelope segments")
 
@@ -252,19 +254,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _universal_samples(args) -> tuple[np.ndarray, int]:
+    if args.n < 0:
+        raise ValueError("--n must be non-negative")
     if args.zipf:
         params = dict(kv.split("=") for kv in args.zipf.split(","))
         m = int(params["m"])
         s = float(params.get("s", 1.2))
         spec = sources.SourceSpec.zipf(m, s, args.seed)
     elif args.input:
-        try:
-            _, _, spec = universal.ingest_frequency_list(args.input, args.d, args.seed)
-        except (OSError, ValueError) as exc:
-            raise DataError(str(exc)) from exc
+        spec = sources.SourceSpec.frequency_list(args.input, args.d, args.seed)
     else:
         raise ValueError("universal run needs --zipf or --input")
-    return sources.sample(spec, args.n), args.d
+    try:
+        return sources.sample(spec, args.n), args.d
+    except (OSError, ValueError) as exc:
+        raise DataError(str(exc)) from exc
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .distributions import SymbolPermutation
+from .distributions import SymbolPermutation, inverse_permutation, next_bit_dimension
 
 CONTAINER_MAGIC = b"BAC2"
 CONTAINER_VERSION = 2
 FREQ_TOTAL_BITS = kernels.FREQ_BITS
-ALPHABET_CAP = 1 << 16
+ALPHABET_CAP = 1 << 16  # symbols the decoder's uint16 slot table can hold
 
 
 class ContainerError(ValueError):
@@ -57,7 +57,9 @@ class BitCost:
 @dataclass(frozen=True)
 class PrefixCode:
     """Codeword lengths and values per symbol; length 0 marks a symbol that
-    is absent from the code (zero probability)."""
+    is absent from the code (zero probability). Construction checks that
+    every codeword fits its length (at most 63 bits) and that no codeword
+    is a prefix of another, which also implies the Kraft inequality."""
 
     lengths: np.ndarray
     codes: np.ndarray
@@ -67,8 +69,15 @@ class PrefixCode:
         cd = np.ascontiguousarray(self.codes, dtype=np.int64)
         if ln.shape != cd.shape:
             raise ValueError("lengths and codes must align")
-        if np.sum(0.5 ** ln[ln > 0]) > 1 + 1e-12:
-            raise ValueError("Kraft inequality violated")
+        l, c = ln[ln > 0], cd[ln > 0]
+        if np.any(ln < 0) or np.any(l > 63) or np.any(c < 0) or np.any(c >> l):
+            raise ValueError("every codeword must fit its length, at most 63 bits")
+        # codeword c of length l owns [c, c + 1) * 2^(63 - l) of a 63-bit
+        # range; a prefix code's ranges are disjoint
+        left = c << (63 - l)
+        order = np.argsort(left)
+        if np.any(np.diff(left[order]) < (1 << (63 - l[order[:-1]]))):
+            raise ValueError("a codeword is a prefix of another")
         ln.flags.writeable = False
         cd.flags.writeable = False
         object.__setattr__(self, "lengths", ln)
@@ -135,11 +144,6 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return np.where(lengths > 0, codes, 0)
 
 
-def _symbol_bits(m: int) -> int:
-    """Width of one symbol on the codebook wire: ceil(log2 m), at least 1."""
-    return max(1, (m - 1).bit_length())
-
-
 @dataclass(frozen=True)
 class CanonicalCodebook:
     """Canonical renumbering of a prefix code: same lengths, codewords are
@@ -159,7 +163,7 @@ def canonicalize(code: PrefixCode, alphabet_size: int | None = None) -> Canonica
     m = lengths.size if alphabet_size is None else alphabet_size
     n_coded = int(np.count_nonzero(lengths))
     # a unary count per length 1..max_len (ones plus a zero), then the symbols
-    bits = n_coded * (_symbol_bits(m) + 1) + int(lengths.max(initial=0))
+    bits = n_coded * (next_bit_dimension(m) + 1) + int(lengths.max(initial=0))
     return CanonicalCodebook(lengths, _canonical_codes(lengths), bits)
 
 
@@ -168,7 +172,7 @@ def serialize_codebook(book: CanonicalCodebook, alphabet_size: int) -> np.ndarra
     starting at 1, the count of symbols in unary (count ones, then a zero);
     the list ends once every coded symbol is counted; then the symbols in
     (length, symbol) order, each in ceil(log2 m) bits."""
-    w = _symbol_bits(alphabet_size)
+    w = next_bit_dimension(alphabet_size)
     lengths = book.lengths
     counts = np.bincount(lengths)[1:]
     n_coded = int(counts.sum())
@@ -186,7 +190,7 @@ def serialize_codebook(book: CanonicalCodebook, alphabet_size: int) -> np.ndarra
 def deserialize_codebook(bits: np.ndarray, alphabet_size: int, n_coded: int) -> CanonicalCodebook:
     """Parse ``serialize_codebook``'s wire. Raises ``ValueError`` if the counts miss
     ``n_coded`` within 63 lengths or a symbol is cut off, out of range or repeated."""
-    w = _symbol_bits(alphabet_size)
+    w = next_bit_dimension(alphabet_size)
     bits = np.asarray(bits)
     zeros = np.flatnonzero(bits[:n_coded + 63] == 0)
     seen = np.append(0, zeros - np.arange(zeros.size))  # symbols counted per length read
@@ -204,7 +208,8 @@ def deserialize_codebook(bits: np.ndarray, alphabet_size: int, n_coded: int) -> 
     lengths[syms] = np.searchsorted(seen, np.arange(n_coded), side="right")
     if np.count_nonzero(lengths) != n_coded:
         raise ValueError("codebook symbol repeated")
-    return canonicalize(PrefixCode(lengths, np.zeros_like(lengths)), alphabet_size)
+    # the wire read: n_len unary counts (the longest length is n_len) and the symbols
+    return CanonicalCodebook(lengths, _canonical_codes(lengths), n_coded * (w + 1) + n_len)
 
 
 def prefix_encode(symbols: np.ndarray, code: PrefixCode) -> np.ndarray:
@@ -245,9 +250,10 @@ def prefix_decode(bits: np.ndarray, code: PrefixCode, n: int) -> np.ndarray:
 # Entropy coding of a symbol stream (rANS, see ``kernels``)
 # ---------------------------------------------------------------------------
 
-def quantize_counts(probs: np.ndarray, total: int = 1 << FREQ_TOTAL_BITS) -> np.ndarray:
-    """Integer counts summing to ``total``: every positive-probability symbol
-    gets at least 1, remainders are settled largest-first (ties by index)."""
+def quantize_counts(probs: np.ndarray) -> np.ndarray:
+    """Integer counts summing to 2^FREQ_TOTAL_BITS; every positive-probability
+    symbol gets at least 1, remainders go largest-first (ties by index)."""
+    total = 1 << FREQ_TOTAL_BITS
     p = np.asarray(probs, dtype=np.float64)
     pos = p > 0
     k = int(pos.sum())
@@ -288,13 +294,13 @@ def _cum_from_counts(counts: np.ndarray) -> np.ndarray:
     return cum
 
 
-def arithmetic_encode(symbols, probs, alphabet_cap: int = ALPHABET_CAP) -> np.ndarray:
+def arithmetic_encode(symbols, probs) -> np.ndarray:
     """Encode a symbol sequence against a static distribution; returns the
-    stream as a 0/1 array. Rejects alphabets past the cap and symbols the
-    distribution assigns zero probability."""
+    stream as a 0/1 array. Rejects alphabets past ALPHABET_CAP and symbols
+    the distribution assigns zero probability."""
     p = np.asarray(probs, dtype=np.float64)
-    if p.size > alphabet_cap:
-        raise ValueError(f"alphabet size {p.size} exceeds cap {alphabet_cap}")
+    if p.size > ALPHABET_CAP:
+        raise ValueError(f"alphabet size {p.size} exceeds cap {ALPHABET_CAP}")
     syms = np.ascontiguousarray(symbols, dtype=np.int64)
     if syms.size and (syms.min() < 0 or syms.max() >= p.size):
         raise ValueError("symbol outside alphabet")
@@ -309,10 +315,10 @@ def _encode_with_counts(syms: np.ndarray, counts: np.ndarray) -> tuple[bytes, in
     return kernels.ac_encode(syms, _cum_from_counts(counts))
 
 
-def arithmetic_decode(bits, probs, n: int, alphabet_cap: int = ALPHABET_CAP) -> np.ndarray:
+def arithmetic_decode(bits, probs, n: int) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
-    if p.size > alphabet_cap:
-        raise ValueError(f"alphabet size {p.size} exceeds cap {alphabet_cap}")
+    if p.size > ALPHABET_CAP:
+        raise ValueError(f"alphabet size {p.size} exceeds cap {ALPHABET_CAP}")
     bits = np.ascontiguousarray(bits, dtype=np.uint8)
     return kernels.ac_decode(np.packbits(bits).tobytes(), n,
                              _cum_from_counts(quantize_counts(p)), bits.size)
@@ -332,11 +338,9 @@ class BlockPartition:
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.assignment, dtype=np.int64)
-        d = a.size
-        if sum(self.sizes) != d or any(s < 1 for s in self.sizes):
+        if sum(self.sizes) != a.size or any(s < 1 for s in self.sizes):
             raise ValueError("group sizes must cover all bit positions")
-        if not np.array_equal(np.sort(a), np.arange(d)):
-            raise ValueError("assignment must be a permutation of bit positions")
+        inverse_permutation(a)
         a.flags.writeable = False
         object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))

@@ -46,6 +46,17 @@ def next_bit_dimension(size: int) -> int:
     return max(1, int(size - 1).bit_length())
 
 
+def inverse_permutation(perm) -> np.ndarray:
+    """Inverse of a permutation of 0..size-1; raises ValueError on anything else."""
+    p = np.asarray(perm, dtype=np.int64)
+    inv = np.full(p.size, -1, dtype=np.int64)
+    if p.ndim == 1 and np.all((p >= 0) & (p < p.size)):
+        inv[p] = np.arange(p.size)
+    if np.any(inv < 0):
+        raise ValueError(f"not a permutation of 0..{p.size - 1}")
+    return inv
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Probability vector over m = 2^d symbols with bit-indexed marginals.
@@ -105,12 +116,7 @@ class SymbolPermutation:
         m = 1 << self.d
         if g.shape != (m,):
             raise ValueError(f"map must have {m} entries")
-        if np.any((g < 0) | (g >= m)):
-            raise ValueError(f"map entries must lie in 0..{m - 1}")
-        seen = np.zeros(m, dtype=bool)
-        seen[g] = True
-        if not seen.all():
-            raise ValueError("map is not a bijection on 0..m-1")
+        inverse_permutation(g)
         g.flags.writeable = False
         object.__setattr__(self, "map", g)
 
@@ -119,9 +125,7 @@ class SymbolPermutation:
         return cls(d, np.arange(1 << d, dtype=np.int64))
 
     def inverse(self) -> "SymbolPermutation":
-        inv = np.empty_like(self.map)
-        inv[self.map] = np.arange(self.map.size, dtype=np.int64)
-        return SymbolPermutation(self.d, inv)
+        return SymbolPermutation(self.d, inverse_permutation(self.map))
 
     def apply(self, symbols: np.ndarray) -> np.ndarray:
         return self.map[np.asarray(symbols, dtype=np.int64)]

@@ -230,13 +230,21 @@ def piecewise_relaxation(p: JointDistribution, k: int = DEFAULT_PIECES) -> Searc
     return SearchResult(SymbolPermutation(d, best_map), best_obj, f"piecewise({k})")
 
 
+@functools.lru_cache(maxsize=3)
+def _all_permutations(m: int) -> np.ndarray:
+    """Every permutation of 0..m-1 as a read-only (m!, m) table."""
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+    perms.flags.writeable = False
+    return perms
+
+
 def brute_force_optimum(p: JointDistribution) -> SearchResult:
     """Exact minimum over all m! permutations; refuses d > 3."""
     if p.d > 3:
         raise ValueError("brute force limited to d <= 3 (m! permutations)")
     d, m = p.d, p.m
     a0 = zero_bit_matrix(d)
-    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+    perms = _all_permutations(m)
     arranged = p.probs[perms]          # arranged[n, y] = P_Y(y) under perm n
     # clipped as MarginalProfile does: a sum can land 1 ulp above 1
     pis = np.clip(arranged @ a0, 0.0, 1.0)  # (n_perms, d)
@@ -248,17 +256,17 @@ def brute_force_optimum(p: JointDistribution) -> SearchResult:
 
 
 def block_bica(p_block: JointDistribution, method: str = "order",
-               k: int = DEFAULT_PIECES, max_bits: int = BLOCK_MAX_BITS) -> SearchResult:
-    """Run a marginal-entropy search on a block treated as a standalone
-    b-bit vector. Piecewise search over blocks wider than
-    PIECEWISE_MAX_BITS, or whose (b, k) order table would exceed
-    PIECEWISE_MAX_ENTRIES, falls back to ordering with a warning."""
+               k: int = DEFAULT_PIECES) -> SearchResult:
+    """Run a marginal-entropy search, 'order' or 'piecewise', on a block of at
+    most BLOCK_MAX_BITS bits treated as a standalone vector. Piecewise search
+    over blocks wider than PIECEWISE_MAX_BITS, or whose (b, k) order table
+    would exceed PIECEWISE_MAX_ENTRIES, falls back to ordering with a warning."""
     b = p_block.d
-    if b > max_bits:
-        raise ValueError(f"block dimension {b} exceeds maximum {max_bits}")
+    if b > BLOCK_MAX_BITS:
+        raise ValueError(f"block dimension {b} exceeds maximum {BLOCK_MAX_BITS}")
     if method == "order":
         return order_permutation(p_block)
-    if method.startswith("piecewise"):
+    if method == "piecewise":
         if b > PIECEWISE_MAX_BITS or _table_entries(b, k) > PIECEWISE_MAX_ENTRIES:
             log.warning("piecewise search infeasible at b=%d, k=%d; using order permutation",
                         b, k)

@@ -64,8 +64,8 @@ class AliasSampler:
 class SourceSpec:
     """A named sampling recipe plus its seed.
 
-    kinds: 'zipf' (m, s), 'gaussian-mixture' (dim, components),
-    'frequency-list' (path, d).
+    kinds: 'zipf' (m, s), 'gaussian-mixture' (dim), 'frequency-list'
+    (path, d).
     """
 
     kind: str
@@ -73,7 +73,6 @@ class SourceSpec:
     m: int = 0
     s: float = 0.0
     dim: int = 0
-    components: int = 2
     path: str = ""
     d: int = 0
 
@@ -84,10 +83,10 @@ class SourceSpec:
         return cls("zipf", seed, m=m, s=s)
 
     @classmethod
-    def gaussian_mixture(cls, dim: int, seed: int, components: int = 2) -> "SourceSpec":
-        if dim < 1 or components < 1:
-            raise ValueError("need dim >= 1 and components >= 1")
-        return cls("gaussian-mixture", seed, dim=dim, components=components)
+    def gaussian_mixture(cls, dim: int, seed: int) -> "SourceSpec":
+        if dim < 1:
+            raise ValueError("need dim >= 1")
+        return cls("gaussian-mixture", seed, dim=dim)
 
     @classmethod
     def frequency_list(cls, path: str, d: int, seed: int) -> "SourceSpec":
@@ -114,27 +113,17 @@ def sample(spec: SourceSpec, n: int) -> np.ndarray:
             return np.empty(0, dtype=np.int64)
         return AliasSampler.build(dist.probs).draw(rng, n)
     if spec.kind == "gaussian-mixture":
-        return gaussian_mixture_sample(spec.dim, n, rng, components=spec.components)
+        return gaussian_mixture_sample(spec.dim, n, rng)
     raise ValueError(f"unknown source kind {spec.kind!r}")
 
 
-def gaussian_mixture_sample(dim: int, n: int, rng: np.random.Generator,
-                            components: int = 2, spread: float = 1.0) -> np.ndarray:
-    """Equal-weight mixture of unit-covariance Gaussians; for two components
-    the means sit at +-spread*(1,...,1), otherwise they are spread along the
-    diagonal."""
+def gaussian_mixture_sample(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Equal-weight mixture of two unit-covariance Gaussians with means at
+    +-(1,...,1)."""
     if n == 0:
         return np.empty((0, dim))
-    if components == 1:
-        return rng.standard_normal((n, dim))
-    if components == 2:
-        signs = rng.integers(0, 2, size=n) * 2 - 1
-        means = signs[:, None] * spread * np.ones(dim)
-    else:
-        which = rng.integers(0, components, size=n)
-        centers = (np.arange(components) - (components - 1) / 2) * 2 * spread
-        means = centers[which, None] * np.ones(dim)
-    return means + rng.standard_normal((n, dim))
+    signs = rng.integers(0, 2, size=n) * 2 - 1
+    return signs[:, None] * np.ones(dim) + rng.standard_normal((n, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,14 @@ from .coding import (
     seal_container,
     write_block_record,
 )
-from .distributions import JointDistribution, binary_entropy, bit_zero_marginals, entropy_bits
-from .search import block_bica
-from .sources import read_frequency_list, SourceSpec
+from .distributions import (
+    JointDistribution,
+    binary_entropy,
+    bit_zero_marginals,
+    entropy_bits,
+    inverse_permutation,
+)
+from .search import PIECEWISE_MAX_BITS, block_bica
 
 UNIVERSAL_MAGIC = b"BAU2"
 DESCENT_TOL = 1e-6
@@ -81,16 +86,6 @@ class DescentResult:
 apply_shuffle = extract_block
 
 
-def invert_shuffle(shuffle: np.ndarray) -> np.ndarray:
-    """Inverse of a permutation of 0..size-1 (a bit shuffle or a block map);
-    raises ValueError on anything else."""
-    if not np.array_equal(np.sort(shuffle), np.arange(shuffle.size)):
-        raise ValueError("shuffle or block map is not a permutation")
-    inv = np.empty_like(shuffle)
-    inv[shuffle] = np.arange(shuffle.size)
-    return inv
-
-
 def _map_blocks(symbols: np.ndarray, maps, partition: BlockPartition) -> np.ndarray:
     """Replace the value v of block i in every symbol by maps[i][v]."""
     out = np.zeros_like(symbols)
@@ -121,8 +116,8 @@ def _block_stats(values: np.ndarray, weights: np.ndarray, partition: BlockPartit
 
 
 def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
-            seed: int = 0, init_shuffles: int = 32, tol: float = DESCENT_TOL,
-            patience: int = 10, k: int = 8) -> DescentResult:
+            seed: int = 0, init_shuffles: int = 32, patience: int = 10,
+            k: int = 8) -> DescentResult:
     """Run the shuffle-and-transform descent on d-bit samples.
 
     Iteration 0 is the naive search: the best bit arrangement by
@@ -131,11 +126,11 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
     group well, so the trivial clustering is always a candidate). Later
     iterations shuffle once and apply the per-block search, keeping each
     block's transform only when it lowers that block's marginal-entropy
-    sum; proposals that improve the bound by less than ``tol`` bits/symbol
-    are discarded. Terminates at ``max_iters`` accepted iterations or once
-    ``patience`` consecutive proposals fail to improve (the point where the
-    bound can no longer be decreased, as far as random search can tell).
-    Raises ValueError on a symbol outside 0..2^d-1.
+    sum; proposals that improve the bound by less than DESCENT_TOL
+    bits/symbol are discarded. Terminates at ``max_iters`` accepted
+    iterations or once ``patience`` consecutive proposals fail to improve
+    (the point where the bound can no longer be decreased, as far as random
+    search can tell). Raises ValueError on a symbol outside 0..2^d-1.
     """
     x = np.ascontiguousarray(samples, dtype=np.int64)
     if x.size == 0:
@@ -145,7 +140,7 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
         raise ValueError("symbol outside alphabet")
     partition = BlockPartition.contiguous(d, b)
     if method == "auto":
-        method = "piecewise" if b <= 10 else "order"
+        method = "piecewise" if b <= PIECEWISE_MAX_BITS else "order"
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     # naive initialization: lowest block-entropy sum over candidate shuffles
@@ -177,7 +172,7 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
             else:
                 transforms.append(np.arange(probs.size, dtype=np.int64))
                 new_bound += ident_obj
-        if bound_prev - new_bound < tol:
+        if bound_prev - new_bound < DESCENT_TOL:
             stall += 1
             continue
         stall = 0
@@ -257,12 +252,12 @@ class Baselines:
     unique_symbols: int
 
 
-def baseline_costs(samples, m: int, n: int | None = None) -> Baselines:
+def baseline_costs(samples, m: int) -> Baselines:
     """Whole-alphabet reference totals: standard (empirical entropy plus the
     regime-matched minimax redundancy), pattern-plus-dictionary, and
     canonical prefix coding with its serialized codebook."""
     x = np.asarray(samples, dtype=np.int64)
-    n = x.size if n is None else n
+    n = x.size
     counts = np.bincount(x, minlength=m)
     probs = counts / counts.sum()
     h_emp = entropy_bits(probs)
@@ -274,12 +269,6 @@ def baseline_costs(samples, m: int, n: int | None = None) -> Baselines:
     avg_len = book.code().average_length(probs)
     canonical = n * avg_len + book.serialized_bits
     return Baselines(standard, pattern, canonical, h_emp, n0)
-
-
-def ingest_frequency_list(path: str, d: int, seed: int = 0):
-    """Frequency-list file to (distribution, tokens, sampler spec)."""
-    dist, tokens = read_frequency_list(path, d)
-    return dist, tokens, SourceSpec.frequency_list(path, d, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +309,8 @@ def decompress(blob: bytes) -> np.ndarray:
         inverses = []
         for s in sizes:
             gmap, at = read_map(body, at, s)
-            inverses.append(invert_shuffle(gmap))
-        steps.append((invert_shuffle(shuffle), inverses))
+            inverses.append(inverse_permutation(gmap))
+        steps.append((inverse_permutation(shuffle), inverses))
     records = []
     for s in sizes:
         counts, nbits, at = read_block_record(body, at, s)

@@ -27,10 +27,18 @@ import numpy as np
 
 from . import kernels
 from .bounds import standard_redundancy
-from .distributions import JointDistribution, SymbolPermutation, entropy_bits, marginals
+from .distributions import (
+    JointDistribution,
+    SymbolPermutation,
+    entropy_bits,
+    marginals,
+    next_bit_dimension,
+)
 from .search import block_bica, order_permutation
 
 DEFAULT_SPHERE_STD = 5.0
+# A fit stops once a sweep lowers its Lagrangian by less than this.
+SWEEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,11 +69,6 @@ def _fit_samples(samples, m_init: int, lam: float) -> np.ndarray:
     return x
 
 
-def _init_centroids(x: np.ndarray, m_init: int, rng: np.random.Generator) -> np.ndarray:
-    idx = rng.choice(x.shape[0], size=m_init, replace=False)
-    return x[idx].copy()
-
-
 def _sweep_eval(x, centroids, lengths, assign, lam):
     diffs = x - centroids[assign]
     dist = float(np.mean(np.sum(diffs * diffs, axis=1)))
@@ -73,33 +76,45 @@ def _sweep_eval(x, centroids, lengths, assign, lam):
     return dist, rate, dist + lam * rate
 
 
-def ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
-             max_sweeps: int = 200, tol: float = 1e-9) -> QuantizerState:
-    """Entropy-constrained VQ by alternating assignment / length / centroid
-    steps; empty clusters are retired (their length would be infinite)."""
-    x = _fit_samples(samples, m_init, lam)
+def _lloyd(x: np.ndarray, m_init: int, lam: float, seed: int, max_sweeps: int,
+           lengths: np.ndarray, length_step) -> QuantizerState:
+    """The sweeps both fits share, from the initial per-cluster lengths:
+    assign each sample to the cluster minimizing squared distance plus lam
+    times its length, take new lengths from ``length_step(counts)`` (inf
+    retires an empty cluster), move occupied centroids to their means; stop
+    once a sweep lowers the Lagrangian by less than SWEEP_TOL."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = x.shape[0]
-    centroids = _init_centroids(x, m_init, rng)
-    lengths = np.full(m_init, math.log2(m_init) if m_init > 1 else 1.0)
-    assign = np.zeros(n, dtype=np.int64)
+    centroids = x[rng.choice(x.shape[0], size=m_init, replace=False)].copy()
+    assign = np.zeros(x.shape[0], dtype=np.int64)
     history = []
     prev = np.inf
     for _ in range(max_sweeps):
         bias = np.where(np.isfinite(lengths), lam * lengths, np.inf)
         assign = kernels.ecvq_assign(x, centroids, bias)
         counts = np.bincount(assign, minlength=m_init)
-        occupied = counts > 0
-        lengths = np.where(occupied, -np.log2(np.maximum(counts, 1) / n), np.inf)
-        for c in np.nonzero(occupied)[0]:
+        lengths = length_step(counts)
+        for c in np.nonzero(counts)[0]:
             centroids[c] = x[assign == c].mean(axis=0)
         _, _, lag = _sweep_eval(x, centroids, lengths, assign, lam)
         history.append(lag)
-        if prev - lag < tol:
+        if prev - lag < SWEEP_TOL:
             break
         prev = lag
     dist, rate, lag = _sweep_eval(x, centroids, lengths, assign, lam)
     return QuantizerState(centroids, assign, lengths, lag, dist, rate, np.array(history))
+
+
+def ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
+             max_sweeps: int = 200) -> QuantizerState:
+    """Entropy-constrained VQ by alternating assignment / length / centroid
+    steps; empty clusters are retired (their length would be infinite)."""
+    x = _fit_samples(samples, m_init, lam)
+
+    def ideal_lengths(counts):
+        return np.where(counts > 0, -np.log2(np.maximum(counts, 1) / counts.sum()), np.inf)
+
+    init = np.full(m_init, math.log2(m_init) if m_init > 1 else 1.0)
+    return _lloyd(x, m_init, lam, seed, max_sweeps, init, ideal_lengths)
 
 
 def _index_bit_lengths(probs: np.ndarray, g: SymbolPermutation) -> np.ndarray:
@@ -120,46 +135,29 @@ def _index_bit_lengths(probs: np.ndarray, g: SymbolPermutation) -> np.ndarray:
 
 
 def bica_ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
-                  method: str = "order", max_sweeps: int = 200,
-                  tol: float = 1e-9) -> tuple[QuantizerState, SymbolPermutation]:
+                  max_sweeps: int = 200) -> tuple[QuantizerState, SymbolPermutation]:
     """ECVQ with the length step replaced by bit-wise coding of transformed
-    cluster indices. The new permutation is kept only when it lowers the
-    marginal-entropy objective on the current occupancy, so the Lagrangian
-    still never increases."""
+    cluster indices, the transform found by the order search. The new
+    permutation is kept only when it lowers the marginal-entropy objective
+    on the current occupancy, so the Lagrangian still never increases."""
     x = _fit_samples(samples, m_init, lam)
     if m_init > 1 << 16:
         raise ValueError("cluster budget exceeds the index embedding cap")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = x.shape[0]
-    d_bits = max(1, math.ceil(math.log2(m_init))) if m_init > 1 else 1
-    centroids = _init_centroids(x, m_init, rng)
-    lengths = np.full(m_init, float(d_bits))
+    d_bits = next_bit_dimension(m_init)
     g = SymbolPermutation.identity(d_bits)
-    assign = np.zeros(n, dtype=np.int64)
-    history = []
-    prev = np.inf
-    for _ in range(max_sweeps):
-        bias = np.where(np.isfinite(lengths), lam * lengths, np.inf)
-        assign = kernels.ecvq_assign(x, centroids, bias)
-        counts = np.bincount(assign, minlength=m_init)
-        occupied = counts > 0
+
+    def bit_lengths(counts):
+        nonlocal g
         probs = np.zeros(1 << d_bits)
-        probs[:m_init] = counts / n
+        probs[:m_init] = counts / counts.sum()
         dist = JointDistribution(d_bits, probs)
-        cand = block_bica(dist, method)
+        cand = block_bica(dist, "order")
         if cand.objective < marginals(dist, g).entropy_sum() - 1e-15:
             g = cand.g
-        lengths = _index_bit_lengths(probs, g)[:m_init]
-        lengths = np.where(occupied, lengths, np.inf)
-        for c in np.nonzero(occupied)[0]:
-            centroids[c] = x[assign == c].mean(axis=0)
-        _, _, lag = _sweep_eval(x, centroids, lengths, assign, lam)
-        history.append(lag)
-        if prev - lag < tol:
-            break
-        prev = lag
-    dist_v, rate, lag = _sweep_eval(x, centroids, lengths, assign, lam)
-    state = QuantizerState(centroids, assign, lengths, lag, dist_v, rate, np.array(history))
+        return np.where(counts > 0, _index_bit_lengths(probs, g)[:m_init], np.inf)
+
+    state = _lloyd(x, m_init, lam, seed, max_sweeps, np.full(m_init, float(d_bits)),
+                   bit_lengths)
     return state, g
 
 
@@ -292,7 +290,7 @@ def lattice_rate_report(samples, lattice: Lattice, coder: str = "joint") -> Rate
         rate = entropy_bits(probs)
         total = n * rate + standard_redundancy(max(m_occ, 2), n)
     elif coder == "bica-marginal":
-        d_bits = max(1, math.ceil(math.log2(max(m_occ, 2))))
+        d_bits = next_bit_dimension(m_occ)
         dist = JointDistribution.from_probs(probs, d_bits)
         rate = order_permutation(dist).objective
         total = n * rate + d_bits * 0.5 * math.log2(n / 2)

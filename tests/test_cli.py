@@ -4,7 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from bicacomp import cli
+from bicacomp import cli, coding
+from bicacomp.distributions import JointDistribution
+from bicacomp.search import block_bica
 
 
 def run_main(argv):
@@ -67,6 +69,17 @@ def test_universal_missing_input_file(tmp_path):
     assert rc == 3
 
 
+def test_universal_frequency_list_input(tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("".join(f"w{i} {1000 // (i + 1)}\n" for i in range(200)))
+    out = tmp_path / "un.csv"
+    assert run_main(["universal", "run", "--input", str(words), "--d", "8", "--b", "4",
+                     "--n", "3000", "--iters", "3", "--csv", str(out)]) == 0
+    assert len(read_csv(out)[1]) >= 1
+    words.write_text("the 100\nof fifty\n")
+    assert run_main(["universal", "run", "--input", str(words), "--d", "8", "--b", "4"]) == 3
+
+
 def test_vq_lattice_csv(tmp_path):
     out = tmp_path / "vl.csv"
     rc = run_main(["vq", "lattice", "--dim", "3", "--n", "3000",
@@ -120,6 +133,49 @@ def test_compress_decompress_round_trip(tmp_path):
     assert run_main(["compress", str(src), str(packed)]) == 0
     assert run_main(["decompress", str(packed), str(restored)]) == 0
     assert restored.read_bytes() == payload
+
+
+def _block_widths(blob):
+    """Per-block bit widths read from a BAC2 container's block records."""
+    d, n_blocks, _, glen, body, at = coding.open_container(blob, coding.CONTAINER_MAGIC)
+    at += glen + d
+    widths = []
+    for _ in range(n_blocks):
+        widths.append(body[at])
+        _, _, at = coding.read_block_record(body, at + 1, body[at])
+    return widths
+
+
+@pytest.mark.parametrize("blocks, widths", [
+    (1, [8]), (2, [4, 4]), (3, [3, 3, 2]), (4, [2, 2, 2, 2]), (5, [2, 2, 2, 1, 1]),
+    (6, [2, 2, 1, 1, 1, 1]), (7, [2, 1, 1, 1, 1, 1, 1]), (8, [1] * 8)])
+def test_compress_writes_the_requested_blocks(tmp_path, blocks, widths):
+    payload = bytes(np.random.default_rng(blocks).integers(0, 64, 3000, dtype=np.uint8))
+    src = tmp_path / "input.bin"
+    src.write_bytes(payload)
+    packed = tmp_path / "packed.bac"
+    restored = tmp_path / "restored.bin"
+    assert run_main(["compress", str(src), str(packed), "--blocks", str(blocks)]) == 0
+    blob = packed.read_bytes()
+    assert blob[6] == blocks
+    assert _block_widths(blob) == widths
+    if 8 % blocks == 0:  # equal widths: the container of b = 8 / blocks bit blocks
+        symbols = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        dist = JointDistribution(8, np.bincount(symbols, minlength=256) / symbols.size)
+        enc = coding.marginal_encode(symbols, block_bica(dist, "order").g,
+                                     coding.BlockPartition.contiguous(8, 8 // blocks))
+        assert blob == enc.container
+    assert run_main(["decompress", str(packed), str(restored)]) == 0
+    assert restored.read_bytes() == payload
+
+
+@pytest.mark.parametrize("blocks", [0, 9, -1])
+def test_compress_rejects_block_counts_outside_1_to_8(tmp_path, capsys, blocks):
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"abc")
+    rc = run_main(["compress", str(src), str(tmp_path / "o"), "--blocks", str(blocks)])
+    assert rc == 2
+    assert "--blocks" in capsys.readouterr().err
 
 
 def test_compress_skewed_data_shrinks(tmp_path):

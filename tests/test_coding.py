@@ -116,8 +116,23 @@ def test_huffman_rejects_empty():
 
 
 def test_prefix_code_validation():
-    with pytest.raises(ValueError):
-        PrefixCode(np.array([1, 1, 1]), np.zeros(3, dtype=np.int64))  # Kraft > 1
+    for lengths, codes in [
+        ([1, 1, 1], [0, 0, 0]),   # Kraft > 1
+        ([1, 1], [0, 0]),         # one codeword twice
+        ([1, 1], [0, 5]),         # 5 does not fit in 1 bit
+        ([1, 2], [0, 1]),         # 0 is a prefix of 01
+        ([2, 1], [-1, 1]),
+        ([64, 1], [0, 1]),
+    ]:
+        with pytest.raises(ValueError):
+            PrefixCode(np.array(lengths), np.array(codes))
+
+
+def test_prefix_code_accepts_prefix_free_codes():
+    PrefixCode(np.array([2, 1, 3, 3]), np.array([3, 0, 5, 4]))
+    PrefixCode(np.array([0, 2, 0, 2]), np.array([7, 1, 7, 2]))  # absent symbols' codes are ignored
+    PrefixCode(np.array([63, 63, 1]), np.array([0, 1, 1]))
+    PrefixCode(np.array([1, 0, 0, 0]), np.zeros(4, dtype=np.int64))  # a lone symbol
 
 
 # ---------------------------------------------------------------------------

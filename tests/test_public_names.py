@@ -1,9 +1,11 @@
-"""Every public top-level function and class in the library has a caller.
+"""Every public top-level function and class in the library has a caller,
+and every defaulted parameter has a caller that sets it.
 
 A name counts as reached when library code outside its own definition
 (``__init__.py`` aside: re-exporting is not use), the benchmark package or
 the acceptance suite names it. Anything else is surface only its own tests
-keep alive.
+keep alive. Likewise a default that no such caller overrides is a constant
+written as an option.
 """
 
 import ast
@@ -56,3 +58,71 @@ def test_every_public_name_is_reached():
     assert sorted(set(unreached) - ALLOWED.keys()) == []
     # an entry that gains a caller, or whose name is gone, leaves the list
     assert sorted(ALLOWED.keys() - set(unreached)) == []
+
+
+# module.function -> (parameters whose defaults stay without a caller that
+# sets them, why)
+ALLOWED_DEFAULTS = {
+    "universal.descend": (("init_shuffles",), "the benchmark reads its default through inspect"),
+    "bounds.RedundancyRegime.linear": (("alpha", "l"), "the paper's linear regime, m = alpha n + l"),
+    "cli.main": (("argv",), "the entry point's test seam"),
+}
+
+
+def _defaulted(fn):
+    """(position among the call's positional arguments or None, name) of
+    every parameter of ``fn`` with a default; self and cls take no slot."""
+    a = fn.args
+    positional = [*a.posonlyargs, *a.args]
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    out = [(i - skip, arg.arg)
+           for i, arg in enumerate(positional) if i >= len(positional) - len(a.defaults)]
+    out += [(None, arg.arg) for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+            if default is not None]
+    return out
+
+
+def _called_name(call):
+    """The name a call is matched by: ``f`` in ``f(...)`` and ``x.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _sets(call, position, name):
+    """Whether ``call`` sets the parameter: by keyword, by position, or
+    possibly through ``*args`` or ``**kwargs``."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return position is not None
+    return position is not None and len(call.args) > position
+
+
+def test_every_default_is_set_by_a_program():
+    library = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    outside = [_parse(path) for path in [*sorted((ROOT / "pipebench").glob("*.py")),
+                                         ROOT / "tests" / "test_acceptance.py"]]
+    calls = {}
+    for tree in [*library.values(), *outside]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_called_name(node), []).append(node)
+    unset = []
+    for mod, tree in library.items():
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = parents.get(fn)
+            qual = f"{owner.name}.{fn.name}" if isinstance(owner, ast.ClassDef) else fn.name
+            own = set(ast.walk(fn))  # a function's calls to itself set nothing
+            callers = [call for call in calls.get(fn.name, []) if call not in own]
+            for position, param in _defaulted(fn):
+                if not any(_sets(call, position, param) for call in callers):
+                    unset.append(f"{mod}.{qual}.{param}")
+    allowed = {f"{fn}.{param}" for fn, (params, _) in ALLOWED_DEFAULTS.items()
+               for param in params}
+    assert sorted(set(unset) - allowed) == []
+    # a parameter that gains a caller, or is gone, leaves the list
+    assert sorted(allowed - set(unset)) == []

@@ -418,6 +418,13 @@ def test_block_bica_falls_back_above_the_order_table_cap(monkeypatch):
 
 
 def test_block_bica_rejects_oversized_blocks():
-    p = JointDistribution(1, [0.5, 0.5])
-    with pytest.raises(ValueError):
-        block_bica(p, "order", max_bits=0)
+    p = JointDistribution(17, np.full(1 << 17, 0.5 ** 17))
+    with pytest.raises(ValueError, match="exceeds maximum"):
+        block_bica(p, "order")
+
+
+def test_block_bica_accepts_only_its_two_methods():
+    p = JointDistribution(2, [0.1, 0.2, 0.3, 0.4])
+    for method in ("piecewise(8)", "piecewisex", "brute"):
+        with pytest.raises(ValueError, match="unknown search method"):
+            block_bica(p, method)

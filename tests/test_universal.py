@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicacomp.sources import SourceSpec, sample
+from bicacomp.sources import SourceSpec, read_frequency_list, sample
 from bicacomp.universal import (
     _partition_redundancy,
     baseline_costs,
     compress,
     decompress,
     descend,
-    ingest_frequency_list,
     replay,
     total_cost_curve,
 )
@@ -231,7 +230,8 @@ def test_baselines_order_on_zipf(zipf_run):
 def test_ingest_frequency_list_round_trip(tmp_path):
     path = tmp_path / "words.txt"
     path.write_text("the 100\nof 50\nand 25\nto 12\n")
-    dist, tokens, spec = ingest_frequency_list(str(path), 2, seed=8)
+    dist, tokens = read_frequency_list(str(path), 2)
+    spec = SourceSpec.frequency_list(str(path), 2, seed=8)
     assert tokens == ["the", "of", "and", "to"]
     assert np.allclose(dist.probs, np.array([100, 50, 25, 12]) / 187)
     draws = sample(spec, 5000)

@@ -18,7 +18,6 @@ coded.
 
 from __future__ import annotations
 
-import heapq
 import struct
 import zlib
 from dataclasses import dataclass
@@ -98,30 +97,62 @@ class PrefixCode:
 
 
 def huffman_build(probs) -> PrefixCode:
-    """Optimal prefix code for a probability vector; merges are tie-broken
-    by creation order so results are deterministic. A one-symbol alphabet
-    gets a single 1-bit codeword (a self-delimiting stream cannot carry
-    0-length words)."""
+    """Optimal prefix code for a probability vector. Merges are tie-broken
+    as a heap of ``(weight, node)`` pairs would break them, nodes 0..k-1
+    being the active symbols in index order and k.. the merges in creation
+    order: leaves win weight ties, then the lower index or the older merge.
+    A one-symbol alphabet gets a single 1-bit codeword (a self-delimiting
+    stream cannot carry 0-length words). Raises ValueError on a negative or
+    non-finite entry.
+
+    Two sorted queues replace the heap (van Leeuwen, 1976): the leaves,
+    sorted once, and the merges, which are made in non-decreasing weight
+    (rounding is monotone and no weight is negative). Each round takes every
+    live item no heavier than w0, the sum of the two lightest: all merges
+    this round makes weigh at least w0 and have larger ids, so the heap
+    would pop all of those items first. The items are paired in pop order;
+    an odd last one waits for the next round."""
     p = np.asarray(probs, dtype=np.float64)
-    active = np.nonzero(p > 0)[0]
+    if not np.all(np.isfinite(p)) or np.any(p < 0):
+        raise ValueError("probabilities must be finite and non-negative")
+    active = np.flatnonzero(p)
     k = active.size
     if k == 0:
         raise ValueError("empty alphabet or no symbol with positive probability")
-    # nodes 0..k-1 are the active symbols in index order, k.. the merges in
-    # creation order: leaves win weight ties, then lower index or older merge
-    heap = list(zip(p[active].tolist(), range(k)))
-    heapq.heapify(heap)
-    parent = [0] * (2 * k - 1)
-    for node in range(k, 2 * k - 1):
-        w1, a = heapq.heappop(heap)
-        w2, b = heap[0]
-        parent[a] = parent[b] = node
-        heapq.heapreplace(heap, (w1 + w2, node))
-    depth = [0] * (2 * k - 1)
-    for node in range(2 * k - 3, -1, -1):
-        depth[node] = depth[parent[node]] + 1
+    leaf_id = np.argsort(p[active], kind="stable")
+    leaf_w = p[active][leaf_id]
+    merge_w = np.empty(k - 1)
+    parent = np.zeros(2 * k - 1, dtype=np.int64)  # a lone symbol is its own parent
+    round_ends = [0]  # merges made by the end of each round
+    li = mi = made = 0  # next leaf (in sorted order), next merge, merges made
+    while made < k - 1:
+        w1, w2 = sorted(leaf_w[li:li + 2].tolist() + merge_w[mi:min(mi + 2, made)].tolist())[:2]
+        w0 = w1 + w2
+        # merges come out sorted: every live one weighs at most w0, the next one
+        lw = leaf_w[li:li + np.searchsorted(leaf_w[li:], w0, side="right")]
+        mw = merge_w[mi:made]
+        at_l = np.arange(lw.size) + np.searchsorted(mw, lw, side="left")
+        at_m = np.arange(mw.size) + np.searchsorted(lw, mw, side="right")
+        w = np.empty(lw.size + mw.size)
+        node = np.empty(w.size, dtype=np.int64)
+        w[at_l], w[at_m] = lw, mw
+        node[at_l], node[at_m] = leaf_id[li:li + lw.size], np.arange(k + mi, k + made)
+        pairs = w.size // 2
+        merge_w[made:made + pairs] = w[0:2 * pairs:2] + w[1:2 * pairs:2]
+        parent[node[0:2 * pairs:2]] = parent[node[1:2 * pairs:2]] = np.arange(
+            k + made, k + made + pairs)
+        paired_leaves = int(np.count_nonzero(at_l < 2 * pairs))
+        li += paired_leaves
+        mi += 2 * pairs - paired_leaves
+        made += pairs
+        round_ends.append(made)
+    # a merge's parent is made in a later round, and the last round makes
+    # only the root: fill depths round by round from the root down
+    depth = np.zeros(2 * k - 1, dtype=np.int64)
+    for lo, hi in zip(round_ends[-3::-1], round_ends[-2::-1]):
+        depth[k + lo:k + hi] = depth[parent[k + lo:k + hi]] + 1
     lengths = np.zeros(p.size, dtype=np.int64)
-    lengths[active] = np.maximum(depth[:k], 1)  # only a lone symbol has depth 0
+    lengths[active] = depth[parent[:k]] + 1
     return PrefixCode(lengths, _canonical_codes(lengths))
 
 
@@ -373,17 +404,29 @@ class BlockPartition:
         return out
 
 
+def _bit_runs(positions) -> list[list[int]]:
+    """``[first block bit, first position, width]`` of each run of
+    consecutive positions, so a contiguous block moves in one shift."""
+    runs: list[list[int]] = []
+    for u, pos in enumerate(int(p) for p in positions):
+        if runs and pos == runs[-1][1] + runs[-1][2]:
+            runs[-1][2] += 1
+        else:
+            runs.append([u, pos, 1])
+    return runs
+
+
 def extract_block(symbols: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Gather the given bit positions of each symbol into a small integer."""
     out = np.zeros(symbols.shape, dtype=np.int64)
-    for u, pos in enumerate(positions):
-        out |= ((symbols >> int(pos)) & 1) << u
+    for u, pos, width in _bit_runs(positions):
+        out |= ((symbols >> pos) & ((1 << width) - 1)) << u
     return out
 
 
 def insert_block(target: np.ndarray, block_symbols: np.ndarray, positions: np.ndarray) -> None:
-    for u, pos in enumerate(positions):
-        target |= ((block_symbols >> u) & 1) << int(pos)
+    for u, pos, width in _bit_runs(positions):
+        target |= ((block_symbols >> u) & ((1 << width) - 1)) << pos
 
 
 # Both containers open with this header (its last field is the transform

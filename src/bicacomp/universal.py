@@ -182,12 +182,17 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
     return DescentResult(d, int(x.size), partition, tuple(steps), z[inverse])
 
 
+def _apply_step(symbols: np.ndarray, step: PipelineStep, partition: BlockPartition) -> np.ndarray:
+    """Shuffle the bits of ``symbols``, then map every block, as ``step`` did."""
+    return _map_blocks(apply_shuffle(symbols, step.shuffle), step.transforms, partition)
+
+
 def replay(samples, result: DescentResult) -> tuple[np.ndarray, np.ndarray]:
     """Recompute (bounds, block_sums) from the stored descriptors alone."""
     z, weights = np.unique(np.asarray(samples, dtype=np.int64), return_counts=True)
     bounds, bsums = [], []
     for step in result.steps:
-        z = _map_blocks(apply_shuffle(z, step.shuffle), step.transforms, result.partition)
+        z = _apply_step(z, step, result.partition)
         bound, bsum, _, _ = _block_stats(z, weights, result.partition)
         bounds.append(bound)
         bsums.append(bsum)
@@ -278,8 +283,17 @@ def baseline_costs(samples, m: int) -> Baselines:
 def compress(samples, result: DescentResult) -> bytes:
     """Serialize the descent history plus the entropy-coded final blocks so
     a decoder can decode the block streams and replay every transform and
-    shuffle in reverse."""
+    shuffle in reverse. Raises ValueError unless the recorded steps take
+    ``samples`` to ``result.final_symbols``."""
     z = result.final_symbols
+    values, inverse = np.unique(np.asarray(samples, dtype=np.int64), return_inverse=True)
+    # the steps read only the low d bits, so a symbol outside the alphabet
+    # would map like the symbol it aliases
+    in_alphabet = values.size == 0 or (values[0] >= 0 and values[-1] < 1 << result.d)
+    for step in result.steps:
+        values = _apply_step(values, step, result.partition)
+    if not (in_alphabet and np.array_equal(values[inverse], z)):
+        raise ValueError("samples do not match the descent result")
     sizes = result.partition.sizes
     out = container_header(UNIVERSAL_MAGIC, result.d, len(sizes), z.size, len(result.steps))
     out += np.asarray(sizes, dtype="<u1").tobytes()

@@ -115,6 +115,14 @@ def test_huffman_rejects_empty():
         huffman_build([0.0, 0.0])
 
 
+@pytest.mark.parametrize("probs", [[0.5, -0.2, 0.7], [0.5, np.nan, 0.5],
+                                   [0.5, np.inf, 0.5], [0.5, -np.inf, 0.5]],
+                         ids=["negative", "nan", "inf", "minus_inf"])
+def test_huffman_rejects_negative_and_non_finite_weights(probs):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        huffman_build(probs)
+
+
 def test_prefix_code_validation():
     for lengths, codes in [
         ([1, 1, 1], [0, 0, 0]),   # Kraft > 1
@@ -155,6 +163,14 @@ def test_canonical_single_symbol_gets_one_bit():
     code = huffman_build([1.0])
     book = canonicalize(code)
     assert book.code().codewords[0] == "0"
+
+
+def test_lone_symbol_among_many_zeros_gets_one_bit():
+    p = np.zeros(1 << 16)
+    p[40000] = 0.25
+    code = huffman_build(p)
+    assert np.flatnonzero(code.lengths).tolist() == [40000]
+    assert code.lengths[40000] == 1 and code.codes[40000] == 0
 
 
 def test_canonical_round_trip_large_alphabet():
@@ -242,8 +258,9 @@ def _reference_wire(lengths, m):
     return bits
 
 
-@settings(max_examples=80, deadline=None)
-@given(m=st.integers(1, 4096), kind=st.sampled_from(["dirichlet", "counts", "zipf"]),
+@settings(max_examples=160, deadline=None)
+@given(m=st.integers(1, 4096),
+       kind=st.sampled_from(["dirichlet", "counts", "zipf", "steep", "dyadic", "subnormal"]),
        zero_share=st.sampled_from([0.0, 0.3, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
 def test_prefix_layer_matches_reference(m, kind, zero_share, seed):
     rng = np.random.default_rng(seed)
@@ -251,12 +268,22 @@ def test_prefix_layer_matches_reference(m, kind, zero_share, seed):
         p = rng.dirichlet(np.full(m, 0.3))
     elif kind == "counts":  # small integer counts: many ties
         p = rng.integers(1, 4, m).astype(np.float64)
-    else:
+    elif kind == "zipf":
         p = np.arange(1, m + 1, dtype=np.float64) ** -rng.uniform(0.2, 1.2)
+    elif kind == "steep":  # rounds of one pair, deep trees
+        p = 2.0 ** -rng.uniform(0, 55, m)
+    elif kind == "dyadic":  # merges tie with leaves
+        p = 2.0 ** -rng.integers(0, 24, m).astype(np.float64)
+    else:  # exact sums below the normal range
+        p = rng.integers(1, 8, m) * 5e-324
     p[rng.random(m) < zero_share] = 0.0
     p[rng.integers(m)] = 1.0
     p /= p.sum()
     lengths = _reference_lengths(p)
+    if max(lengths) > 63:
+        with pytest.raises(ValueError, match="63"):
+            huffman_build(p)
+        return
     code = huffman_build(p)
     assert code.lengths.tolist() == lengths
     assert code.codes.tolist() == _reference_codes(lengths)
@@ -443,6 +470,33 @@ def test_block_partition_validation():
     assert part.n_blocks == 3
     groups = part.groups()
     assert np.concatenate(groups).tolist() == list(range(10))
+
+
+def test_block_bits_match_the_bit_at_a_time_reference():
+    # runs of consecutive positions move in one shift; any order of
+    # positions must move the same bits as moving them one at a time
+    rng = np.random.default_rng(61)
+    for _ in range(300):
+        d = int(rng.integers(1, 64))
+        k = int(rng.integers(0, d + 1))
+        if rng.random() < 0.5:
+            positions = rng.permutation(d)[:k]
+        else:  # contiguous, with one position replaced half the time
+            start = int(rng.integers(0, d - k + 1))
+            positions = np.arange(start, start + k)
+            if k > 2 and rng.random() < 0.5:
+                positions[rng.integers(k)] = rng.integers(d)
+        syms = rng.integers(-2 ** 62, 2 ** 62, 40)
+        block = np.zeros(40, dtype=np.int64)
+        for u, pos in enumerate(positions):
+            block |= ((syms >> int(pos)) & 1) << u
+        assert np.array_equal(extract_block(syms, positions), block)
+        target = rng.integers(0, 2 ** 62, 40)
+        expect = target.copy()
+        for u, pos in enumerate(positions):
+            expect |= ((syms >> u) & 1) << int(pos)
+        insert_block(target, syms, positions)
+        assert np.array_equal(target, expect)
 
 
 def test_extract_block_inverse_of_insert():

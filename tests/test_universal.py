@@ -54,6 +54,19 @@ def test_descent_lossless_container(zipf_run):
     assert np.array_equal(decompress(blob), draws)
 
 
+def test_compress_rejects_samples_the_result_was_not_run_on():
+    x1 = sample(SourceSpec.zipf(256, 1.1, seed=1), 2000)
+    x2 = sample(SourceSpec.zipf(256, 1.1, seed=2), 2000)
+    result = descend(x1, 8, 4, max_iters=4, seed=1)
+    edited, aliased = x1.copy(), x1.copy()
+    edited[17] ^= 1
+    aliased[17] += 256  # same low 8 bits: the steps map it like x1[17]
+    for other in (x2, x1[::-1], edited, aliased, x1[:-1]):
+        with pytest.raises(ValueError, match="do not match"):
+            compress(other, result)
+    assert np.array_equal(decompress(compress(x1, result)), x1)
+
+
 def test_descent_independent_bits_no_gain():
     rng = np.random.default_rng(15)
     syms = np.zeros(30000, dtype=np.int64)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import struct
 import sys
 
 import numpy as np
@@ -41,10 +40,15 @@ def _fmt(v) -> str:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """start:stop:step inclusive grid, or a comma list."""
+    """start:stop:step inclusive grid, or a comma list; raises ValueError on
+    a zero or non-finite step, a non-finite bound or a grid with no point."""
     if ":" in text:
         start, stop, step = (float(t) for t in text.split(":"))
+        if step == 0 or not np.all(np.isfinite([start, stop, step])):
+            raise ValueError(f"grid {text!r} needs finite bounds and a nonzero step")
         n = int(round((stop - start) / step)) + 1
+        if n < 1:
+            raise ValueError(f"grid {text!r} has no point")
         return start + step * np.arange(n)
     return np.array([float(t) for t in text.split(",")])
 
@@ -177,7 +181,7 @@ def run_decompress(input_path: str, output_path: str) -> None:
         raise DataError(str(exc)) from exc
     try:
         symbols = coding.marginal_decode(blob)
-    except (ValueError, IndexError, struct.error) as exc:
+    except (ValueError, IndexError) as exc:
         raise DataError(f"corrupt container: {exc}") from exc
     with open(output_path, "wb") as fh:
         fh.write(symbols.astype(np.uint8).tobytes())

@@ -9,8 +9,9 @@ Container format (see README for the byte layout): a header carrying the
 transform and per-block quantized frequency tables, followed by the
 byte-aligned block streams and a CRC32 trailer. The per-block record, the
 stream section and the trailer are shared with the universal container;
-readers raise ``ContainerError`` on a wrong magic or version, a checksum
-mismatch or a stream that does not decode cleanly. Frequencies are
+readers take every field through one bounds-checked reader and raise
+``ContainerError`` on a wrong magic or version, a checksum mismatch, a
+field cut short or a stream that does not decode cleanly. Frequencies are
 quantized to 16-bit totals; zero-count symbols are excluded from code
 construction under the contract that they never occur in the stream being
 coded.
@@ -18,7 +19,6 @@ coded.
 
 from __future__ import annotations
 
-import struct
 import zlib
 from dataclasses import dataclass
 
@@ -246,6 +246,8 @@ def deserialize_codebook(bits: np.ndarray, alphabet_size: int, n_coded: int) -> 
 def prefix_encode(symbols: np.ndarray, code: PrefixCode) -> np.ndarray:
     """Concatenate codewords msb-first into a 0/1 array."""
     syms = np.asarray(symbols, dtype=np.int64)
+    if syms.size and (syms.min() < 0 or syms.max() >= code.lengths.size):
+        raise ValueError("symbol outside alphabet")
     lens = code.lengths[syms]
     if np.any(lens == 0):
         raise ValueError("symbol without a codeword in the stream")
@@ -432,40 +434,60 @@ def insert_block(target: np.ndarray, block_symbols: np.ndarray, positions: np.nd
 # Both containers open with this header (its last field is the transform
 # length in BAC2 and the step count in BAU2) and end with a CRC32 of every
 # byte before the trailer.
-_HEADER = struct.Struct("<4sBBBBQI")
-_TRAILER = struct.Struct("<I")
+_HEADER = np.dtype([("magic", "S4"), ("version", "u1"), ("d", "u1"), ("n_blocks", "u1"),
+                    ("flags", "u1"), ("n", "<u8"), ("last", "<u4")])
+_TRAILER = np.dtype([("crc32", "<u4")])
 # Per-block table record, shared by the BAC2 and BAU2 containers:
 # n_active u32, stream_bits u64, then (symbol u32, count u16) per active
 # symbol; the byte-aligned streams of all blocks follow the last record.
-_RECORD = struct.Struct("<IQ")
+_RECORD = np.dtype([("n_active", "<u4"), ("stream_bits", "<u8")])
 _ENTRY = np.dtype([("symbol", "<u4"), ("count", "<u2")])
+
+
+class _Reader:
+    """The bytes of a container body not yet read, ``rest``, handed out
+    front to back."""
+
+    def __init__(self, body):
+        self.rest = np.frombuffer(body, dtype=np.uint8)
+
+    def take(self, count, dtype="<u1") -> np.ndarray:
+        """The next ``count`` items of ``dtype`` as a read-only view, once
+        they are checked to fit; raises ContainerError when they do not."""
+        size = count * np.dtype(dtype).itemsize
+        if size > self.rest.size:
+            raise ContainerError("a field runs past the end of the container")
+        field, self.rest = self.rest[:size].view(dtype), self.rest[size:]
+        return field
 
 
 def container_header(magic: bytes, d: int, n_blocks: int, n: int, last: int) -> bytearray:
     """A new container's bytes: its header, at the current version."""
-    return bytearray(_HEADER.pack(magic, CONTAINER_VERSION, d, n_blocks, 0, n, last))
+    return bytearray(np.array((magic, CONTAINER_VERSION, d, n_blocks, 0, n, last), _HEADER))
 
 
 def seal_container(payload: bytearray) -> bytes:
     """Append the CRC32 trailer of every byte written so far."""
-    payload += _TRAILER.pack(zlib.crc32(payload))
+    payload += np.array((zlib.crc32(payload),), _TRAILER).tobytes()
     return bytes(payload)
 
 
-def open_container(blob: bytes, magic: bytes) -> tuple[int, int, int, int, memoryview, int]:
+def open_container(blob: bytes, magic: bytes) -> tuple[int, int, int, int, _Reader]:
     """Check the magic, the version and the CRC32 trailer; returns (d,
-    n_blocks, n, last header field, a view of the bytes before the trailer,
-    offset past the header). Raises ContainerError on any mismatch."""
+    n_blocks, n, last header field, a reader of the bytes before the
+    trailer, positioned after the header). Raises ContainerError on any
+    mismatch."""
     blob = bytes(blob)
-    if len(blob) < _HEADER.size + _TRAILER.size or blob[:4] != magic:
+    if len(blob) < _HEADER.itemsize + _TRAILER.itemsize or blob[:4] != magic:
         raise ContainerError(f"not a {magic.decode()} container")
-    body = memoryview(blob)[:-_TRAILER.size]
-    if zlib.crc32(body) != _TRAILER.unpack_from(blob, len(body))[0]:
+    body = memoryview(blob)[:-_TRAILER.itemsize]
+    if zlib.crc32(body) != np.frombuffer(blob, _TRAILER, offset=len(body))["crc32"][0]:
         raise ContainerError("container checksum mismatch")
-    _, version, d, n_blocks, _, n, last = _HEADER.unpack_from(body)
+    reader = _Reader(body)
+    _, version, d, n_blocks, _, n, last = reader.take(1, _HEADER).item()
     if version != CONTAINER_VERSION:
         raise ContainerError(f"unsupported {magic.decode()} version {version}")
-    return d, n_blocks, n, last, body, _HEADER.size
+    return d, n_blocks, n, last, reader
 
 
 def pack_map(values: np.ndarray, bits: int) -> bytes:
@@ -474,15 +496,13 @@ def pack_map(values: np.ndarray, bits: int) -> bytes:
     return wide[:, :(bits + 7) // 8].tobytes()
 
 
-def read_map(buf: bytes, at: int, bits: int) -> tuple[np.ndarray, int]:
-    """The 2^bits entries written by ``pack_map`` at offset ``at``; returns
-    (entries, offset past them)."""
+def read_map(reader: _Reader, bits: int) -> np.ndarray:
+    """The 2^bits entries written by ``pack_map``, taken from ``reader``."""
     width = (bits + 7) // 8
-    count = 1 << bits
-    wide = np.zeros((count, 4), dtype=np.uint8)
-    wide[:, :width] = np.frombuffer(buf, dtype=np.uint8, count=count * width,
-                                    offset=at).reshape(count, width)
-    return wide.view("<u4").ravel().astype(np.int64), at + count * width
+    packed = reader.take(width << bits).reshape(1 << bits, width)
+    wide = np.zeros((1 << bits, 4), dtype=np.uint8)
+    wide[:, :width] = packed
+    return wide.view("<u4").ravel().astype(np.int64)
 
 
 def write_block_record(out: bytearray, block_symbols: np.ndarray, b: int) -> tuple[bytes, int]:
@@ -501,45 +521,39 @@ def write_block_record(out: bytearray, block_symbols: np.ndarray, b: int) -> tup
     entries = np.zeros(active.size, dtype=_ENTRY)
     entries["symbol"] = active
     entries["count"] = np.minimum(counts[active], 0xFFFF)
-    out += _RECORD.pack(entries.size, nbits)
+    out += np.array((entries.size, nbits), _RECORD).tobytes()
     out += entries.tobytes()
     return data, nbits
 
 
-def read_block_record(buf: bytes, at: int, b: int) -> tuple[np.ndarray, int, int]:
-    """Parse the table record of a b-bit block at offset ``at``; returns
-    (quantized counts, stream bits, offset past the record)."""
-    n_active, stream_bits = _RECORD.unpack_from(buf, at)
-    at += _RECORD.size
-    entries = np.frombuffer(buf, dtype=_ENTRY, count=n_active, offset=at)
-    at += entries.nbytes
+def read_block_record(reader: _Reader, b: int) -> tuple[np.ndarray, int]:
+    """Take the table record of a b-bit block from ``reader``; returns
+    (quantized counts, stream bits)."""
+    n_active, stream_bits = reader.take(1, _RECORD).item()
+    entries = reader.take(n_active, _ENTRY)
     counts = np.zeros(1 << b, dtype=np.int64)
     counts[entries["symbol"]] = entries["count"]
     if n_active == 1:
         counts[counts > 0] = 1 << FREQ_TOTAL_BITS
-    return counts, stream_bits, at
+    return counts, stream_bits
 
 
-def decode_block_streams(buf: bytes, at: int, records, partition: BlockPartition,
+def decode_block_streams(reader: _Reader, records, partition: BlockPartition,
                          n: int) -> np.ndarray:
-    """Decode the byte-aligned streams from offset ``at`` to the end of
-    ``buf``, one per (counts, stream_bits) record in block order, and
-    reassemble n symbols from the partition's blocks. Raises ContainerError
-    when a stream runs past the end or does not decode cleanly, or when
-    bytes are left over."""
+    """Decode the byte-aligned streams left in ``reader``, one per (counts,
+    stream_bits) record in block order, and reassemble n symbols from the
+    partition's blocks. Raises ContainerError when a stream runs past the
+    end or does not decode cleanly, or when bytes are left over."""
     out = np.zeros(n, dtype=np.int64)
     for (counts, nbits), positions in zip(records, partition.groups()):
-        end = at + (nbits + 7) // 8
-        if end > len(buf):
-            raise ContainerError("block stream runs past the end of the container")
+        data = reader.take((nbits + 7) // 8)
         if n:
             try:
-                block = kernels.ac_decode(buf[at:end], n, _cum_from_counts(counts), nbits)
+                block = kernels.ac_decode(data, n, _cum_from_counts(counts), nbits)
             except ValueError as exc:
                 raise ContainerError(f"corrupt block stream: {exc}") from exc
             insert_block(out, block, positions)
-        at = end
-    if at != len(buf):
+    if reader.rest.size:
         raise ContainerError("bytes left after the last block stream")
     return out
 
@@ -570,7 +584,7 @@ def marginal_encode(samples, g: SymbolPermutation, partition: BlockPartition) ->
     payload += np.asarray(partition.assignment, dtype="<u1").tobytes()
     streams = []
     for positions in partition.groups():
-        payload += struct.pack("<B", positions.size)
+        payload.append(positions.size)
         streams.append(write_block_record(payload, extract_block(y, positions), positions.size))
     for data, _ in streams:
         payload += data
@@ -582,17 +596,14 @@ def marginal_encode(samples, g: SymbolPermutation, partition: BlockPartition) ->
 
 def marginal_decode(container: bytes) -> np.ndarray:
     """Invert marginal_encode: decode streams, reassemble bits, undo g."""
-    d, n_blocks, n, glen, body, at = open_container(container, CONTAINER_MAGIC)
+    d, n_blocks, n, glen, reader = open_container(container, CONTAINER_MAGIC)
     if glen != ((d + 7) // 8) << d:
         raise ContainerError("transform descriptor length does not match the alphabet")
-    gmap, at = read_map(body, at, d)
-    assignment = np.frombuffer(body, dtype="<u1", count=d, offset=at).astype(np.int64)
-    at += d
+    gmap = read_map(reader, d)
+    assignment = reader.take(d)
     sizes, records = [], []
     for _ in range(n_blocks):
-        b = body[at]
-        counts, nbits, at = read_block_record(body, at + 1, b)
-        sizes.append(b)
-        records.append((counts, nbits))
-    y = decode_block_streams(body, at, records, BlockPartition(assignment, tuple(sizes)), n)
+        sizes.append(int(reader.take(1)[0]))
+        records.append(read_block_record(reader, sizes[-1]))
+    y = decode_block_streams(reader, records, BlockPartition(assignment, tuple(sizes)), n)
     return SymbolPermutation(d, gmap).unapply(y)

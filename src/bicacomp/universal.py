@@ -310,26 +310,15 @@ def compress(samples, result: DescentResult) -> bytes:
 
 
 def decompress(blob: bytes) -> np.ndarray:
-    d, n_blocks, n, n_steps, body, at = open_container(blob, UNIVERSAL_MAGIC)
-    sizes = tuple(int(v) for v in np.frombuffer(body, dtype="<u1", count=n_blocks, offset=at))
-    at += n_blocks
-    assignment = np.frombuffer(body, dtype="<u1", count=d, offset=at).astype(np.int64)
-    at += d
-    partition = BlockPartition(assignment, sizes)
+    d, n_blocks, n, n_steps, reader = open_container(blob, UNIVERSAL_MAGIC)
+    sizes = tuple(reader.take(n_blocks).tolist())
+    partition = BlockPartition(reader.take(d), sizes)
     steps = []
     for _ in range(n_steps):
-        shuffle = np.frombuffer(body, dtype="<u1", count=d, offset=at).astype(np.int64)
-        at += d
-        inverses = []
-        for s in sizes:
-            gmap, at = read_map(body, at, s)
-            inverses.append(inverse_permutation(gmap))
-        steps.append((inverse_permutation(shuffle), inverses))
-    records = []
-    for s in sizes:
-        counts, nbits, at = read_block_record(body, at, s)
-        records.append((counts, nbits))
-    z, inverse = np.unique(decode_block_streams(body, at, records, partition, n),
+        unshuffle = inverse_permutation(reader.take(d))
+        steps.append((unshuffle, [inverse_permutation(read_map(reader, s)) for s in sizes]))
+    records = [read_block_record(reader, s) for s in sizes]
+    z, inverse = np.unique(decode_block_streams(reader, records, partition, n),
                            return_inverse=True)
     # replay the recorded history in reverse, on the distinct symbols
     for unshuffle, inverses in reversed(steps):

@@ -36,7 +36,8 @@ from .distributions import (
 )
 from .search import block_bica, order_permutation
 
-DEFAULT_SPHERE_STD = 5.0
+# Lattices are truncated to a sphere of this many source standard deviations.
+SPHERE_STD = 5.0
 # A fit stops once a sweep lowers its Lagrangian by less than this.
 SWEEP_TOL = 1e-9
 
@@ -171,13 +172,13 @@ class Lattice:
 
     kinds: 'cubic' (integer grid, any dimension), 'd4' (even coordinate
     sum, dimension 4), 'e8' (integer plus half-integer cosets of the
-    even-sum lattice, dimension 8). ``radius`` is in source-std units.
+    even-sum lattice, dimension 8). The sphere has radius SPHERE_STD
+    source standard deviations.
     """
 
     kind: str
     dim: int
     scale: float
-    radius: float = DEFAULT_SPHERE_STD
 
     def __post_init__(self):
         if self.kind not in ("cubic", "d4", "e8"):
@@ -231,13 +232,13 @@ class LatticeQuantization:
 
 def lattice_quantize(samples, lattice: Lattice) -> LatticeQuantization:
     """Quantize to the nearest admissible lattice point inside the sphere of
-    ``radius`` source standard deviations; out-of-sphere samples shrink
+    SPHERE_STD source standard deviations; out-of-sphere samples shrink
     toward the origin until their quantization lands inside."""
     x = np.ascontiguousarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != lattice.dim:
         raise ValueError("samples must be (n, dim) matching the lattice")
     sigma = math.sqrt(float(np.mean(np.var(x, axis=0)))) if x.shape[0] > 1 else 1.0
-    r = lattice.radius * sigma
+    r = SPHERE_STD * sigma
     q = lattice.nearest(x)
     bad = np.nonzero(np.linalg.norm(q, axis=1) > r)[0]
     for i in bad:

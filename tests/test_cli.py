@@ -117,6 +117,19 @@ def test_vq_ecvq_bad_arguments_exit_2(variant, flags):
     assert run_main(["vq", variant, "--dim", "3", "--n", "300", *flags]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["classic-zipf", "--m", "16", "--s-grid", "0.4:2.0:0"],    # zero step
+    ["classic-zipf", "--m", "16", "--s-grid", "2.0:0.4:0.2"],  # runs away from stop
+    ["classic-zipf", "--m", "16", "--s-grid", "0.4:2.0:-0.2"],
+    ["classic-zipf", "--m", "16", "--s-grid", "inf:2.0:0.2"],
+    ["vq", "lattice", "--n", "100", "--scales", "0:1:0"],
+    ["vq", "ecvq", "--n", "100", "--lambdas", "1:0:1"],
+])
+def test_empty_or_zero_step_grids_exit_2(capsys, argv):
+    assert run_main(argv) == 2
+    assert "grid" in capsys.readouterr().err
+
+
 def test_classic_zipf_codeword_past_63_bits_exits_2(capsys):
     # at skew 12 the Huffman code of Zipf(256) needs 255-bit codewords
     assert run_main(["classic-zipf", "--m", "256", "--s-grid", "12"]) == 2
@@ -137,12 +150,12 @@ def test_compress_decompress_round_trip(tmp_path):
 
 def _block_widths(blob):
     """Per-block bit widths read from a BAC2 container's block records."""
-    d, n_blocks, _, glen, body, at = coding.open_container(blob, coding.CONTAINER_MAGIC)
-    at += glen + d
+    d, n_blocks, _, glen, reader = coding.open_container(blob, coding.CONTAINER_MAGIC)
+    reader.take(glen + d)  # the transform map and the bit assignment
     widths = []
     for _ in range(n_blocks):
-        widths.append(body[at])
-        _, _, at = coding.read_block_record(body, at + 1, body[at])
+        widths.append(int(reader.take(1)[0]))
+        coding.read_block_record(reader, widths[-1])
     return widths
 
 

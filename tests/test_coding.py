@@ -143,6 +143,13 @@ def test_prefix_code_accepts_prefix_free_codes():
     PrefixCode(np.array([1, 0, 0, 0]), np.zeros(4, dtype=np.int64))  # a lone symbol
 
 
+@pytest.mark.parametrize("symbols", [[-1, 0], [0, 3]])
+def test_prefix_encode_rejects_symbols_outside_the_alphabet(symbols):
+    # unchecked, -1 wraps to the last codeword and 3 indexes past the table
+    with pytest.raises(ValueError, match="outside alphabet"):
+        prefix_encode(symbols, huffman_build([0.5, 0.25, 0.25]))
+
+
 # ---------------------------------------------------------------------------
 # canonical codebooks
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ the piecewise and order descents, one of them at the benchmark's d=12, b=6.
 
 import hashlib
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -173,7 +174,7 @@ def test_bau1_round_trip_property(src, method, seed):
 
 
 # ---------------------------------------------------------------------------
-# typed errors: version, checksum and stream checks
+# typed errors: version, checksum, field and stream checks
 # ---------------------------------------------------------------------------
 
 def _reseal(body):
@@ -237,3 +238,25 @@ def test_corrupt_stream_with_a_valid_checksum_raises(formats):
     with pytest.raises(ContainerError, match="left after"):
         decode(_reseal(body + b"\x00"))
     assert np.array_equal(decode(_reseal(body)), x)
+
+
+@pytest.mark.parametrize("fmt", ["BAC2", "BAU2"])
+def test_a_container_cut_anywhere_raises(fmt, formats):
+    decode, blob = formats[fmt][:2]
+    body = blob[:-4]
+    for cut in range(len(body)):
+        with pytest.raises(ContainerError):
+            decode(_reseal(body[:cut]))
+
+
+def test_a_map_longer_than_the_container_raises_before_allocating():
+    # d = 28 announces a 2^30-byte transform map; 64 bytes follow the header
+    header = struct.pack("<4sBBBBQI", b"BAC2", 2, 28, 1, 0, 10, 4 << 28)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerError, match="past the end"):
+            marginal_decode(_reseal(header + bytes(64)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

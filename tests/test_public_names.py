@@ -1,5 +1,5 @@
 """Every public top-level function and class in the library has a caller,
-and every defaulted parameter has a caller that sets it.
+and every defaulted parameter or dataclass field has a caller that sets it.
 
 A name counts as reached when library code outside its own definition
 (``__init__.py`` aside: re-exporting is not use), the benchmark package or
@@ -60,8 +60,8 @@ def test_every_public_name_is_reached():
     assert sorted(ALLOWED.keys() - set(unreached)) == []
 
 
-# module.function -> (parameters whose defaults stay without a caller that
-# sets them, why)
+# module.function or module.Class -> (parameters or dataclass fields whose
+# defaults stay without a caller that sets them, why)
 ALLOWED_DEFAULTS = {
     "universal.descend": (("init_shuffles",), "the benchmark reads its default through inspect"),
     "bounds.RedundancyRegime.linear": (("alpha", "l"), "the paper's linear regime, m = alpha n + l"),
@@ -80,6 +80,26 @@ def _defaulted(fn):
     out += [(None, arg.arg) for arg, default in zip(a.kwonlyargs, a.kw_defaults)
             if default is not None]
     return out
+
+
+def _dataclass_fields(cls):
+    """(position among the constructor's positional arguments, name) of
+    every field of a dataclass ``cls`` with a default; none when ``cls`` is
+    not a dataclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+        return []
+    fields = [node for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    return [(i, f.target.id) for i, f in enumerate(fields) if _field_default(f.value)]
+
+
+def _field_default(value):
+    """Whether a dataclass field's right-hand side gives it a default:
+    ``field(...)`` does only with ``default`` or ``default_factory``."""
+    if isinstance(value, ast.Call) and _called_name(value) == "field":
+        return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+    return value is not None
 
 
 def _called_name(call):
@@ -111,14 +131,23 @@ def test_every_default_is_set_by_a_program():
     unset = []
     for mod, tree in library.items():
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = parents.get(node)
+                qual = f"{owner.name}.{node.name}" if isinstance(owner, ast.ClassDef) else node.name
+                own = set(ast.walk(node))  # a function's calls to itself set nothing
+                callers = [call for call in calls.get(node.name, []) if call not in own]
+                defaults = _defaulted(node)
+            elif isinstance(node, ast.ClassDef):
+                qual = node.name
+                # a class is built by calls to its name, and by cls(...) in its own methods
+                callers = calls.get(node.name, []) + [
+                    call for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and _called_name(call) == "cls"]
+                defaults = _dataclass_fields(node)
+            else:
                 continue
-            owner = parents.get(fn)
-            qual = f"{owner.name}.{fn.name}" if isinstance(owner, ast.ClassDef) else fn.name
-            own = set(ast.walk(fn))  # a function's calls to itself set nothing
-            callers = [call for call in calls.get(fn.name, []) if call not in own]
-            for position, param in _defaulted(fn):
+            for position, param in defaults:
                 if not any(_sets(call, position, param) for call in callers):
                     unset.append(f"{mod}.{qual}.{param}")
     allowed = {f"{fn}.{param}" for fn, (params, _) in ALLOWED_DEFAULTS.items()

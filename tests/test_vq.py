@@ -6,6 +6,7 @@ import pytest
 
 from bicacomp.sources import SourceSpec, sample
 from bicacomp.vq import (
+    SPHERE_STD,
     Lattice,
     bica_ecvq_fit,
     ecvq_fit,
@@ -225,7 +226,7 @@ def test_lattice_quantize_sphere_truncation():
     q = lattice_quantize(x, lat)
     sigma = math.sqrt(float(np.mean(np.var(x, axis=0))))
     radii = np.linalg.norm(q.codebook, axis=1)
-    assert np.all(radii <= lat.radius * sigma + 1e-9)
+    assert np.all(radii <= SPHERE_STD * sigma + 1e-9)
 
 
 def test_gaussian_rd_values():

@@ -17,6 +17,9 @@ from .distributions import JointDistribution, SymbolPermutation, entropy_bits, n
 from .search import block_bica, order_permutation
 
 
+GRID_MAX_POINTS = 10_000  # points a start:stop:step grid may hold
+
+
 class DataError(Exception):
     """Bad or unreadable input data (exit code 3)."""
 
@@ -41,14 +44,18 @@ def _fmt(v) -> str:
 
 def _parse_grid(text: str) -> np.ndarray:
     """start:stop:step inclusive grid, or a comma list; raises ValueError on
-    a zero or non-finite step, a non-finite bound or a grid with no point."""
+    a zero or non-finite step, a non-finite bound, or a grid with no point
+    or more than GRID_MAX_POINTS points."""
     if ":" in text:
         start, stop, step = (float(t) for t in text.split(":"))
         if step == 0 or not np.all(np.isfinite([start, stop, step])):
             raise ValueError(f"grid {text!r} needs finite bounds and a nonzero step")
-        n = int(round((stop - start) / step)) + 1
+        # clamped first: the span may be too large for an int, or infinite
+        n = int(round(min(max((stop - start) / step, -1.0), GRID_MAX_POINTS))) + 1
         if n < 1:
             raise ValueError(f"grid {text!r} has no point")
+        if n > GRID_MAX_POINTS:
+            raise ValueError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
         return start + step * np.arange(n)
     return np.array([float(t) for t in text.split(",")])
 
@@ -183,6 +190,8 @@ def run_decompress(input_path: str, output_path: str) -> None:
         symbols = coding.marginal_decode(blob)
     except (ValueError, IndexError) as exc:
         raise DataError(f"corrupt container: {exc}") from exc
+    if blob[5] > 8:  # the header's d: wider symbols do not fit in a byte
+        raise DataError(f"container holds {blob[5]}-bit symbols, not bytes")
     with open(output_path, "wb") as fh:
         fh.write(symbols.astype(np.uint8).tobytes())
 

@@ -5,16 +5,16 @@ compact codebook wire format, a static rANS coder driven by the kernels
 module, and a block codec that transforms symbols, slices their bits into
 blocks and entropy-codes each block stream separately.
 
-Container format (see README for the byte layout): a header carrying the
-transform and per-block quantized frequency tables, followed by the
-byte-aligned block streams and a CRC32 trailer. The per-block record, the
-stream section and the trailer are shared with the universal container;
-readers take every field through one bounds-checked reader and raise
-``ContainerError`` on a wrong magic or version, a checksum mismatch, a
-field cut short or a stream that does not decode cleanly. Frequencies are
-quantized to 16-bit totals; zero-count symbols are excluded from code
-construction under the contract that they never occur in the stream being
-coded.
+Both codecs write one container format (see README for the byte layout)
+through ``write_container``, and ``read_container`` parses every container:
+the header, the block sizes, the bit assignment, an optional map on all d
+bits (flag bit 0), the recorded steps (a bit shuffle and one map per block
+each), the per-block quantized frequency tables, the block streams and a
+CRC32 trailer. The decoder undoes the steps in reverse, then the d-bit map.
+Every field is taken through one bounds-checked reader, and a malformed
+container raises ``ContainerError``. Frequencies are quantized to 16-bit
+totals; zero-count symbols are excluded from code construction under the
+contract that they never occur in the stream being coded.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 from . import kernels
 from .distributions import SymbolPermutation, inverse_permutation, next_bit_dimension
 
-CONTAINER_MAGIC = b"BAC2"
-CONTAINER_VERSION = 2
+CONTAINER_MAGIC = b"BAC3"
+CONTAINER_VERSION = 3
 FREQ_TOTAL_BITS = kernels.FREQ_BITS
 ALPHABET_CAP = 1 << 16  # symbols the decoder's uint16 slot table can hold
 
@@ -431,15 +431,15 @@ def insert_block(target: np.ndarray, block_symbols: np.ndarray, positions: np.nd
         target |= ((block_symbols >> u) & ((1 << width) - 1)) << pos
 
 
-# Both containers open with this header (its last field is the transform
-# length in BAC2 and the step count in BAU2) and end with a CRC32 of every
+# Every container opens with this header and ends with a CRC32 of every
 # byte before the trailer.
 _HEADER = np.dtype([("magic", "S4"), ("version", "u1"), ("d", "u1"), ("n_blocks", "u1"),
-                    ("flags", "u1"), ("n", "<u8"), ("last", "<u4")])
+                    ("flags", "u1"), ("n", "<u8"), ("n_steps", "<u4")])
 _TRAILER = np.dtype([("crc32", "<u4")])
-# Per-block table record, shared by the BAC2 and BAU2 containers:
-# n_active u32, stream_bits u64, then (symbol u32, count u16) per active
-# symbol; the byte-aligned streams of all blocks follow the last record.
+_SYMBOL_MAP = 1  # flag bit 0: a map on all d bits follows the bit assignment
+# Per-block table record: n_active u32, stream_bits u64, then (symbol u32,
+# count u16) per active symbol; the byte-aligned streams of all blocks
+# follow the last record.
 _RECORD = np.dtype([("n_active", "<u4"), ("stream_bits", "<u8")])
 _ENTRY = np.dtype([("symbol", "<u4"), ("count", "<u2")])
 
@@ -461,43 +461,14 @@ class _Reader:
         return field
 
 
-def container_header(magic: bytes, d: int, n_blocks: int, n: int, last: int) -> bytearray:
-    """A new container's bytes: its header, at the current version."""
-    return bytearray(np.array((magic, CONTAINER_VERSION, d, n_blocks, 0, n, last), _HEADER))
-
-
-def seal_container(payload: bytearray) -> bytes:
-    """Append the CRC32 trailer of every byte written so far."""
-    payload += np.array((zlib.crc32(payload),), _TRAILER).tobytes()
-    return bytes(payload)
-
-
-def open_container(blob: bytes, magic: bytes) -> tuple[int, int, int, int, _Reader]:
-    """Check the magic, the version and the CRC32 trailer; returns (d,
-    n_blocks, n, last header field, a reader of the bytes before the
-    trailer, positioned after the header). Raises ContainerError on any
-    mismatch."""
-    blob = bytes(blob)
-    if len(blob) < _HEADER.itemsize + _TRAILER.itemsize or blob[:4] != magic:
-        raise ContainerError(f"not a {magic.decode()} container")
-    body = memoryview(blob)[:-_TRAILER.itemsize]
-    if zlib.crc32(body) != np.frombuffer(blob, _TRAILER, offset=len(body))["crc32"][0]:
-        raise ContainerError("container checksum mismatch")
-    reader = _Reader(body)
-    _, version, d, n_blocks, _, n, last = reader.take(1, _HEADER).item()
-    if version != CONTAINER_VERSION:
-        raise ContainerError(f"unsupported {magic.decode()} version {version}")
-    return d, n_blocks, n, last, reader
-
-
-def pack_map(values: np.ndarray, bits: int) -> bytes:
+def _pack_map(values: np.ndarray, bits: int) -> bytes:
     """A map on b-bit values as little-endian entries of ceil(b/8) bytes."""
     wide = np.ascontiguousarray(values, dtype="<u4").view(np.uint8).reshape(-1, 4)
     return wide[:, :(bits + 7) // 8].tobytes()
 
 
-def read_map(reader: _Reader, bits: int) -> np.ndarray:
-    """The 2^bits entries written by ``pack_map``, taken from ``reader``."""
+def _read_map(reader: _Reader, bits: int) -> np.ndarray:
+    """The 2^bits entries written by ``_pack_map``, taken from ``reader``."""
     width = (bits + 7) // 8
     packed = reader.take(width << bits).reshape(1 << bits, width)
     wide = np.zeros((1 << bits, 4), dtype=np.uint8)
@@ -505,11 +476,11 @@ def read_map(reader: _Reader, bits: int) -> np.ndarray:
     return wide.view("<u4").ravel().astype(np.int64)
 
 
-def write_block_record(out: bytearray, block_symbols: np.ndarray, b: int) -> tuple[bytes, int]:
+def _write_block_record(out: bytearray, block_symbols: np.ndarray, b: int) -> tuple[bytes, int]:
     """Entropy-code a block of b-bit values against its own quantized
     frequency table, append the table record to ``out`` and return the
     stream as (bytes, exact bits). A lone active symbol's count (the whole
-    16-bit total) saturates its u16 field; ``read_block_record`` restores
+    16-bit total) saturates its u16 field; ``_read_block_record`` restores
     it, and its stream is empty."""
     counts = np.bincount(block_symbols, minlength=1 << b)
     if block_symbols.size:
@@ -526,7 +497,7 @@ def write_block_record(out: bytearray, block_symbols: np.ndarray, b: int) -> tup
     return data, nbits
 
 
-def read_block_record(reader: _Reader, b: int) -> tuple[np.ndarray, int]:
+def _read_block_record(reader: _Reader, b: int) -> tuple[np.ndarray, int]:
     """Take the table record of a b-bit block from ``reader``; returns
     (quantized counts, stream bits)."""
     n_active, stream_bits = reader.take(1, _RECORD).item()
@@ -538,8 +509,8 @@ def read_block_record(reader: _Reader, b: int) -> tuple[np.ndarray, int]:
     return counts, stream_bits
 
 
-def decode_block_streams(reader: _Reader, records, partition: BlockPartition,
-                         n: int) -> np.ndarray:
+def _decode_block_streams(reader: _Reader, records, partition: BlockPartition,
+                          n: int) -> np.ndarray:
     """Decode the byte-aligned streams left in ``reader``, one per (counts,
     stream_bits) record in block order, and reassemble n symbols from the
     partition's blocks. Raises ContainerError when a stream runs past the
@@ -556,6 +527,88 @@ def decode_block_streams(reader: _Reader, records, partition: BlockPartition,
     if reader.rest.size:
         raise ContainerError("bytes left after the last block stream")
     return out
+
+
+def map_blocks(symbols: np.ndarray, maps, partition: BlockPartition) -> np.ndarray:
+    """Replace the value v of block i in every symbol by maps[i][v]."""
+    out = np.zeros_like(symbols)
+    for gmap, positions in zip(maps, partition.groups()):
+        insert_block(out, gmap[extract_block(symbols, positions)], positions)
+    return out
+
+
+def write_container(coded: np.ndarray, partition: BlockPartition, symbol_map=None,
+                    steps=()) -> tuple[bytes, tuple[int, ...]]:
+    """The container of the d-bit symbols ``coded``, which a decoder turns
+    back into the source by undoing every (bit shuffle, block maps) step of
+    ``steps`` in reverse and then ``symbol_map``, a map on all d bits
+    (none when omitted). Returns (container, stream bits per block).
+    Raises ValueError on a block wider than the decoder's alphabet cap."""
+    sizes = partition.sizes
+    if any(1 << s > ALPHABET_CAP for s in sizes):
+        raise ValueError(f"block sizes {sizes} exceed {ALPHABET_CAP.bit_length() - 1} bits")
+    flags = 0 if symbol_map is None else _SYMBOL_MAP
+    out = bytearray(np.array((CONTAINER_MAGIC, CONTAINER_VERSION, partition.d, len(sizes), flags,
+                              coded.size, len(steps)), _HEADER))
+    out += np.asarray(sizes, dtype="<u1").tobytes()
+    out += np.asarray(partition.assignment, dtype="<u1").tobytes()
+    if symbol_map is not None:
+        out += _pack_map(symbol_map, partition.d)
+    for shuffle, maps in steps:
+        out += np.asarray(shuffle, dtype="<u1").tobytes()
+        for gmap, s in zip(maps, sizes):
+            out += _pack_map(gmap, s)
+    streams = [_write_block_record(out, extract_block(coded, positions), positions.size)
+               for positions in partition.groups()]
+    for data, _ in streams:
+        out += data
+    out += np.array((zlib.crc32(out),), _TRAILER).tobytes()
+    return bytes(out), tuple(nbits for _, nbits in streams)
+
+
+def read_container(blob: bytes) -> np.ndarray:
+    """Invert ``write_container``: decode the block streams, undo the steps
+    in reverse, then the symbol map. Raises ContainerError on a wrong magic,
+    version or checksum, on any field that is cut short or out of range,
+    and on a stream that does not decode cleanly."""
+    blob = bytes(blob)
+    if len(blob) < _HEADER.itemsize + _TRAILER.itemsize or blob[:4] != CONTAINER_MAGIC:
+        raise ContainerError(f"not a {CONTAINER_MAGIC.decode()} container")
+    body = memoryview(blob)[:-_TRAILER.itemsize]
+    if zlib.crc32(body) != np.frombuffer(blob, _TRAILER, offset=len(body))["crc32"][0]:
+        raise ContainerError("container checksum mismatch")
+    reader = _Reader(body)
+    _, version, d, n_blocks, flags, n, n_steps = reader.take(1, _HEADER).item()
+    if version != CONTAINER_VERSION:
+        raise ContainerError(f"unsupported container version {version}")
+    if flags & ~_SYMBOL_MAP:
+        raise ContainerError(f"unknown container flags {flags:#04x}")
+    if d == 0:
+        raise ContainerError("container of 0-bit symbols")
+    sizes = tuple(reader.take(n_blocks).tolist())
+    if not all(0 < s and 1 << s <= ALPHABET_CAP for s in sizes):
+        raise ContainerError(f"block sizes {sizes} outside 1..{ALPHABET_CAP.bit_length() - 1}")
+    step_bytes = d + sum(((s + 7) // 8) << s for s in sizes)
+    if n_steps * step_bytes > reader.rest.size:
+        raise ContainerError(f"{n_steps} steps run past the end of the container")
+    try:  # sizes that miss d and fields that are not permutations raise ValueError
+        partition = BlockPartition(reader.take(d), sizes)
+        unmap = inverse_permutation(_read_map(reader, d)) if flags & _SYMBOL_MAP else None
+        steps = [(inverse_permutation(reader.take(d)),
+                  [inverse_permutation(_read_map(reader, s)) for s in sizes])
+                 for _ in range(n_steps)]
+    except ValueError as exc:
+        raise ContainerError(str(exc)) from exc
+    records = [_read_block_record(reader, s) for s in sizes]
+    if steps:  # replayed on the distinct symbols
+        z, inverse = np.unique(_decode_block_streams(reader, records, partition, n),
+                               return_inverse=True)
+        for unshuffle, inverses in reversed(steps):
+            z = extract_block(map_blocks(z, inverses, partition), unshuffle)
+        y = z[inverse]
+    else:
+        y = _decode_block_streams(reader, records, partition, n)
+    return y if unmap is None else unmap[y]
 
 
 @dataclass(frozen=True)
@@ -577,33 +630,11 @@ def marginal_encode(samples, g: SymbolPermutation, partition: BlockPartition) ->
     x = np.ascontiguousarray(samples, dtype=np.int64)
     if x.size and (x.min() < 0 or x.max() >= (1 << g.d)):
         raise ValueError("symbol outside alphabet")
-    y = g.apply(x)
-    gdesc = pack_map(g.map, g.d)
-    payload = container_header(CONTAINER_MAGIC, g.d, partition.n_blocks, x.size, len(gdesc))
-    payload += gdesc
-    payload += np.asarray(partition.assignment, dtype="<u1").tobytes()
-    streams = []
-    for positions in partition.groups():
-        payload.append(positions.size)
-        streams.append(write_block_record(payload, extract_block(y, positions), positions.size))
-    for data, _ in streams:
-        payload += data
-    blob = seal_container(payload)
-    block_bits = tuple(nbits for _, nbits in streams)
+    blob, block_bits = write_container(g.apply(x), partition, symbol_map=g.map)
     data_bits = float(sum(block_bits))
     return MarginalEncoding(blob, BitCost(data_bits, len(blob) * 8 - data_bits), block_bits)
 
 
 def marginal_decode(container: bytes) -> np.ndarray:
     """Invert marginal_encode: decode streams, reassemble bits, undo g."""
-    d, n_blocks, n, glen, reader = open_container(container, CONTAINER_MAGIC)
-    if glen != ((d + 7) // 8) << d:
-        raise ContainerError("transform descriptor length does not match the alphabet")
-    gmap = read_map(reader, d)
-    assignment = reader.take(d)
-    sizes, records = [], []
-    for _ in range(n_blocks):
-        sizes.append(int(reader.take(1)[0]))
-        records.append(read_block_record(reader, sizes[-1]))
-    y = decode_block_streams(reader, records, BlockPartition(assignment, tuple(sizes)), n)
-    return SymbolPermutation(d, gmap).unapply(y)
+    return read_container(container)

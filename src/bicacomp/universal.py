@@ -27,28 +27,15 @@ from .bounds import pattern_dictionary_cost, standard_redundancy
 from .coding import (
     BlockPartition,
     canonicalize,
-    container_header,
-    decode_block_streams,
     extract_block,
     huffman_build,
-    insert_block,
-    open_container,
-    pack_map,
-    read_block_record,
-    read_map,
-    seal_container,
-    write_block_record,
+    map_blocks,
+    read_container,
+    write_container,
 )
-from .distributions import (
-    JointDistribution,
-    binary_entropy,
-    bit_zero_marginals,
-    entropy_bits,
-    inverse_permutation,
-)
+from .distributions import JointDistribution, binary_entropy, bit_zero_marginals, entropy_bits
 from .search import PIECEWISE_MAX_BITS, block_bica
 
-UNIVERSAL_MAGIC = b"BAU2"
 DESCENT_TOL = 1e-6
 
 
@@ -84,14 +71,6 @@ class DescentResult:
 # A shuffle gathers all d bit positions as one block: bit j of the result
 # is bit shuffle[j] of the input.
 apply_shuffle = extract_block
-
-
-def _map_blocks(symbols: np.ndarray, maps, partition: BlockPartition) -> np.ndarray:
-    """Replace the value v of block i in every symbol by maps[i][v]."""
-    out = np.zeros_like(symbols)
-    for gmap, positions in zip(maps, partition.groups()):
-        insert_block(out, gmap[extract_block(symbols, positions)], positions)
-    return out
 
 
 def _block_stats(values: np.ndarray, weights: np.ndarray, partition: BlockPartition
@@ -176,7 +155,7 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
             stall += 1
             continue
         stall = 0
-        z = _map_blocks(cand, transforms, partition)
+        z = map_blocks(cand, transforms, partition)
         bound_prev, bsum, _, _ = _block_stats(z, weights, partition)
         steps.append(PipelineStep(len(steps), sh, tuple(transforms), bound_prev, bsum))
     return DescentResult(d, int(x.size), partition, tuple(steps), z[inverse])
@@ -184,7 +163,7 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
 
 def _apply_step(symbols: np.ndarray, step: PipelineStep, partition: BlockPartition) -> np.ndarray:
     """Shuffle the bits of ``symbols``, then map every block, as ``step`` did."""
-    return _map_blocks(apply_shuffle(symbols, step.shuffle), step.transforms, partition)
+    return map_blocks(apply_shuffle(symbols, step.shuffle), step.transforms, partition)
 
 
 def replay(samples, result: DescentResult) -> tuple[np.ndarray, np.ndarray]:
@@ -294,33 +273,10 @@ def compress(samples, result: DescentResult) -> bytes:
         values = _apply_step(values, step, result.partition)
     if not (in_alphabet and np.array_equal(values[inverse], z)):
         raise ValueError("samples do not match the descent result")
-    sizes = result.partition.sizes
-    out = container_header(UNIVERSAL_MAGIC, result.d, len(sizes), z.size, len(result.steps))
-    out += np.asarray(sizes, dtype="<u1").tobytes()
-    out += np.asarray(result.partition.assignment, dtype="<u1").tobytes()
-    for step in result.steps:
-        out += np.asarray(step.shuffle, dtype="<u1").tobytes()
-        for gmap, s in zip(step.transforms, sizes):
-            out += pack_map(gmap, s)
-    streams = [write_block_record(out, extract_block(z, positions), positions.size)
-               for positions in result.partition.groups()]
-    for data, _ in streams:
-        out += data
-    return seal_container(out)
+    steps = [(step.shuffle, step.transforms) for step in result.steps]
+    return write_container(z, result.partition, steps=steps)[0]
 
 
 def decompress(blob: bytes) -> np.ndarray:
-    d, n_blocks, n, n_steps, reader = open_container(blob, UNIVERSAL_MAGIC)
-    sizes = tuple(reader.take(n_blocks).tolist())
-    partition = BlockPartition(reader.take(d), sizes)
-    steps = []
-    for _ in range(n_steps):
-        unshuffle = inverse_permutation(reader.take(d))
-        steps.append((unshuffle, [inverse_permutation(read_map(reader, s)) for s in sizes]))
-    records = [read_block_record(reader, s) for s in sizes]
-    z, inverse = np.unique(decode_block_streams(reader, records, partition, n),
-                           return_inverse=True)
-    # replay the recorded history in reverse, on the distinct symbols
-    for unshuffle, inverses in reversed(steps):
-        z = apply_shuffle(_map_blocks(z, inverses, partition), unshuffle)
-    return z[inverse]
+    """Invert compress: decode the block streams and replay the history in reverse."""
+    return read_container(blob)

@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from bicacomp import cli, coding
-from bicacomp.distributions import JointDistribution
+from bicacomp.distributions import JointDistribution, SymbolPermutation
 from bicacomp.search import block_bica
 
 
@@ -130,6 +131,15 @@ def test_empty_or_zero_step_grids_exit_2(capsys, argv):
     assert "grid" in capsys.readouterr().err
 
 
+def test_a_grid_past_the_point_cap_exits_2(capsys):
+    assert cli._parse_grid(f"0:{cli.GRID_MAX_POINTS - 1}:1").size == cli.GRID_MAX_POINTS
+    for text in (f"0:{cli.GRID_MAX_POINTS}:1", "0:1:5e-324"):  # the last span is infinite
+        with pytest.raises(ValueError, match="points"):
+            cli._parse_grid(text)
+    assert run_main(["classic-zipf", "--m", "16", "--s-grid", "0:1:1e-12"]) == 2
+    assert f"more than {cli.GRID_MAX_POINTS} points" in capsys.readouterr().err
+
+
 def test_classic_zipf_codeword_past_63_bits_exits_2(capsys):
     # at skew 12 the Huffman code of Zipf(256) needs 255-bit codewords
     assert run_main(["classic-zipf", "--m", "256", "--s-grid", "12"]) == 2
@@ -149,14 +159,10 @@ def test_compress_decompress_round_trip(tmp_path):
 
 
 def _block_widths(blob):
-    """Per-block bit widths read from a BAC2 container's block records."""
-    d, n_blocks, _, glen, reader = coding.open_container(blob, coding.CONTAINER_MAGIC)
-    reader.take(glen + d)  # the transform map and the bit assignment
-    widths = []
-    for _ in range(n_blocks):
-        widths.append(int(reader.take(1)[0]))
-        coding.read_block_record(reader, widths[-1])
-    return widths
+    """Per-block bit widths: the container's sizes field, one u8 per block
+    after the header, whose byte 6 holds the block count."""
+    head = struct.calcsize("<4sBBBBQI")
+    return list(blob[head:head + blob[6]])
 
 
 @pytest.mark.parametrize("blocks, widths", [
@@ -223,6 +229,17 @@ def test_decompress_garbage_is_data_error(tmp_path):
     bad.write_bytes(b"not a container at all")
     rc = run_main(["decompress", str(bad), str(tmp_path / "out.bin")])
     assert rc == 3
+
+
+def test_decompress_of_symbols_wider_than_a_byte_is_data_error(tmp_path, capsys):
+    enc = coding.marginal_encode([1000, 3, 1000, 700, 3], SymbolPermutation.identity(10),
+                                 coding.BlockPartition.contiguous(10, 5))
+    packed = tmp_path / "wide.bac"
+    packed.write_bytes(enc.container)
+    restored = tmp_path / "out.bin"
+    assert run_main(["decompress", str(packed), str(restored)]) == 3
+    assert "10-bit symbols" in capsys.readouterr().err
+    assert not restored.exists()
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,17 +1,21 @@
-"""Both container formats: pinned bytes, round-trip properties and the
-typed errors of their readers.
+"""The container format: pinned bytes, round-trip properties and the
+typed errors of its one reader.
 
-The block-codec container (``coding.marginal_encode``, magic ``BAC2``;
-tested as ``bac1_*``) and the universal container (``universal.compress``,
-magic ``BAU2``; tested as ``bau1_*``) share the header, the per-block table
-record, the rANS stream section and the CRC32 trailer. The digests below
-pin every byte of both formats on seeded inputs covering the edge shapes:
+The block codec (``coding.marginal_encode``, which stores one map on all d
+bits) and the universal codec (``universal.compress``, which stores the
+descent's steps) write the same format through ``coding.write_container``,
+and ``coding.read_container`` parses both. The tests keep the ids they had
+when each codec wrote a format of its own: ``bac1_*`` and ``BAC2`` name the
+block codec's containers, ``bau1_*`` and ``BAU2`` the universal codec's.
+The digests below pin every byte on seeded inputs covering the edge shapes:
 n=0 and n=1, a block holding one lone symbol, b not dividing d, d=10, and
-the piecewise and order descents, one of them at the benchmark's d=12, b=6.
+the piecewise and order descents, one of them at the benchmark's d=12, b=6;
+each container's length is pinned next to its digest.
 """
 
 import hashlib
 import struct
+import time
 import tracemalloc
 import zlib
 
@@ -37,68 +41,78 @@ def _random_g(d, seed):
     return SymbolPermutation(d, np.random.default_rng(seed).permutation(1 << d))
 
 
-def _bac1_empty():
+def _marginal_empty():
     x = np.zeros(0, dtype=np.int64)
     return x, SymbolPermutation.identity(8), BlockPartition.contiguous(8, 4)
 
 
-def _bac1_one():
+def _marginal_one():
     return np.array([200]), _random_g(8, 1), BlockPartition.contiguous(8, 4)
 
 
-def _bac1_lone():
+def _marginal_lone():
     # the low block holds the value 5 in every symbol
     x = (np.random.default_rng(2).integers(0, 16, 500) << 4) | 5
     return x, SymbolPermutation.identity(8), BlockPartition.contiguous(8, 4)
 
 
-def _bac1_b3_d8():
+def _marginal_b3_d8():
     x = sample(SourceSpec.zipf(256, 1.1, seed=3), 2000)
     return x, _ordered(x, 8), BlockPartition.contiguous(8, 3)
 
 
-def _bac1_d10():
+def _marginal_d10():
     x = sample(SourceSpec.zipf(1024, 1.2, seed=4), 3000)
     return x, _ordered(x, 10), BlockPartition.contiguous(10, 5)
 
 
-BAC1_CASES = {
-    "n0": (_bac1_empty, "bc4245982ba4ed056626b6ed27718b257207579b80021445ed4c43154657c04d"),
-    "n1": (_bac1_one, "121e2c9535ce54fa6fa4c0be5eb338802d063d420d892bdf52fc92a455ef2dc3"),
-    "lone": (_bac1_lone, "7a8b1f2325fe27119d111ae93b751cc10e7ca6871421a1d5cb33df50976565f2"),
-    "b3_d8": (_bac1_b3_d8, "ee2659ea4cc268ad1fbc63c2ec5bc3b00ed72bc2758c07398b223bb54a8c1bba"),
-    "d10": (_bac1_d10, "254d41c2a46280aae1462a57701c414a2d4e0be1cd25a2cca50dced5e8eb6213"),
+# case: (inputs, container length, SHA-256); the lengths are those of the
+# version-2 containers, since the version-3 layout only moves fields
+MARGINAL_CASES = {
+    "n0": (_marginal_empty, 314,
+           "4f51232d90aef82711dda7b49d9ffc09dba58412f78a75d886dcd44f90b7a2d9"),
+    "n1": (_marginal_one, 326,
+           "e27357ce172576f7d217ca1ddafc8e84af6aab40bfe2c1f61cab7e173825b8f4"),
+    "lone": (_marginal_lone, 666,
+             "ccab9596c460069740d5b08c8d0f3ca2693e0a7ba06b835e0162077b292c9f7d"),
+    "b3_d8": (_marginal_b3_d8, 1933,
+              "a8cfd507ed890c3312e0b8dc0d33ed3a2f11163af215031943bd7d835b6f31ca"),
+    "d10": (_marginal_d10, 4670,
+            "64f07191b943dde5844d18cf12bd2398175b9a60a2ccf9fd42abfcf444e6dc2d"),
 }
 
 
-def _bau1_piecewise():
+def _universal_piecewise():
     x = sample(SourceSpec.zipf(256, 1.1, seed=5), 3000)
     return x, descend(x, 8, 4, method="piecewise", max_iters=4, seed=1)
 
 
-def _bau1_order():
+def _universal_order():
     x = sample(SourceSpec.zipf(1024, 1.2, seed=6), 4000)
     return x, descend(x, 10, 5, method="order", max_iters=4, seed=2)
 
 
-def _bau1_piecewise_d12():
+def _universal_piecewise_d12():
     # the benchmark's block shape: two 6-bit blocks, 1716 placements each
     x = sample(SourceSpec.zipf(4096, 1.2, seed=8), 5000)
     return x, descend(x, 12, 6, method="piecewise", max_iters=5, seed=3)
 
 
-def _bau1_lone():
+def _universal_lone():
     # bits 4..7 are always zero; the last recorded shuffle keeps them in one block
     x = sample(SourceSpec.zipf(16, 1.0, seed=7), 1000)
     return x, descend(x, 8, 4, method="order", max_iters=3, seed=0)
 
 
-BAU1_CASES = {
-    "piecewise": (_bau1_piecewise, "9ce549b282ee8c5836ba38ba0b3c4c9a150165f16fe01e28a7c25cc0753a3500"),
-    "piecewise_d12": (_bau1_piecewise_d12,
-                      "e2cce8ed1e6f010519d31a40e7228487de6d5bc75b048d1f9e4e7126c2b3c0dd"),
-    "order": (_bau1_order, "4df3a415205580f7a07df2ce3e55faf9ebea66a6ee3fe7977d9de5ff3c8ca2f2"),
-    "lone": (_bau1_lone, "73a9bc4a6b9f91f4482fb85ac2f8c429b0ef3f8b79195cdc6e9b2782940531bf"),
+UNIVERSAL_CASES = {
+    "piecewise": (_universal_piecewise, 2671,
+                  "7aadb85821798753346f03616321705250938986491d3f5f1e976c0d73875479"),
+    "piecewise_d12": (_universal_piecewise_d12, 5892,
+                      "5abe32538622bfaadb917b5e8523841ffac515d33acff8389215d2dad378c2bb"),
+    "order": (_universal_order, 4004,
+              "a76766c60f820ef318081fee883b13f706d32240fe4e17923000ef839d907442"),
+    "lone": (_universal_lone, 751,
+             "91e78ba24cec75fffa973c170690e3bd777dd5b1a5368de65c43d775bb11405e"),
 }
 
 
@@ -106,9 +120,9 @@ def _lone_blocks(symbols, partition):
     return sum(np.unique(extract_block(symbols, pos)).size == 1 for pos in partition.groups())
 
 
-@pytest.mark.parametrize("case", sorted(BAC1_CASES))
+@pytest.mark.parametrize("case", sorted(MARGINAL_CASES))
 def test_bac1_golden_bytes(case):
-    make, digest = BAC1_CASES[case]
+    make, length, digest = MARGINAL_CASES[case]
     x, g, partition = make()
     enc = marginal_encode(x, g, partition)
     blob = enc.container
@@ -116,17 +130,19 @@ def test_bac1_golden_bytes(case):
     if case == "lone":
         assert _lone_blocks(g.apply(x), partition) == 1
         assert 0 in enc.block_bits  # the lone block's stream is empty
+    assert len(blob) == length
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
-@pytest.mark.parametrize("case", sorted(BAU1_CASES))
+@pytest.mark.parametrize("case", sorted(UNIVERSAL_CASES))
 def test_bau1_golden_bytes(case):
-    make, digest = BAU1_CASES[case]
+    make, length, digest = UNIVERSAL_CASES[case]
     x, result = make()
     blob = compress(x, result)
     assert np.array_equal(decompress(blob), x)
     if case == "lone":
         assert _lone_blocks(result.final_symbols, result.partition) >= 1
+    assert len(blob) == length
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
@@ -177,6 +193,9 @@ def test_bau1_round_trip_property(src, method, seed):
 # typed errors: version, checksum, field and stream checks
 # ---------------------------------------------------------------------------
 
+_HEAD = struct.calcsize("<4sBBBBQI")  # magic, version, d, n_blocks, flags, n, n_steps
+
+
 def _reseal(body):
     """A container body with a valid CRC32 trailer appended."""
     body = bytes(body)
@@ -185,10 +204,10 @@ def _reseal(body):
 
 @pytest.fixture(scope="module")
 def formats():
-    """(decoder, container, symbols, stream bytes) of a seeded case per format."""
-    x, g, partition = _bac1_d10()
+    """(decoder, container, symbols, stream bytes) of a seeded case per codec."""
+    x, g, partition = _marginal_d10()
     enc = marginal_encode(x, g, partition)
-    xu, result = _bau1_order()
+    xu, result = _universal_order()
     return {"BAC2": (marginal_decode, enc.container, x,
                      sum((b + 7) // 8 for b in enc.block_bits)),
             "BAU2": (decompress, compress(xu, result), xu, None)}
@@ -201,13 +220,18 @@ def test_container_error_is_a_value_error():
 @pytest.mark.parametrize("fmt", ["BAC2", "BAU2"])
 def test_old_versions_and_foreign_containers_raise(fmt, formats):
     decode, blob = formats[fmt][:2]
-    other = formats["BAU2" if fmt == "BAC2" else "BAC2"][1]
-    old_magic = blob[:3] + b"1"  # BAC1 / BAU1
-    for bad in (_reseal(old_magic + blob[4:-4]),
-                _reseal(blob[:4] + b"\x01" + blob[5:-4]),  # version byte 1
-                other, b"", blob[:20]):
+    for bad in (_reseal(b"BAC2\x02" + blob[5:-4]),  # the two version-2 formats
+                _reseal(b"BAU2\x02" + blob[5:-4]),
+                _reseal(blob[:4] + b"\x02" + blob[5:-4]),  # version byte 2
+                b"", blob[:20]):
         with pytest.raises(ContainerError, match="not a|version"):
             decode(bad)
+
+
+def test_each_decoder_reads_the_other_codecs_container(formats):
+    for decode, other in ((marginal_decode, "BAU2"), (decompress, "BAC2")):
+        _, blob, x = formats[other][:3]
+        assert np.array_equal(decode(blob), x)
 
 
 @pytest.mark.parametrize("fmt", ["BAC2", "BAU2"])
@@ -250,13 +274,51 @@ def test_a_container_cut_anywhere_raises(fmt, formats):
 
 
 def test_a_map_longer_than_the_container_raises_before_allocating():
-    # d = 28 announces a 2^30-byte transform map; 64 bytes follow the header
-    header = struct.pack("<4sBBBBQI", b"BAC2", 2, 28, 1, 0, 10, 4 << 28)
+    # d = 28 in blocks of 16 and 12 bits with the map flag announces a
+    # 2^30-byte map on all d bits; 64 bytes follow the sizes and assignment
+    header = struct.pack("<4sBBBBQI", b"BAC3", 3, 28, 2, 1, 10, 0)
+    body = header + bytes([16, 12]) + bytes(range(28)) + bytes(64)
     tracemalloc.start()
     try:
         with pytest.raises(ContainerError, match="past the end"):
-            marginal_decode(_reseal(header + bytes(64)))
+            marginal_decode(_reseal(body))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_block_wider_than_16_bits_raises_at_encode_time():
+    with pytest.raises(ValueError, match="16 bits"):
+        marginal_encode([70000, 5, 131071], SymbolPermutation.identity(17),
+                        BlockPartition.contiguous(17, 17))
+
+
+def test_out_of_range_fields_raise_container_error(formats):
+    decode, blob = formats["BAC2"][:2]
+    assert blob[5:8] == bytes([10, 2, 1])  # d, n_blocks, flags: two 5-bit blocks, a d-bit map
+    sizes, assignment, gmap = _HEAD, _HEAD + 2, _HEAD + 12  # the map has 2-byte entries
+    edits = [(7, b"\x02", "flags"), (7, b"\x03", "flags"), (7, b"\x80", "flags"),
+             (sizes, b"\x00\x0a", "outside 1..16"), (sizes, b"\x11\x05", "outside 1..16"),
+             (sizes, b"\xff\x05", "outside 1..16"),
+             (sizes, b"\x05\x04", "cover all bit positions"),  # 9 of the 10 bits
+             (assignment + 1, blob[assignment:assignment + 1], "not a permutation"),
+             (gmap + 2, blob[gmap:gmap + 2], "not a permutation")]
+    for at, edit, match in edits:
+        bad = bytearray(blob[:-4])
+        bad[at:at + len(edit)] = edit
+        with pytest.raises(ContainerError, match=match):
+            decode(_reseal(bad))
+
+
+def test_a_step_count_past_the_bytes_left_raises_at_once(formats):
+    decode, blob = formats["BAU2"][:2]
+    many = bytearray(blob[:-4])
+    many[_HEAD - 4:_HEAD] = struct.pack("<I", 2 ** 32 - 1)
+    # d = 0 would make every step 0 bytes long
+    empty = struct.pack("<4sBBBBQI", b"BAC3", 3, 0, 0, 0, 0, 2 ** 32 - 1)
+    for bad, match in ((many, "steps run past the end"), (empty, "0-bit")):
+        start = time.perf_counter()
+        with pytest.raises(ContainerError, match=match):
+            decode(_reseal(bad))
+        assert time.perf_counter() - start < 0.5

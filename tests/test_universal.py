@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicacomp import ContainerError
 from bicacomp.sources import SourceSpec, read_frequency_list, sample
 from bicacomp.universal import (
     _partition_redundancy,
@@ -122,8 +123,9 @@ def test_descent_is_invariant_under_row_permutation(d, b, n, seed, method):
 
 
 def _step_entries(blob):
-    """(offset, count, itemsize) of every shuffle and block map in a BAU2
-    container: a b-bit block map takes ceil(b/8) bytes per entry."""
+    """(offset, count, itemsize) of every shuffle and block map in a
+    container without a d-bit map: a b-bit block map takes ceil(b/8) bytes
+    per entry."""
     head = struct.calcsize("<4sBBBBQI")
     _, _, d, n_blocks, _, _, n_steps = struct.unpack_from("<4sBBBBQI", blob, 0)
     sizes = blob[head:head + n_blocks]
@@ -155,7 +157,7 @@ def test_decompress_rejects_non_bijective_steps():
             bad = bytearray(blob)
             # entry i repeats entry i - 1, so one value is missing
             bad[at + i * size: at + (i + 1) * size] = blob[at + (i - 1) * size: at + i * size]
-            with pytest.raises(ValueError, match="not a permutation"):
+            with pytest.raises(ContainerError, match="not a permutation"):
                 decompress(_reseal(bad))
             tried += 1
     assert tried > 100

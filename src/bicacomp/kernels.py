@@ -20,7 +20,7 @@ it ends in state 1 with every word consumed.
 
 The coder loops are sequential and run in the interpreter on Python ints;
 the assignment is vectorized over chunks of samples. Speed numbers are in
-``pipebench/README.md``.
+the Baseline section of ``ROADMAP.md``.
 """
 
 from array import array

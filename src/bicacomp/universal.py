@@ -12,8 +12,9 @@ decoder must replay.
 
 Shuffles and block transforms are bijections on symbols, so the descent,
 ``replay`` and ``decompress`` apply them to the distinct symbols only and
-count blocks with the symbols' multiplicities: after one sort of the
-sample, each proposal costs O(distinct symbols) instead of O(n).
+count blocks with the symbols' multiplicities: after one grouping of the
+sample (``coding._group``, which counts instead of sorting when 2^d is
+not far above n), each proposal costs O(distinct symbols) instead of O(n).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from .bounds import pattern_dictionary_cost, standard_redundancy
 from .coding import (
     BlockPartition,
+    _group,
     canonicalize,
     extract_block,
     huffman_build,
@@ -114,9 +116,9 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
     x = np.ascontiguousarray(samples, dtype=np.int64)
     if x.size == 0:
         raise ValueError("cannot descend on an empty sample")
-    z, inverse, weights = np.unique(x, return_inverse=True, return_counts=True)
-    if z[0] < 0 or z[-1] >= 1 << d:
+    if x.min() < 0 or x.max() >= 1 << d:
         raise ValueError("symbol outside alphabet")
+    z, inverse, weights = _group(x, d)
     partition = BlockPartition.contiguous(d, b)
     if method == "auto":
         method = "piecewise" if b <= PIECEWISE_MAX_BITS else "order"
@@ -167,8 +169,12 @@ def _apply_step(symbols: np.ndarray, step: PipelineStep, partition: BlockPartiti
 
 
 def replay(samples, result: DescentResult) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute (bounds, block_sums) from the stored descriptors alone."""
-    z, weights = np.unique(np.asarray(samples, dtype=np.int64), return_counts=True)
+    """Recompute (bounds, block_sums) from the stored descriptors alone.
+    Raises ValueError on a symbol outside 0..2^d-1."""
+    x = np.asarray(samples, dtype=np.int64).ravel()  # only multiplicities count
+    if x.size and (x.min() < 0 or x.max() >= 1 << result.d):
+        raise ValueError("symbol outside alphabet")
+    z, _, weights = _group(x, result.d)
     bounds, bsums = [], []
     for step in result.steps:
         z = _apply_step(z, step, result.partition)
@@ -265,13 +271,16 @@ def compress(samples, result: DescentResult) -> bytes:
     shuffle in reverse. Raises ValueError unless the recorded steps take
     ``samples`` to ``result.final_symbols``."""
     z = result.final_symbols
-    values, inverse = np.unique(np.asarray(samples, dtype=np.int64), return_inverse=True)
+    x = np.asarray(samples, dtype=np.int64)
     # the steps read only the low d bits, so a symbol outside the alphabet
     # would map like the symbol it aliases
-    in_alphabet = values.size == 0 or (values[0] >= 0 and values[-1] < 1 << result.d)
-    for step in result.steps:
-        values = _apply_step(values, step, result.partition)
-    if not (in_alphabet and np.array_equal(values[inverse], z)):
+    matches = x.shape == z.shape and (x.size == 0 or (x.min() >= 0 and x.max() < 1 << result.d))
+    if matches:
+        values, inverse, _ = _group(x, result.d)
+        for step in result.steps:
+            values = _apply_step(values, step, result.partition)
+        matches = np.array_equal(values[inverse], z)
+    if not matches:
         raise ValueError("samples do not match the descent result")
     steps = [(step.shuffle, step.transforms) for step in result.steps]
     return write_container(z, result.partition, steps=steps)[0]

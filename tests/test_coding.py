@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bicacomp import coding
 from bicacomp.coding import (
     BitCost,
     BlockPartition,
@@ -466,6 +467,32 @@ def test_quantize_counts_properties():
 # ---------------------------------------------------------------------------
 # block partition and the block codec
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 10), n=st.integers(0, 600), kind=st.sampled_from(["random", "lone", "full"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d=3, n=0, kind="random", seed=0)
+@example(d=1, n=1, kind="random", seed=0)  # counts: 2 <= 4 * 1
+@example(d=3, n=1, kind="lone", seed=0)    # sorts: 8 > 4 * 1
+@example(d=4, n=4, kind="random", seed=1)  # counts at the ratio
+@example(d=4, n=3, kind="random", seed=1)  # sorts just below it
+@example(d=10, n=0, kind="full", seed=2)
+def test_grouping_equals_np_unique(d, n, kind, seed):
+    # both sides of the counting ratio, lone symbols and full 2^d support
+    rng = np.random.default_rng(seed)
+    m = 1 << d
+    if kind == "random":
+        x = rng.integers(0, m, n)
+    elif kind == "lone":
+        x = np.full(n, rng.integers(m), dtype=np.int64)
+    else:
+        x = rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, n)]))
+    got = coding._group(x, d)
+    want = np.unique(x, return_inverse=True, return_counts=True)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
 
 def test_block_partition_validation():
     with pytest.raises(ValueError):

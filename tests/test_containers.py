@@ -25,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicacomp import ContainerError
-from bicacomp.coding import BlockPartition, extract_block, marginal_decode, marginal_encode
+from bicacomp.coding import (BlockPartition, extract_block, marginal_decode, marginal_encode,
+                             write_container)
 from bicacomp.distributions import JointDistribution, SymbolPermutation
 from bicacomp.search import order_permutation
 from bicacomp.sources import SourceSpec, sample
@@ -322,3 +323,39 @@ def test_a_step_count_past_the_bytes_left_raises_at_once(formats):
         with pytest.raises(ContainerError, match=match):
             decode(_reseal(bad))
         assert time.perf_counter() - start < 0.5
+
+
+def test_malformed_block_tables_raise_container_error():
+    # d = 4 in two 2-bit blocks, every block value present: the first record
+    # follows the header, 2 sizes, 4 assignment bytes and a 16-entry map
+    full = marginal_encode(np.tile(np.arange(16), 3), SymbolPermutation.identity(4),
+                           BlockPartition.contiguous(4, 2)).container
+    lone = marginal_encode((np.arange(48) % 4 << 2) | 1, SymbolPermutation.identity(4),
+                           BlockPartition.contiguous(4, 2)).container
+    record = _HEAD + 2 + 4 + 16
+    assert struct.unpack_from("<I", full, record)[0] == 4
+    assert struct.unpack_from("<IQIH", lone, record) == (1, 0, 1, 0xFFFF)
+
+    def entry(i, field):  # (symbol u32, count u16) entries follow n_active u32, stream_bits u64
+        return record + 12 + 6 * i + (4 if field == "count" else 0)
+
+    edits = [(full, entry(0, "symbol"), struct.pack("<I", 9), "out of range"),  # was an IndexError
+             (full, entry(0, "symbol"), struct.pack("<I", 4), "out of range"),
+             (full, entry(1, "symbol"), struct.pack("<I", 0), "out of order"),  # repeated
+             (full, entry(0, "symbol"), struct.pack("<I", 2), "out of order"),  # 2 before 1
+             (full, record, struct.pack("<I", 5), "5 table entries for a 2-bit block"),
+             (full, entry(0, "count"), struct.pack("<H", (1 << 14) + 1), "sum to 65537"),
+             (full, entry(3, "count"), struct.pack("<H", 0), "sum to 49152"),
+             (lone, entry(0, "count"), struct.pack("<H", 0xFFFE), "sum to 65534")]
+    for blob, at, edit, match in edits:
+        bad = bytearray(blob[:-4])
+        bad[at:at + len(edit)] = edit
+        with pytest.raises(ContainerError, match=match):
+            marginal_decode(_reseal(bad))
+    for blob in (full, lone):
+        marginal_decode(_reseal(blob[:-4]))
+
+
+def test_a_header_field_past_a_byte_raises_at_encode_time():
+    with pytest.raises(ValueError, match="255"):
+        write_container(np.arange(3), BlockPartition.contiguous(300, 10))

@@ -115,13 +115,20 @@ def brute_allocation_value(probs, coeffs):
     return float(np.min((probs * np.asarray(coeffs)[perms]).sum(axis=1)))
 
 
+def placement_orders(d, k):
+    """(regions, per-placement allocation orders) of the (d, k) cache: each
+    order is the inverse of its row of the rank table."""
+    regions, ranks, order_of = search._placements(d, k)
+    return regions, np.argsort(ranks[order_of], axis=1)
+
+
 def test_allocation_equal_coeffs_identity_pairing():
     # codewords with equal coefficients keep codeword order in every cached
     # allocation order, so ties pair the same way in screen and re-evaluation
     for d, k in ((2, 1), (3, 4), (4, 3)):
         a0 = zero_bit_matrix(d)
         slopes = build_envelope(k).slopes
-        regions, orders = search._placements(d, k)
+        regions, orders = placement_orders(d, k)
         for regs, order in zip(regions, orders):
             coeffs = a0 @ slopes[regs]
             sorted_coeffs = coeffs[order]
@@ -134,7 +141,7 @@ def test_allocation_hand_case():
     # d=2, k=1: one placement, coefficients slope * (zero bits of the
     # codeword) = [2s, s, s, 0]; the order is [3, 1, 2, 0]
     p = JointDistribution(2, [0.4, 0.3, 0.2, 0.1])
-    regions, orders = search._placements(2, 1)
+    regions, orders = placement_orders(2, 1)
     assert np.array_equal(orders, [[3, 1, 2, 0]])
     g = piecewise_relaxation(p, 1).g
     assert g.map[0] == 3          # 0.4 -> smallest coefficient 0
@@ -150,7 +157,7 @@ def test_allocation_matches_exhaustive_pairing():
     d, k = 3, 4
     a0 = zero_bit_matrix(d)
     slopes = build_envelope(k).slopes
-    regions, orders = search._placements(d, k)
+    regions, orders = placement_orders(d, k)
     assert len(orders) == 20  # C(d + k - 1, d)
     rng = np.random.default_rng(31)
     for _ in range(5):
@@ -273,10 +280,29 @@ def test_piecewise_one_row_chunks_match_reference(monkeypatch):
 
 def test_placement_cache_holds_small_read_only_integer_tables():
     tables = search._placements(6, 8)
-    assert len(tables[1]) == 1716
+    regions, ranks, order_of = tables
+    assert len(regions) == len(order_of) == 1716
+    assert len(ranks) == 1083  # distinct allocation orders
     assert all(np.issubdtype(t.dtype, np.integer) for t in tables)
     assert not any(t.flags.writeable for t in tables)
     assert sum(t.nbytes for t in tables) <= 256 * 1024
+    # every placement's order is the stable argsort of its coefficients
+    a0 = zero_bit_matrix(6)
+    slopes = build_envelope(8).slopes
+    for regs, row in zip(regions, order_of):
+        order = np.argsort(a0 @ slopes[regs], kind="stable")
+        assert np.array_equal(ranks[row][order], np.arange(64))
+
+
+def test_rank_table_widens_past_16_bits():
+    # (17, 1) is within PIECEWISE_MAX_ENTRIES; a uint16 table wrapped its
+    # order into a non-permutation
+    _, ranks, _ = search._placements(17, 1)
+    assert ranks.dtype == np.uint32
+    p = JointDistribution(17, np.random.default_rng(59).dirichlet(np.ones(1 << 17)))
+    res = piecewise_relaxation(p, 1)
+    assert np.array_equal(np.sort(res.g.map), np.arange(1 << 17))
+    assert res.objective == pytest.approx(marginals(p, res.g).entropy_sum(), abs=1e-9)
 
 
 def test_piecewise_d10_runtime_seconds():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicacomp import ContainerError
+from bicacomp import ContainerError, coding
 from bicacomp.sources import SourceSpec, read_frequency_list, sample
 from bicacomp.universal import (
     _partition_redundancy,
@@ -100,6 +100,20 @@ def test_descent_rejects_symbols_outside_the_alphabet(bad):
     x = np.array([0, 1, 2, bad, 5, 7, 1, 0], dtype=np.int64)
     with pytest.raises(ValueError, match="outside alphabet"):
         descend(x, 8, 4)
+    result = descend(np.where(x == bad, 3, x), 8, 4, max_iters=1)
+    with pytest.raises(ValueError, match="outside alphabet"):
+        replay(x, result)
+
+
+def test_a_wide_alphabet_round_trips_through_the_sort_path():
+    # 2^40 symbols over 200 samples: descend, compress and decompress group
+    # by sorting, and allocate nothing of size 2^40
+    assert 1 << 40 > coding._COUNTING_RATIO * 200
+    x = np.random.default_rng(5).integers(0, 1 << 40, 200)
+    x[:50] = x[50:100]  # repeated symbols
+    result = descend(x, 40, 5, max_iters=3, seed=3, init_shuffles=4, patience=2)
+    assert np.array_equal(replay(x, result)[0], result.bounds)
+    assert np.array_equal(decompress(compress(x, result)), x)
 
 
 @settings(max_examples=25, deadline=None)

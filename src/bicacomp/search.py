@@ -38,6 +38,7 @@ from .distributions import (
     SymbolPermutation,
     binary_entropy,
     marginals,
+    stable_argsort,
     zero_bit_matrix,
 )
 
@@ -95,8 +96,10 @@ def build_envelope(k: int) -> PiecewiseLinearEnvelope:
 
 def order_permutation(p: JointDistribution) -> SearchResult:
     """Map the i-th smallest probability to codeword i-1 (ties stable by
-    original symbol index)."""
-    order = np.argsort(p.probs, kind="stable")
+    original symbol index). The order is ``stable_argsort``'s, an exact
+    stable order from SIMD sorts; construction keeps NaN out of the
+    probabilities, which is its precondition."""
+    order = stable_argsort(p.probs)
     gmap = np.empty(p.m, dtype=np.int64)
     gmap[order] = np.arange(p.m, dtype=np.int64)
     g = SymbolPermutation(p.d, gmap)

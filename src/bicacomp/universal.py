@@ -111,9 +111,12 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
     bits/symbol are discarded. Terminates at ``max_iters`` accepted
     iterations or once ``patience`` consecutive proposals fail to improve
     (the point where the bound can no longer be decreased, as far as random
-    search can tell). Raises ValueError on a symbol outside 0..2^d-1.
+    search can tell). Raises ValueError on samples that are not 1-D or on a
+    symbol outside 0..2^d-1.
     """
     x = np.ascontiguousarray(samples, dtype=np.int64)
+    if x.ndim != 1:
+        raise ValueError(f"samples must be 1-D, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("cannot descend on an empty sample")
     if x.min() < 0 or x.max() >= 1 << d:

@@ -372,6 +372,29 @@ def test_serialize_rejects_other_alphabet_size():
         serialize_codebook(book, 1024)
 
 
+def test_serialize_rejects_lengths_outside_0_to_63():
+    # a length of 300 used to serialize silently to 308 bits; a bare uint8
+    # cast would wrap it to 44 and write a wrong symbol order
+    for bad in (300, 64, -1):
+        lengths = np.array([1, 2, bad, 0])
+        book = coding.CanonicalCodebook(lengths, np.zeros(4, dtype=np.int64), 308)
+        with pytest.raises(ValueError, match=r"0\.\.63"):
+            serialize_codebook(book, 4)
+
+
+@pytest.mark.parametrize("m", [2, 3, 255, 257, 1 << 20])
+def test_codebook_symbols_round_trip_at_each_symbol_width(m):
+    # widths 1, 2, 8, 9 and 20 bits: a symbol spans one, two or three bytes
+    # of the packed wire, from any bit offset
+    syms = np.unique([0, 1, m // 2, m - 2, m - 1])
+    p = np.zeros(m)
+    p[syms] = np.arange(1, syms.size + 1)
+    book = canonicalize(huffman_build(p / p.sum()), m)
+    back = deserialize_codebook(serialize_codebook(book, m), m, syms.size)
+    assert np.array_equal(back.lengths, book.lengths)
+    assert np.array_equal(back.codes, book.codes)
+
+
 def test_codewords_longer_than_63_bits_are_rejected():
     p = 0.5 ** np.arange(1, 71)  # geometric: Huffman lengths 1, 2, ..., 69, 69
     with pytest.raises(ValueError, match="63"):

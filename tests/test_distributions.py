@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicacomp.distributions import (
@@ -11,6 +11,7 @@ from bicacomp.distributions import (
     bit_zero_marginals,
     joint_entropy,
     marginals,
+    stable_argsort,
     total_correlation,
     zero_bit_matrix,
 )
@@ -155,6 +156,14 @@ def test_distribution_validation():
         JointDistribution.from_probs(np.full(5, 0.2), d=2)  # 5 symbols in 2 bits
 
 
+def test_distribution_rejects_nan():
+    # p < 0 and the sum-to-1 test are both False on NaN: the entry used to
+    # pass both and leave an all-NaN probability vector
+    for probs in ([0.5, 0.5, np.nan, 0.0], [np.nan] * 4):
+        with pytest.raises(ValueError, match="NaN"):
+            JointDistribution(2, probs)
+
+
 def test_permutation_validation_and_inverse():
     with pytest.raises(ValueError):
         SymbolPermutation(2, [0, 1, 1, 3])
@@ -191,3 +200,19 @@ def test_batched_bit_marginals_match_row_calls_and_matmul(d, rows, alpha, seed):
     # a marginal sums 2^(d-1) non-negative terms of total 1: any summation
     # order is off by at most (2^(d-1) - 1) * 2^-53, so two differ by < 2^(d-53)
     assert np.max(np.abs(got - p @ zero_bit_matrix(d))) <= 2.0 ** (d - 53)
+
+
+# small integers, signed zeros and infinities: long runs of equal keys
+_TIE_KEYS = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(_TIE_KEYS, max_size=300) | st.lists(st.floats(allow_nan=False), max_size=50))
+@example(keys=[])
+@example(keys=[-0.0])
+@example(keys=[-0.0, 0.0] * 2048)  # a signed zero ties with 0.0, as in the stable sort
+def test_stable_argsort_equals_numpy_stable_sort(keys):
+    k = np.array(keys, dtype=np.float64)
+    got = stable_argsort(k)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(k, kind="stable"))

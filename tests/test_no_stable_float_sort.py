@@ -1,0 +1,53 @@
+"""Whole-alphabet keys are sorted stably through ``stable_argsort``, which
+builds the stable order from NumPy's SIMD sorts. A stable ``sort`` or
+``argsort`` call elsewhere runs as timsort on floats and int64: 9 ms on
+2^16 float keys and 2-3 ms on 2^16 int64 lengths, against about 2 ms and
+0.3 ms. Small keys stay with the plain stable sort, which is faster below
+about 2^11 keys (timings: best of 300 on a 2-core x86-64 machine with
+AVX-512, NumPy 2.4)."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bicacomp"
+
+# file:top-level definition -> why it may call a stable sort
+ALLOWED = {
+    "coding.py:_length_order": "uint8 codeword lengths, which NumPy radix-sorts: "
+                               "0.3 ms on 2^16 against 2-3 ms as int64",
+    "coding.py:quantize_counts": "a block's 2^b symbols, 64 at b = 6: 3 us against 15 us "
+                                 "through stable_argsort",
+    "search.py:_placements": "2^d <= 1024 coefficients per placement, thousands of "
+                             "placements per cache build: 3 us against 15 us at d = 6, "
+                             "24 us against 36 us at d = 10",
+    "search.py:piecewise_relaxation": "2^d <= 1024 probabilities: 3 us against 15 us at "
+                                      "d = 6",
+}
+
+
+def _enclosing(tree, lineno):
+    """The top-level definition of ``tree`` spanning ``lineno``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and node.lineno <= lineno <= node.end_lineno:
+            return node.name
+    return "<module>"
+
+
+def _is_stable_sort(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("sort", "argsort")
+            and any(kw.arg == "kind" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value in ("stable", "mergesort") for kw in node.keywords))
+
+
+def test_stable_sorts_only_where_allowed():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if _is_stable_sort(node):
+                found.add(f"{path.name}:{_enclosing(tree, node.lineno)}")
+    assert sorted(found - ALLOWED.keys()) == []
+    # an entry whose call is gone leaves the list
+    assert sorted(ALLOWED.keys() - found) == []

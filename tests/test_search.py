@@ -44,6 +44,18 @@ def test_order_maps_ascending_probs_to_ascending_codewords():
     assert np.all(np.diff(py) >= 0)  # ascending along codewords
 
 
+def test_order_with_many_equal_probabilities_matches_a_stable_argsort():
+    # 2^14 symbols over four probability levels and zeros: every tie is
+    # broken by symbol index, as by a stable sort
+    rng = np.random.default_rng(3)
+    counts = rng.choice([0.0, 1.0, 2.0, 3.0, 5.0], size=1 << 14)
+    probs = counts / counts.sum()
+    res = order_permutation(JointDistribution(14, probs))
+    reference = np.empty(1 << 14, dtype=np.int64)
+    reference[np.argsort(probs, kind="stable")] = np.arange(1 << 14)
+    assert np.array_equal(res.g.map, reference)
+
+
 def test_order_uniform():
     p = JointDistribution(3, np.full(8, 0.125))
     res = order_permutation(p)

@@ -105,6 +105,12 @@ def test_descent_rejects_symbols_outside_the_alphabet(bad):
         replay(x, result)
 
 
+def test_descent_rejects_samples_that_are_not_1d():
+    x = np.random.default_rng(8).integers(0, 1 << 8, (20, 10))
+    with pytest.raises(ValueError, match=r"1-D, got shape \(20, 10\)"):
+        descend(x, 8, 4)
+
+
 def test_a_wide_alphabet_round_trips_through_the_sort_path():
     # 2^40 symbols over 200 samples: descend, compress and decompress group
     # by sorting, and allocate nothing of size 2^40

@@ -208,10 +208,13 @@ def joint_entropy(p: JointDistribution) -> float:
 
 
 def marginals(p: JointDistribution, g: SymbolPermutation) -> MarginalProfile:
-    """Bit marginals of Y = g(X)."""
+    """Bit marginals of Y = g(X), from ``g.transform(p).probs`` without
+    building and re-checking that distribution."""
     if p.d != g.d:
         raise ValueError("bit dimensions differ")
-    return MarginalProfile(bit_zero_marginals(g.transform(p).probs, p.d))
+    out = np.empty_like(p.probs)
+    out[g.map] = p.probs
+    return MarginalProfile(bit_zero_marginals(out / float(out.sum()), p.d))
 
 
 def total_correlation(p: JointDistribution, g: SymbolPermutation) -> float:

@@ -18,9 +18,12 @@ symbol with the whole frequency total (a lone symbol) is an identity step,
 so a block that holds one value codes to 0 bits. The decoder fails unless
 it ends in state 1 with every word consumed.
 
-The coder loops are sequential and run in the interpreter on Python ints;
-the assignment is vectorized over chunks of samples. Speed numbers are in
-the Baseline section of ``ROADMAP.md``.
+The coder loops are sequential and run in the interpreter on Python ints.
+The assignment screens chunks of samples with one matrix product and keeps
+each row whose nearest cluster wins by more than a rounding bound; the few
+other rows (ties, near-ties, values near overflow) are summed again one
+coordinate at a time, which is the exact rule. Speed numbers are in the
+Baseline section of ``ROADMAP.md``.
 """
 
 from array import array
@@ -33,8 +36,12 @@ _WORD_BITS = 32
 _WORD_MASK = (1 << _WORD_BITS) - 1
 _STATE_LOW = 1 << _WORD_BITS  # the decoder reads a word below this state
 
-# Samples x clusters distances held at once by ecvq_assign (8 bytes each).
+# Samples x clusters values held at once by ecvq_assign's screen and by its
+# exact path (8 bytes each).
 ASSIGN_CHUNK_CELLS = 1 << 20
+_ROUNDOFF = np.finfo(np.float64).eps / 2  # u = 2^-53
+_TINY = np.finfo(np.float64).tiny  # bounds the error of a product that underflows
+_SCREEN_MAX = np.finfo(np.float64).max / 16  # below it no screened sum overflows
 
 # Read by the benchmark's environment record: no kernel is compiled.
 NUMBA_ACTIVE = False
@@ -101,9 +108,60 @@ def ac_decode(data, n, cum, nbits) -> np.ndarray:
 def ecvq_assign(x, centroids, bias) -> np.ndarray:
     """Nearest-centroid assignment under squared distance plus a per-cluster
     bias. Retired clusters carry an inf bias and are never selected; a row
-    whose clusters are all retired gets 0. Distances are summed one
-    coordinate at a time and ties go to the lowest index, so the result
-    matches a scalar loop over clusters with a strict ``<``."""
+    whose clusters are all retired gets 0. The result is ``_assign_exact``'s
+    bit for bit: the cluster with the smallest bias plus squared distance,
+    summed one coordinate at a time, ties to the lowest index.
+
+    A screen settles almost every row with one matrix product. Over the
+    live clusters, in chunks of ASSIGN_CHUNK_CELLS values, it forms
+    ``|x|^2 + (|c|^2 + bias) - 2 x c^T`` as the product of ``[x, |x|^2, 1]``
+    with ``[-2 c^T; 1; |c|^2 + bias]`` and takes each row's argmin. With
+    u = 2^-53 and S = |x_i|^2 + max |c_j|^2 + max |bias_j| over the live
+    clusters, a screened value is within (3*dim + 5) u S of the real biased
+    distance in whatever order BLAS sums the product, and an exact sum is
+    within (2*dim + 6) u S (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, section 3.1), plus at most the smallest normal number for
+    each product that underflows. A row is settled when its runner-up
+    screens above its minimum by more than twice
+    ``(5*dim + 16) * (u * S + tiny)``: its exact sums then have the same
+    strict minimum. Ties, near-ties and rows whose S is not finite or comes
+    near overflow are summed again by ``_assign_exact``."""
+    n, dim = x.shape
+    assign = np.zeros(n, dtype=np.int64)
+    live = np.flatnonzero(bias != np.inf)
+    if n == 0 or live.size == 0:
+        return assign
+    c = centroids[live]
+    cc = np.einsum("ij,ij->i", c, c)
+    right = np.concatenate([-2.0 * c.T, np.ones((1, live.size)), (cc + bias[live])[None]])
+    xx = np.einsum("ij,ij->i", x, x)
+    left = np.concatenate([x, xx[:, None], np.ones((n, 1))], axis=1)
+    scale = xx + (np.max(cc) + np.max(np.abs(bias[live])))
+    coef = 5 * dim + 16
+    gap = np.where(scale < _SCREEN_MAX, 2 * coef * (_ROUNDOFF * scale + _TINY), np.inf)
+    settled = np.empty(n, dtype=bool)
+    rows = max(1, ASSIGN_CHUNK_CELLS // live.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are not settled
+        for start in range(0, n, rows):
+            stop = min(n, start + rows)
+            s = left[start:stop] @ right
+            at = np.arange(stop - start)
+            best = np.argmin(s, axis=1)
+            low = s[at, best]
+            s[at, best] = np.inf
+            runner_up = s[at, np.argmin(s, axis=1)]
+            settled[start:stop] = runner_up > low + gap[start:stop]
+            assign[start:stop] = live[best]
+    hard = np.flatnonzero(~settled)
+    if hard.size:
+        assign[hard] = _assign_exact(x[hard], centroids, bias)
+    return assign
+
+
+def _assign_exact(x, centroids, bias) -> np.ndarray:
+    """``ecvq_assign`` summed one coordinate at a time over chunks of
+    samples: the result matches a scalar loop over clusters with a strict
+    ``<``."""
     n, dim = x.shape
     k = centroids.shape[0]
     assign = np.empty(n, dtype=np.int64)

@@ -59,14 +59,17 @@ class QuantizerState:
 
 def _fit_samples(samples, m_init: int, lam: float) -> np.ndarray:
     """The samples as a float (n, dim) array, once both fits' shared
-    arguments check out: 1 <= m_init <= n and lam >= 0."""
+    arguments check out: finite samples, 1 <= m_init <= n and a finite
+    lam >= 0."""
     x = np.ascontiguousarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("samples must be a non-empty (n, dim) array")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
     if not 1 <= m_init <= x.shape[0]:
         raise ValueError("need between 1 initial cluster and one per sample")
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    if not 0 <= lam < math.inf:  # False on NaN
+        raise ValueError("lambda must be finite and non-negative")
     return x
 
 
@@ -83,10 +86,16 @@ def _lloyd(x: np.ndarray, m_init: int, lam: float, seed: int, max_sweeps: int,
     assign each sample to the cluster minimizing squared distance plus lam
     times its length, take new lengths from ``length_step(counts)`` (inf
     retires an empty cluster), move occupied centroids to their means; stop
-    once a sweep lowers the Lagrangian by less than SWEEP_TOL."""
+    once a sweep lowers the Lagrangian by less than SWEEP_TOL.
+
+    A centroid's coordinate sums come from ``bincount``, which adds the
+    samples in order as ``x[assign == c].mean(axis=0)`` does for dim >= 2
+    (at dim = 1 that mean sums pairwise)."""
+    if max_sweeps < 1:
+        raise ValueError("need at least one sweep")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     centroids = x[rng.choice(x.shape[0], size=m_init, replace=False)].copy()
-    assign = np.zeros(x.shape[0], dtype=np.int64)
+    columns = x.T.copy()
     history = []
     prev = np.inf
     for _ in range(max_sweeps):
@@ -94,14 +103,15 @@ def _lloyd(x: np.ndarray, m_init: int, lam: float, seed: int, max_sweeps: int,
         assign = kernels.ecvq_assign(x, centroids, bias)
         counts = np.bincount(assign, minlength=m_init)
         lengths = length_step(counts)
-        for c in np.nonzero(counts)[0]:
-            centroids[c] = x[assign == c].mean(axis=0)
-        _, _, lag = _sweep_eval(x, centroids, lengths, assign, lam)
+        occupied = counts > 0
+        sums = np.stack([np.bincount(assign, weights=col, minlength=m_init)
+                         for col in columns], axis=1)
+        centroids[occupied] = sums[occupied] / counts[occupied, None]
+        dist, rate, lag = _sweep_eval(x, centroids, lengths, assign, lam)
         history.append(lag)
         if prev - lag < SWEEP_TOL:
             break
         prev = lag
-    dist, rate, lag = _sweep_eval(x, centroids, lengths, assign, lam)
     return QuantizerState(centroids, assign, lengths, lag, dist, rate, np.array(history))
 
 

@@ -113,6 +113,8 @@ def test_vq_bica_ecvq_csv(tmp_path):
     ("ecvq", ["--m-init", "0", "--lambdas", "0.1"]),
     ("bica-ecvq", ["--m-init", "0", "--lambdas", "0.1"]),
     ("bica-ecvq", ["--m-init", "16", "--lambdas", "-1"]),
+    ("ecvq", ["--m-init", "8", "--lambdas", "nan"]),
+    ("bica-ecvq", ["--m-init", "8", "--lambdas", "inf"]),
 ])
 def test_vq_ecvq_bad_arguments_exit_2(variant, flags):
     assert run_main(["vq", variant, "--dim", "3", "--n", "300", *flags]) == 2

@@ -238,3 +238,64 @@ def test_assign_small_chunks_match_one_pass(monkeypatch):
     assert np.array_equal(kernels.ecvq_assign(x, cents, bias), whole)
     monkeypatch.setattr(kernels, "ASSIGN_CHUNK_CELLS", 1)  # one row per chunk
     assert np.array_equal(kernels.ecvq_assign(x, cents, bias), whole)
+
+
+@st.composite
+def assign_cases(draw):
+    """Small assignment problems: Gaussian or coarse integer grids (ties),
+    shifted by a shared offset and scaled toward underflow or overflow,
+    with any clusters retired, under any chunk size."""
+    n = draw(st.integers(1, 25))
+    k = draw(st.integers(1, 9))
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # integer grid: equal biased distances are common
+        x = rng.integers(-2, 3, (n, dim)).astype(np.float64)
+        cents = rng.integers(-2, 3, (k, dim)).astype(np.float64)
+        bias = rng.integers(-1, 3, k) / 2
+        twin = draw(st.integers(0, k - 1))
+        cents[-1], bias[-1] = cents[twin], bias[twin]
+    else:
+        x = rng.standard_normal((n, dim))
+        cents = rng.standard_normal((k, dim))
+        bias = rng.random(k)
+    scale = draw(st.sampled_from([1.0, 1e-150, 1e150, 1e160]))
+    offset = draw(st.sampled_from([0.0, 3.0, 1e4, 1e8]))
+    x = x * scale + offset
+    cents = cents * scale + offset
+    bias = bias * min(scale * scale, 1e300)
+    retired = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    bias[np.array(retired)] = np.inf
+    cells = draw(st.sampled_from([1, 20, kernels.ASSIGN_CHUNK_CELLS]))
+    return x, cents, bias, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(assign_cases())
+def test_assign_matches_reference_property(case):
+    x, cents, bias, cells = case
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(kernels, "ASSIGN_CHUNK_CELLS", cells)
+        got = kernels.ecvq_assign(x, cents, bias)
+        want = _assign_reference(x, cents, bias)
+    assert np.array_equal(got, want)
+
+
+def test_assign_sends_a_near_tie_to_the_exact_path(monkeypatch):
+    # the first cluster is 2 ulps farther from the first sample than the
+    # second, well inside the screen's rounding bound; the second sample is
+    # far from a tie
+    x = np.array([[0.0, 0.0], [3.0, 0.0]])
+    cents = np.array([[0.0, 1.0 + 2.0**-52], [1.0, 0.0]])
+    bias = np.zeros(2)
+    sent = []
+    exact = kernels._assign_exact
+
+    def spy(rows, *args):
+        sent.append(rows.copy())
+        return exact(rows, *args)
+
+    monkeypatch.setattr(kernels, "_assign_exact", spy)
+    assert np.array_equal(kernels.ecvq_assign(x, cents, bias), [1, 1])
+    assert len(sent) == 1 and np.array_equal(sent[0], x[:1])
+    assert np.array_equal(_assign_reference(x, cents, bias), [1, 1])

@@ -91,11 +91,47 @@ def test_ecvq_validation():
 
 
 @pytest.mark.parametrize("fit", [ecvq_fit, bica_ecvq_fit])
-@pytest.mark.parametrize("m_init, lam", [(0, 0.1), (4, -1.0)])
+@pytest.mark.parametrize("m_init, lam", [(0, 0.1), (4, -1.0), (4, math.nan), (4, math.inf)])
 def test_fits_reject_bad_cluster_budget_and_lambda(fit, m_init, lam):
     x = np.random.default_rng(5).standard_normal((20, 2))
     with pytest.raises(ValueError):
         fit(x, m_init, lam)
+
+
+@pytest.mark.parametrize("fit", [ecvq_fit, bica_ecvq_fit])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fits_reject_non_finite_samples(fit, bad):
+    x = np.random.default_rng(6).standard_normal((20, 2))
+    x[7, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fit(x, 4, 0.1)
+
+
+@pytest.mark.parametrize("fit", [ecvq_fit, bica_ecvq_fit])
+def test_fits_reject_fewer_than_one_sweep(fit):
+    x = np.random.default_rng(7).standard_normal((20, 2))
+    with pytest.raises(ValueError, match="sweep"):
+        fit(x, 4, 0.1, max_sweeps=0)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_centroids_equal_the_masked_means(dim):
+    # bincount sums each cluster's samples in order, as .mean(axis=0) does
+    # on an (n_c, dim >= 2) block, so the two agree bit for bit
+    x = sample(SourceSpec.gaussian_mixture(dim, seed=dim), 600)
+    for st in (ecvq_fit(x, 32, 0.01, seed=dim), bica_ecvq_fit(x, 32, 1.0, seed=dim)[0]):
+        occupied = np.flatnonzero(np.bincount(st.assign, minlength=32))
+        for c in occupied:
+            assert np.array_equal(st.centroids[c], x[st.assign == c].mean(axis=0))
+
+
+def test_fit_reports_its_last_sweep():
+    x = np.random.default_rng(8).standard_normal((300, 3))
+    st = ecvq_fit(x, 16, 0.5, seed=2)
+    diffs = x - st.centroids[st.assign]
+    assert st.lagrangian == st.history[-1]
+    assert st.mean_distortion == float(np.mean(np.sum(diffs * diffs, axis=1)))
+    assert st.mean_rate == float(np.mean(st.lengths[st.assign]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ those plus the returned index permutation, at the shape of the benchmark's
 ECVQ sweep (n=1000 six-dimensional mixture samples, 64 initial clusters)
 and at both ends of the lambda grid. A change to the assignment kernel
 that moves a single tie or rounding shows here.
+
+One more pair pins both fits on one-dimensional samples, where a
+cluster's mean is summed by ``bincount`` in sample order while
+``x[assign == c].mean(axis=0)`` would sum its single column pairwise.
 """
 
 import hashlib
@@ -32,6 +36,13 @@ BICA_DIGESTS = {
     (1, 10.0): "88874d6746818a5f8c07fc16dc5188ecbb5c3baf20aa3021f0c1cbdc97b5f7d9",
 }
 
+# (n, m_init, lambda, seed) of the one-dimensional fits
+DIM1_CASE = (2000, 32, 0.01, 0)
+DIM1_DIGESTS = {
+    "ecvq": "dce3a3431eb55284d7a336f56ef41f4add980f0eb146315b0c2a07cc16e17d3e",
+    "bica": "8f96d2ac4ac521fd5a20794ba28fdbcaf6581dec55fa2510642a0a598c719f45",
+}
+
 
 def _samples(seed):
     return sample(SourceSpec.gaussian_mixture(DIM, seed=seed), N)
@@ -54,3 +65,11 @@ def test_ecvq_fit_pinned(seed, lam):
 def test_bica_ecvq_fit_pinned(seed, lam):
     state, g = bica_ecvq_fit(_samples(seed), M_INIT, lam, seed=seed)
     assert _digest(state, g.map) == BICA_DIGESTS[seed, lam]
+
+
+def test_one_dimensional_fits_pinned():
+    n, m_init, lam, seed = DIM1_CASE
+    x = sample(SourceSpec.gaussian_mixture(1, seed=seed), n)
+    assert _digest(ecvq_fit(x, m_init, lam, seed=seed)) == DIM1_DIGESTS["ecvq"]
+    state, g = bica_ecvq_fit(x, m_init, lam, seed=seed)
+    assert _digest(state, g.map) == DIM1_DIGESTS["bica"]

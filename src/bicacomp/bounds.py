@@ -12,6 +12,7 @@ validate the formulas live here too.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -243,8 +244,13 @@ def _row_entropy(rows: np.ndarray) -> np.ndarray:
     return -np.nansum(t, axis=1)
 
 
-def _mc_shards(d: int, draws: int, seed: int, ordered: bool, workers: int
-               ) -> tuple[float, float]:
+def _mc_shards(d: int, draws: int, seed: int, ordered: bool) -> tuple[float, float]:
+    """Mean and standard error of the gap over ``draws`` uniform-simplex
+    sources, drawn in seeded shards on one thread per usable core (no more
+    than the shards); the shard sums are added in order, so the estimate
+    does not depend on the thread count. Raises ValueError on no draws."""
+    if draws < 1:
+        raise ValueError(f"need at least one draw, got {draws}")
     m = 1 << d
     a0 = zero_bit_matrix(d)
     counts = [MC_SHARD_DRAWS] * (draws // MC_SHARD_DRAWS)
@@ -262,11 +268,8 @@ def _mc_shards(d: int, draws: int, seed: int, ordered: bool, workers: int
         gaps = np.sum(binary_entropy(p @ a0), axis=1) - _row_entropy(p)
         return float(gaps.sum()), float((gaps * gaps).sum())
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(len(counts))))
-    else:
-        parts = [run(i) for i in range(len(counts))]
+    with ThreadPoolExecutor(max_workers=min(len(os.sched_getaffinity(0)), len(counts))) as pool:
+        parts = list(pool.map(run, range(len(counts))))
     s1 = float(np.sum([a for a, _ in parts]))
     s2 = float(np.sum([b for _, b in parts]))
     mean = s1 / draws
@@ -274,15 +277,15 @@ def _mc_shards(d: int, draws: int, seed: int, ordered: bool, workers: int
     return mean, math.sqrt(var / draws)
 
 
-def mc_ordered_gap(d: int, draws: int, seed: int, workers: int = 1) -> tuple[float, float]:
+def mc_ordered_gap(d: int, draws: int, seed: int) -> tuple[float, float]:
     """Mean and standard error of the total correlation under the ordering
     transform, over uniform-simplex sources of dimension d."""
-    return _mc_shards(d, draws, seed, ordered=True, workers=workers)
+    return _mc_shards(d, draws, seed, ordered=True)
 
 
 def mc_identity_gap(d: int, draws: int, seed: int) -> tuple[float, float]:
-    """Same, with no transform applied (raw bit marginals), serially."""
-    return _mc_shards(d, draws, seed, ordered=False, workers=1)
+    """Same, with no transform applied (raw bit marginals)."""
+    return _mc_shards(d, draws, seed, ordered=False)
 
 
 def mc_expected_entropy(m: int, draws: int, seed: int) -> tuple[float, float]:

@@ -7,7 +7,6 @@ reported in bits and every subcommand is reproducible from its seed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -84,13 +83,10 @@ def run_classic_zipf(m: int, s_grid, csv: str | None = None) -> list[list]:
     return rows
 
 
-def run_theory_bounds(d: int, draws: int, seed: int, workers: int = 0,
-                      csv: str | None = None) -> list[list]:
-    if workers < 1:
-        workers = os.cpu_count() or 1
+def run_theory_bounds(d: int, draws: int, seed: int, csv: str | None = None) -> list[list]:
     m = 1 << d
     bound = bounds.ordered_gap_bound(m) if d >= 10 else bounds.ordered_gap_bound_all_bits(m)
-    mean, se = bounds.mc_ordered_gap(d, draws, seed, workers=workers)
+    mean, se = bounds.mc_ordered_gap(d, draws, seed)
     rows = [[m, bound, mean, se]]
     _write_csv(csv, ["m", "bound", "monte_carlo_mean", "stderr"], rows)
     return rows
@@ -214,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--d", type=int, default=10)
     tb.add_argument("--draws", type=int, default=2000)
     tb.add_argument("--seed", type=int, default=0)
-    tb.add_argument("--workers", type=int, default=0,
-                    help="Monte Carlo worker threads (0 = all cores); results are worker-count independent")
     tb.add_argument("--csv")
 
     un = sub.add_parser("universal", help="block-transform descent with baselines")
@@ -270,9 +264,14 @@ def _universal_samples(args) -> tuple[np.ndarray, int]:
     if args.n < 0:
         raise ValueError("--n must be non-negative")
     if args.zipf:
-        params = dict(kv.split("=") for kv in args.zipf.split(","))
-        m = int(params["m"])
-        s = float(params.get("s", 1.2))
+        bad = ValueError(f"--zipf {args.zipf!r} must be m=<int> or m=<int>,s=<float>")
+        params = dict(kv.partition("=")[::2] for kv in args.zipf.split(","))
+        if "m" not in params or not params.keys() <= {"m", "s"}:
+            raise bad
+        try:
+            m, s = int(params["m"]), float(params.get("s", 1.2))
+        except ValueError:
+            raise bad from None
         spec = sources.SourceSpec.zipf(m, s, args.seed)
     elif args.input:
         spec = sources.SourceSpec.frequency_list(args.input, args.d, args.seed)
@@ -290,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.cmd == "classic-zipf":
             run_classic_zipf(args.m, _parse_grid(args.s_grid), args.csv)
         elif args.cmd == "theory-bounds":
-            run_theory_bounds(args.d, args.draws, args.seed, args.workers, args.csv)
+            run_theory_bounds(args.d, args.draws, args.seed, args.csv)
         elif args.cmd == "universal":
             samples, d = _universal_samples(args)
             run_universal(samples, d, args.b, args.iters, args.seed, args.csv,

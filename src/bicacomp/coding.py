@@ -49,10 +49,6 @@ class BitCost:
     data_bits: float
     overhead_bits: float
 
-    @property
-    def total(self) -> float:
-        return self.data_bits + self.overhead_bits
-
 
 # ---------------------------------------------------------------------------
 # Prefix codes
@@ -423,10 +419,6 @@ class BlockPartition:
     @property
     def d(self) -> int:
         return int(self.assignment.size)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.sizes)
 
     def groups(self) -> list[np.ndarray]:
         out = []

@@ -147,14 +147,8 @@ class SymbolPermutation:
     def identity(cls, d: int) -> "SymbolPermutation":
         return cls(d, np.arange(1 << d, dtype=np.int64))
 
-    def inverse(self) -> "SymbolPermutation":
-        return SymbolPermutation(self.d, inverse_permutation(self.map))
-
     def apply(self, symbols: np.ndarray) -> np.ndarray:
         return self.map[np.asarray(symbols, dtype=np.int64)]
-
-    def unapply(self, symbols: np.ndarray) -> np.ndarray:
-        return self.inverse().apply(symbols)
 
     def transform(self, p: JointDistribution) -> JointDistribution:
         """Distribution of Y = g(X): mass of symbol i moves to map[i]."""

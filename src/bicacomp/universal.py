@@ -11,10 +11,11 @@ model redundancy, and the descriptions of every shuffle and transform the
 decoder must replay.
 
 Shuffles and block transforms are bijections on symbols, so the descent,
-``replay`` and ``decompress`` apply them to the distinct symbols only and
-count blocks with the symbols' multiplicities: after one grouping of the
-sample (``coding._group``, which counts instead of sorting when 2^d is
-not far above n), each proposal costs O(distinct symbols) instead of O(n).
+``replay``, ``compress`` and ``decompress`` apply them to the distinct
+symbols only and count blocks with the symbols' multiplicities: after one
+grouping of the sample (``coding._group``, which counts instead of sorting
+when 2^d is not far above n), each proposal costs O(distinct symbols)
+instead of O(n).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class PipelineStep:
     """One recorded iteration: the bit shuffle applied, the per-block
     transform maps, and the objective values after applying them."""
 
-    iteration: int
     shuffle: np.ndarray
     transforms: tuple[np.ndarray, ...]
     bound: float       # sum of empirical marginal bit entropies, bits/symbol
@@ -55,11 +55,12 @@ class PipelineStep:
 
 @dataclass(frozen=True)
 class DescentResult:
+    """The descent's history: the coded symbols are the samples pushed
+    through ``steps`` in order."""
+
     d: int
-    n: int
     partition: BlockPartition
     steps: tuple[PipelineStep, ...]
-    final_symbols: np.ndarray
 
     @property
     def bounds(self) -> np.ndarray:
@@ -73,6 +74,18 @@ class DescentResult:
 # A shuffle gathers all d bit positions as one block: bit j of the result
 # is bit shuffle[j] of the input.
 apply_shuffle = extract_block
+
+
+def _checked(samples, d: int) -> np.ndarray:
+    """The samples as a 1-D int64 array. Raises ValueError on another shape
+    and on a symbol outside 0..2^d-1: the steps read only the low d bits,
+    so such a symbol would map like the symbol it aliases."""
+    x = np.asarray(samples, dtype=np.int64)
+    if x.ndim != 1:
+        raise ValueError(f"samples must be 1-D, got shape {x.shape}")
+    if x.size and (x.min() < 0 or x.max() >= 1 << d):
+        raise ValueError("symbol outside alphabet")
+    return x
 
 
 def _block_stats(values: np.ndarray, weights: np.ndarray, partition: BlockPartition
@@ -114,14 +127,10 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
     search can tell). Raises ValueError on samples that are not 1-D or on a
     symbol outside 0..2^d-1.
     """
-    x = np.ascontiguousarray(samples, dtype=np.int64)
-    if x.ndim != 1:
-        raise ValueError(f"samples must be 1-D, got shape {x.shape}")
+    x = _checked(samples, d)
     if x.size == 0:
         raise ValueError("cannot descend on an empty sample")
-    if x.min() < 0 or x.max() >= 1 << d:
-        raise ValueError("symbol outside alphabet")
-    z, inverse, weights = _group(x, d)
+    z, _, weights = _group(x, d)
     partition = BlockPartition.contiguous(d, b)
     if method == "auto":
         method = "piecewise" if b <= PIECEWISE_MAX_BITS else "order"
@@ -137,7 +146,7 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
             best = (bsum, bound, sh, cand)
     bsum0, bound0, sh0, z = best
     ident = tuple(np.arange(1 << s, dtype=np.int64) for s in partition.sizes)
-    steps = [PipelineStep(0, sh0, ident, bound0, bsum0)]
+    steps = [PipelineStep(sh0, ident, bound0, bsum0)]
 
     bound_prev = bound0
     stall = 0
@@ -162,29 +171,32 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
         stall = 0
         z = map_blocks(cand, transforms, partition)
         bound_prev, bsum, _, _ = _block_stats(z, weights, partition)
-        steps.append(PipelineStep(len(steps), sh, tuple(transforms), bound_prev, bsum))
-    return DescentResult(d, int(x.size), partition, tuple(steps), z[inverse])
+        steps.append(PipelineStep(sh, tuple(transforms), bound_prev, bsum))
+    return DescentResult(d, partition, tuple(steps))
 
 
-def _apply_step(symbols: np.ndarray, step: PipelineStep, partition: BlockPartition) -> np.ndarray:
-    """Shuffle the bits of ``symbols``, then map every block, as ``step`` did."""
-    return map_blocks(apply_shuffle(symbols, step.shuffle), step.transforms, partition)
+def _walk(samples, result: DescentResult):
+    """Group the checked samples into distinct symbols and push those
+    through every step in turn, holding one step's values at a time.
+    Yields (values, inverse, weights) once before the steps and once after
+    each: ``values[inverse]`` are the samples mapped by the steps so far,
+    and ``weights`` counts each distinct symbol."""
+    values, inverse, weights = _group(_checked(samples, result.d), result.d)
+    yield values, inverse, weights
+    for step in result.steps:
+        values = map_blocks(apply_shuffle(values, step.shuffle), step.transforms,
+                            result.partition)
+        yield values, inverse, weights
 
 
 def replay(samples, result: DescentResult) -> tuple[np.ndarray, np.ndarray]:
     """Recompute (bounds, block_sums) from the stored descriptors alone.
-    Raises ValueError on a symbol outside 0..2^d-1."""
-    x = np.asarray(samples, dtype=np.int64).ravel()  # only multiplicities count
-    if x.size and (x.min() < 0 or x.max() >= 1 << result.d):
-        raise ValueError("symbol outside alphabet")
-    z, _, weights = _group(x, result.d)
-    bounds, bsums = [], []
-    for step in result.steps:
-        z = _apply_step(z, step, result.partition)
-        bound, bsum, _, _ = _block_stats(z, weights, result.partition)
-        bounds.append(bound)
-        bsums.append(bsum)
-    return np.array(bounds), np.array(bsums)
+    Raises ValueError on samples that are not 1-D or on a symbol outside
+    0..2^d-1."""
+    walk = _walk(samples, result)
+    next(walk)  # the samples before any step
+    stats = [_block_stats(values, weights, result.partition)[:2] for values, _, weights in walk]
+    return np.array([s[0] for s in stats]), np.array([s[1] for s in stats])
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +232,7 @@ def total_cost_curve(result: DescentResult, n: int, baselines: "Baselines | None
     red = _partition_redundancy(n, sizes)
     tdesc = _transform_description_bits(sizes)
     sdesc = result.d * math.log2(result.d) if result.d > 1 else 0.0
-    iters = np.array([s.iteration for s in result.steps])
+    iters = np.arange(len(result.steps))
     totals = n * result.block_sums + red + iters * (tdesc + sdesc)
     best = int(np.argmin(totals))
     return CostReport(
@@ -269,24 +281,14 @@ def baseline_costs(samples, m: int) -> Baselines:
 # ---------------------------------------------------------------------------
 
 def compress(samples, result: DescentResult) -> bytes:
-    """Serialize the descent history plus the entropy-coded final blocks so
-    a decoder can decode the block streams and replay every transform and
-    shuffle in reverse. Raises ValueError unless the recorded steps take
-    ``samples`` to ``result.final_symbols``."""
-    z = result.final_symbols
-    x = np.asarray(samples, dtype=np.int64)
-    # the steps read only the low d bits, so a symbol outside the alphabet
-    # would map like the symbol it aliases
-    matches = x.shape == z.shape and (x.size == 0 or (x.min() >= 0 and x.max() < 1 << result.d))
-    if matches:
-        values, inverse, _ = _group(x, result.d)
-        for step in result.steps:
-            values = _apply_step(values, step, result.partition)
-        matches = np.array_equal(values[inverse], z)
-    if not matches:
-        raise ValueError("samples do not match the descent result")
+    """Serialize the descent history plus the entropy-coded samples pushed
+    through it, so a decoder can decode the block streams and replay every
+    transform and shuffle in reverse. Raises ValueError on samples that are
+    not 1-D or on a symbol outside 0..2^d-1."""
+    for values, inverse, _ in _walk(samples, result):
+        pass  # keep the last step's values
     steps = [(step.shuffle, step.transforms) for step in result.steps]
-    return write_container(z, result.partition, steps=steps)[0]
+    return write_container(values[inverse], result.partition, steps=steps)[0]
 
 
 def decompress(blob: bytes) -> np.ndarray:

@@ -21,7 +21,7 @@ from bicacomp.bounds import (
     worst_case_slope,
     worst_case_source,
 )
-from bicacomp.distributions import binary_entropy, total_correlation
+from bicacomp.distributions import binary_entropy, total_correlation, zero_bit_matrix
 from bicacomp.search import order_permutation
 
 
@@ -297,11 +297,30 @@ def test_worst_case_ordering_is_optimal_small_d():
 # Monte Carlo machinery
 # ---------------------------------------------------------------------------
 
-def test_mc_worker_count_does_not_change_results():
-    m1 = bounds.mc_ordered_gap(8, 600, seed=5, workers=1)
-    m4 = bounds.mc_ordered_gap(8, 600, seed=5, workers=4)
-    assert m1[0] == pytest.approx(m4[0], abs=1e-12)
-    assert m1[1] == pytest.approx(m4[1], abs=1e-12)
+def test_mc_worker_count_does_not_change_results(monkeypatch):
+    # on any number of usable cores, the threaded estimate equals a serial
+    # sum over the same seeded shards
+    d, draws, seed = 8, 1300, 5
+    shards = [bounds.MC_SHARD_DRAWS, bounds.MC_SHARD_DRAWS, 300]
+    a0 = zero_bit_matrix(d)
+    s1 = s2 = 0.0
+    for count, child in zip(shards, np.random.SeedSequence(seed).spawn(len(shards))):
+        p = np.sort(bounds.sample_simplex(1 << d, count, np.random.default_rng(child)), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = -np.nansum(p * np.log2(p), axis=1)
+        gaps = np.sum(binary_entropy(p @ a0), axis=1) - h
+        s1 += float(gaps.sum())
+        s2 += float((gaps * gaps).sum())
+    mean = s1 / draws
+    for cores in (1, 2, 5):
+        monkeypatch.setattr(bounds.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        assert bounds.mc_ordered_gap(d, draws, seed) == (
+            mean, math.sqrt((s2 / draws - mean ** 2) / draws))
+
+
+def test_mc_gap_needs_a_draw():
+    with pytest.raises(ValueError, match="at least one draw"):
+        bounds.mc_ordered_gap(8, 0, seed=5)
 
 
 def test_simplex_sampler_is_on_simplex():

@@ -64,6 +64,21 @@ def test_universal_requires_source(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("spec", ["s=1.2", "m=64,x=3", "m", "m=64,s=high", "m=6.5"])
+def test_universal_bad_zipf_spec_exits_2(capsys, spec):
+    # a spec without m used to die with a KeyError, and unknown keys were ignored
+    assert run_main(["universal", "run", "--zipf", spec, "--d", "12", "--b", "6",
+                     "--n", "100"]) == 2
+    assert f"--zipf {spec!r}" in capsys.readouterr().err
+
+
+def test_theory_bounds_takes_no_worker_count():
+    # the Monte Carlo runs one thread per usable core; its estimate does not depend on it
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["theory-bounds", "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_universal_missing_input_file(tmp_path):
     rc = run_main(["universal", "run", "--input", str(tmp_path / "nope.txt"),
                    "--d", "8", "--b", "4"])

@@ -524,7 +524,6 @@ def test_block_partition_validation():
         BlockPartition(np.arange(4), (2, 1))
     part = BlockPartition.contiguous(10, 4)
     assert part.sizes == (4, 4, 2)
-    assert part.n_blocks == 3
     groups = part.groups()
     assert np.concatenate(groups).tolist() == list(range(10))
 
@@ -585,7 +584,7 @@ def test_marginal_codec_round_trip_random():
         g = order_permutation(JointDistribution(d, counts / counts.sum())).g
         enc = marginal_encode(syms, g, BlockPartition.contiguous(d, b))
         assert np.array_equal(marginal_decode(enc.container), syms)
-        assert enc.cost.total == len(enc.container) * 8
+        assert enc.cost.data_bits + enc.cost.overhead_bits == len(enc.container) * 8
 
 
 def test_marginal_codec_independent_bits_near_entropy():
@@ -650,5 +649,8 @@ def test_container_rejects_garbage():
 
 
 def test_bitcost_total():
-    c = BitCost(100.0, 28.0)
-    assert c.total == 128.0
+    # the data are the block streams' exact bits, the overhead all the rest
+    x = np.random.default_rng(3).integers(0, 16, 500)
+    enc = marginal_encode(x, SymbolPermutation.identity(4), BlockPartition.contiguous(4, 2))
+    data = sum(enc.block_bits)
+    assert enc.cost == BitCost(data, len(enc.container) * 8 - data)

@@ -1,14 +1,17 @@
 """Every public top-level function and class in the library has a caller,
-and every defaulted parameter or dataclass field has a caller that sets it.
+every public method and property of a library class has a reader, and
+every defaulted parameter or dataclass field has a caller that sets it.
 
 A name counts as reached when library code outside its own definition
 (``__init__.py`` aside: re-exporting is not use), the benchmark package or
-the acceptance suite names it. Anything else is surface only its own tests
-keep alive. Likewise a default that no such caller overrides is a constant
+the acceptance suite names it; a method or property, when such code names
+it as an attribute. Anything else is surface only its own tests keep
+alive. Likewise a default that no such caller overrides is a constant
 written as an option.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +61,42 @@ def test_every_public_name_is_reached():
     assert sorted(set(unreached) - ALLOWED.keys()) == []
     # an entry that gains a caller, or whose name is gone, leaves the list
     assert sorted(ALLOWED.keys() - set(unreached)) == []
+
+
+# module.Class.method -> why it stays without a reader
+ALLOWED_METHODS = {
+    "search.PiecewiseLinearEnvelope.value":
+        "the envelope's definition that test_search checks against h_b",
+}
+
+
+def _attributes(tree):
+    """The attribute names in ``tree``, ``y`` of ``x.y``, once per use."""
+    return [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+
+def test_every_public_method_is_reached():
+    outside = set()
+    for path in [*sorted((ROOT / "pipebench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
+        outside.update(_attributes(_parse(path)))
+    library = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    named = Counter(attr for tree in library.values() for attr in _attributes(tree))
+    unreached = []
+    for mod, tree in library.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                # a method's uses of its own name inside its body read nothing
+                own = _attributes(fn).count(fn.name)
+                if fn.name not in outside and named[fn.name] == own:
+                    unreached.append(f"{mod}.{cls.name}.{fn.name}")
+    assert sorted(set(unreached) - ALLOWED_METHODS.keys()) == []
+    # an entry that gains a reader, or whose name is gone, leaves the list
+    assert sorted(ALLOWED_METHODS.keys() - set(unreached)) == []
 
 
 # module.function or module.Class -> (parameters or dataclass fields whose

@@ -64,9 +64,9 @@ def _parse_grid(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def run_classic_zipf(m: int, s_grid, csv: str | None = None) -> list[list]:
+    if m < 2 or m & (m - 1):
+        raise ValueError(f"--m must be a power of two of at least 2, got {m}")
     d = m.bit_length() - 1
-    if 1 << d != m:
-        raise ValueError("m must be a power of two")
     rows = []
     for s in s_grid:
         dist = sources.zipf_distribution(m, float(s))
@@ -97,8 +97,9 @@ def run_universal(samples: np.ndarray, d: int, b: int, iters: int, seed: int,
     result = universal.descend(samples, d, b, method=method, max_iters=iters, seed=seed, k=k)
     base = universal.baseline_costs(samples, 1 << d)
     report = universal.total_cost_curve(result, samples.size, base)
+    baselines = [report.baseline_standard, report.baseline_pattern, report.baseline_canonical]
     rows = [
-        [int(i), bo, bs, t, base.standard, base.pattern, base.canonical]
+        [int(i), bo, bs, t, *baselines]
         for i, bo, bs, t in zip(report.iterations, report.bounds,
                                 report.block_sums, report.totals)
     ]
@@ -106,8 +107,8 @@ def run_universal(samples: np.ndarray, d: int, b: int, iters: int, seed: int,
                      "baseline_standard", "baseline_pattern", "baseline_canonical"], rows)
     print(f"# best iteration I0={report.best_iteration} "
           f"total={report.best_total:.6g} bits "
-          f"(standard={base.standard:.6g}, pattern={base.pattern:.6g}, "
-          f"canonical={base.canonical:.6g})", file=sys.stderr)
+          f"(standard={report.baseline_standard:.6g}, pattern={report.baseline_pattern:.6g}, "
+          f"canonical={report.baseline_canonical:.6g})", file=sys.stderr)
     return report
 
 
@@ -182,12 +183,13 @@ def run_decompress(input_path: str, output_path: str) -> None:
             blob = fh.read()
     except OSError as exc:
         raise DataError(str(exc)) from exc
+    # the header's d, read before decoding: wider symbols do not fit in a byte
+    if blob[:4] == coding.CONTAINER_MAGIC and len(blob) > 5 and blob[5] > 8:
+        raise DataError(f"container holds {blob[5]}-bit symbols, not bytes")
     try:
         symbols = coding.marginal_decode(blob)
     except (ValueError, IndexError) as exc:
         raise DataError(f"corrupt container: {exc}") from exc
-    if blob[5] > 8:  # the header's d: wider symbols do not fit in a byte
-        raise DataError(f"container holds {blob[5]}-bit symbols, not bytes")
     with open(output_path, "wb") as fh:
         fh.write(symbols.astype(np.uint8).tobytes())
 

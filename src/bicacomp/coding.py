@@ -10,7 +10,8 @@ through ``write_container``, and ``read_container`` parses every container:
 the header, the block sizes, the bit assignment, an optional map on all d
 bits (flag bit 0), the recorded steps (a bit shuffle and one map per block
 each), the per-block quantized frequency tables, the block streams and a
-CRC32 trailer. The decoder undoes the steps in reverse, then the d-bit map.
+CRC32 trailer. The decoder groups the decoded symbols once and undoes the
+steps in reverse, then the d-bit map, on the distinct symbols alone.
 Every field is taken through one bounds-checked reader, and a malformed
 container raises ``ContainerError``. Frequencies are quantized to 16-bit
 totals; zero-count symbols are excluded from code construction under the
@@ -48,6 +49,24 @@ class BitCost:
 
     data_bits: float
     overhead_bits: float
+
+
+def _symbols(samples, alphabet_size: int) -> np.ndarray:
+    """``samples`` as a 1-D int64 array of symbols in 0..alphabet_size-1,
+    the one check every encoder and the descent take their input through.
+    Raises ValueError on a dtype that is not integer or bool, on any other
+    shape, on an alphabet past 2^63 symbols (int64 cannot hold them) and on
+    a value outside the alphabet, compared as Python ints so nothing wraps."""
+    x = np.asarray(samples)
+    if x.dtype.kind not in "biu":
+        raise ValueError(f"symbols must be integers, got dtype {x.dtype}")
+    if x.ndim != 1:
+        raise ValueError(f"symbols must be 1-D, got shape {x.shape}")
+    if alphabet_size > 1 << 63:
+        raise ValueError(f"an alphabet of {alphabet_size} symbols does not fit int64")
+    if x.size and (int(x.min()) < 0 or int(x.max()) >= alphabet_size):
+        raise ValueError("symbol outside alphabet")
+    return np.ascontiguousarray(x, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +291,7 @@ def deserialize_codebook(bits: np.ndarray, alphabet_size: int, n_coded: int) -> 
 
 def prefix_encode(symbols: np.ndarray, code: PrefixCode) -> np.ndarray:
     """Concatenate codewords msb-first into a 0/1 array."""
-    syms = np.asarray(symbols, dtype=np.int64)
-    if syms.size and (syms.min() < 0 or syms.max() >= code.lengths.size):
-        raise ValueError("symbol outside alphabet")
+    syms = _symbols(symbols, code.lengths.size)
     lens = code.lengths[syms]
     if np.any(lens == 0):
         raise ValueError("symbol without a codeword in the stream")
@@ -361,10 +378,7 @@ def arithmetic_encode(symbols, probs) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.size > ALPHABET_CAP:
         raise ValueError(f"alphabet size {p.size} exceeds cap {ALPHABET_CAP}")
-    syms = np.ascontiguousarray(symbols, dtype=np.int64)
-    if syms.size and (syms.min() < 0 or syms.max() >= p.size):
-        raise ValueError("symbol outside alphabet")
-    data, nbits = _encode_with_counts(syms, quantize_counts(p))
+    data, nbits = _encode_with_counts(_symbols(symbols, p.size), quantize_counts(p))
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits)
 
 
@@ -658,14 +672,11 @@ def read_container(blob: bytes) -> np.ndarray:
     except ValueError as exc:
         raise ContainerError(str(exc)) from exc
     records = [_read_block_record(reader, s) for s in sizes]
-    if steps:  # replayed on the distinct symbols
-        z, inverse, _ = _group(_decode_block_streams(reader, records, partition, n), d)
-        for unshuffle, inverses in reversed(steps):
-            z = extract_block(map_blocks(z, inverses, partition), unshuffle)
-        y = z[inverse]
-    else:
-        y = _decode_block_streams(reader, records, partition, n)
-    return y if unmap is None else unmap[y]
+    # the steps and the map are undone on the distinct symbols alone
+    z, inverse, _ = _group(_decode_block_streams(reader, records, partition, n), d)
+    for unshuffle, inverses in reversed(steps):
+        z = extract_block(map_blocks(z, inverses, partition), unshuffle)
+    return (z if unmap is None else unmap[z])[inverse]
 
 
 @dataclass(frozen=True)
@@ -676,7 +687,6 @@ class MarginalEncoding:
 
     container: bytes
     cost: BitCost
-    block_bits: tuple[int, ...]
 
 
 def marginal_encode(samples, g: SymbolPermutation, partition: BlockPartition) -> MarginalEncoding:
@@ -684,12 +694,10 @@ def marginal_encode(samples, g: SymbolPermutation, partition: BlockPartition) ->
     entropy-code every block stream against its empirical distribution."""
     if partition.d != g.d:
         raise ValueError("partition does not cover the transform dimension")
-    x = np.ascontiguousarray(samples, dtype=np.int64)
-    if x.size and (x.min() < 0 or x.max() >= (1 << g.d)):
-        raise ValueError("symbol outside alphabet")
+    x = _symbols(samples, 1 << g.d)
     blob, block_bits = write_container(g.apply(x), partition, symbol_map=g.map)
     data_bits = float(sum(block_bits))
-    return MarginalEncoding(blob, BitCost(data_bits, len(blob) * 8 - data_bits), block_bits)
+    return MarginalEncoding(blob, BitCost(data_bits, len(blob) * 8 - data_bits))
 
 
 def marginal_decode(container: bytes) -> np.ndarray:

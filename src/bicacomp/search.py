@@ -81,7 +81,6 @@ class PiecewiseLinearEnvelope:
 class SearchResult:
     g: SymbolPermutation
     objective: float  # sum of marginal bit entropies, bits
-    method: str
     fallback: bool = field(default=False)
 
 
@@ -103,7 +102,7 @@ def order_permutation(p: JointDistribution) -> SearchResult:
     gmap = np.empty(p.m, dtype=np.int64)
     gmap[order] = np.arange(p.m, dtype=np.int64)
     g = SymbolPermutation(p.d, gmap)
-    return SearchResult(g, marginals(p, g).entropy_sum(), "order")
+    return SearchResult(g, marginals(p, g).entropy_sum())
 
 
 def _fold_marginals(dest: np.ndarray, pis: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,8 +242,8 @@ def piecewise_relaxation(p: JointDistribution, k: int = DEFAULT_PIECES) -> Searc
         log.warning("piecewise relaxation found no region-feasible candidate "
                     "(d=%d, k=%d); falling back to order permutation", d, k)
         res = order_permutation(p)
-        return SearchResult(res.g, res.objective, f"piecewise({k})", fallback=True)
-    return SearchResult(SymbolPermutation(d, best_map), best_obj, f"piecewise({k})")
+        return SearchResult(res.g, res.objective, fallback=True)
+    return SearchResult(SymbolPermutation(d, best_map), best_obj)
 
 
 @functools.lru_cache(maxsize=3)
@@ -269,7 +268,7 @@ def brute_force_optimum(p: JointDistribution) -> SearchResult:
     n_best = int(np.argmin(objs))
     gmap = np.empty(m, dtype=np.int64)
     gmap[perms[n_best]] = np.arange(m, dtype=np.int64)
-    return SearchResult(SymbolPermutation(d, gmap), float(objs[n_best]), "brute")
+    return SearchResult(SymbolPermutation(d, gmap), float(objs[n_best]))
 
 
 def block_bica(p_block: JointDistribution, method: str = "order",
@@ -288,6 +287,6 @@ def block_bica(p_block: JointDistribution, method: str = "order",
             log.warning("piecewise search infeasible at b=%d, k=%d; using order permutation",
                         b, k)
             res = order_permutation(p_block)
-            return SearchResult(res.g, res.objective, res.method, fallback=True)
+            return SearchResult(res.g, res.objective, fallback=True)
         return piecewise_relaxation(p_block, k)
     raise ValueError(f"unknown search method {method!r}")

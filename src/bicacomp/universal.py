@@ -29,6 +29,7 @@ from .bounds import pattern_dictionary_cost, standard_redundancy
 from .coding import (
     BlockPartition,
     _group,
+    _symbols,
     canonicalize,
     extract_block,
     huffman_build,
@@ -76,18 +77,6 @@ class DescentResult:
 apply_shuffle = extract_block
 
 
-def _checked(samples, d: int) -> np.ndarray:
-    """The samples as a 1-D int64 array. Raises ValueError on another shape
-    and on a symbol outside 0..2^d-1: the steps read only the low d bits,
-    so such a symbol would map like the symbol it aliases."""
-    x = np.asarray(samples, dtype=np.int64)
-    if x.ndim != 1:
-        raise ValueError(f"samples must be 1-D, got shape {x.shape}")
-    if x.size and (x.min() < 0 or x.max() >= 1 << d):
-        raise ValueError("symbol outside alphabet")
-    return x
-
-
 def _block_stats(values: np.ndarray, weights: np.ndarray, partition: BlockPartition
                  ) -> tuple[float, float, list[np.ndarray], list[float]]:
     """(bound, block_sum, per-block count vectors, per-block bounds) of the
@@ -124,12 +113,14 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
     bits/symbol are discarded. Terminates at ``max_iters`` accepted
     iterations or once ``patience`` consecutive proposals fail to improve
     (the point where the bound can no longer be decreased, as far as random
-    search can tell). Raises ValueError on samples that are not 1-D or on a
-    symbol outside 0..2^d-1.
+    search can tell). Raises ValueError on an empty sample, on max_iters < 0
+    and on samples that are not 1-D integers in 0..2^d-1.
     """
-    x = _checked(samples, d)
+    x = _symbols(samples, 1 << d)
     if x.size == 0:
         raise ValueError("cannot descend on an empty sample")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be non-negative, got {max_iters}")
     z, _, weights = _group(x, d)
     partition = BlockPartition.contiguous(d, b)
     if method == "auto":
@@ -181,7 +172,7 @@ def _walk(samples, result: DescentResult):
     Yields (values, inverse, weights) once before the steps and once after
     each: ``values[inverse]`` are the samples mapped by the steps so far,
     and ``weights`` counts each distinct symbol."""
-    values, inverse, weights = _group(_checked(samples, result.d), result.d)
+    values, inverse, weights = _group(_symbols(samples, 1 << result.d), result.d)
     yield values, inverse, weights
     for step in result.steps:
         values = map_blocks(apply_shuffle(values, step.shuffle), step.transforms,
@@ -191,8 +182,7 @@ def _walk(samples, result: DescentResult):
 
 def replay(samples, result: DescentResult) -> tuple[np.ndarray, np.ndarray]:
     """Recompute (bounds, block_sums) from the stored descriptors alone.
-    Raises ValueError on samples that are not 1-D or on a symbol outside
-    0..2^d-1."""
+    Raises ValueError on samples that are not 1-D integers in 0..2^d-1."""
     walk = _walk(samples, result)
     next(walk)  # the samples before any step
     stats = [_block_stats(values, weights, result.partition)[:2] for values, _, weights in walk]
@@ -253,15 +243,13 @@ class Baselines:
     standard: float
     pattern: float
     canonical: float
-    empirical_entropy: float
-    unique_symbols: int
 
 
 def baseline_costs(samples, m: int) -> Baselines:
     """Whole-alphabet reference totals: standard (empirical entropy plus the
     regime-matched minimax redundancy), pattern-plus-dictionary, and
     canonical prefix coding with its serialized codebook."""
-    x = np.asarray(samples, dtype=np.int64)
+    x = _symbols(samples, m)
     n = x.size
     counts = np.bincount(x, minlength=m)
     probs = counts / counts.sum()
@@ -273,7 +261,7 @@ def baseline_costs(samples, m: int) -> Baselines:
     book = canonicalize(huffman_build(probs), m)
     avg_len = book.code().average_length(probs)
     canonical = n * avg_len + book.serialized_bits
-    return Baselines(standard, pattern, canonical, h_emp, n0)
+    return Baselines(standard, pattern, canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +272,7 @@ def compress(samples, result: DescentResult) -> bytes:
     """Serialize the descent history plus the entropy-coded samples pushed
     through it, so a decoder can decode the block streams and replay every
     transform and shuffle in reverse. Raises ValueError on samples that are
-    not 1-D or on a symbol outside 0..2^d-1."""
+    not 1-D integers in 0..2^d-1."""
     for values, inverse, _ in _walk(samples, result):
         pass  # keep the last step's values
     steps = [(step.shuffle, step.transforms) for step in result.steps]

@@ -236,7 +236,6 @@ def _nearest_even_sum(pts: np.ndarray) -> np.ndarray:
 class LatticeQuantization:
     indices: np.ndarray       # per-sample index into the occupied codebook
     codebook: np.ndarray      # occupied lattice points, (n_occ, dim)
-    mse_per_dim: float
     distortion: float         # mean total squared error per sample
 
 
@@ -265,8 +264,7 @@ def lattice_quantize(samples, lattice: Lattice) -> LatticeQuantization:
     codebook, indices = np.unique(q, axis=0, return_inverse=True)
     err = x - q
     total = float(np.mean(np.sum(err * err, axis=1)))
-    return LatticeQuantization(indices.astype(np.int64), codebook,
-                               total / lattice.dim, total)
+    return LatticeQuantization(indices.astype(np.int64), codebook, total)
 
 
 def gaussian_rd(dim: int, distortion: float) -> float:

@@ -1,11 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. Criterion 7's full-scale
-reference reproduction takes minutes and only runs when BICACOMP_LONG_TESTS=1.
+Run with `pytest tests/test_acceptance.py -v -s`. Criterion 7 also runs at
+the paper's full scale (a 2^20 alphabet, a million samples), which takes a
+few seconds, container round trip included.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -137,15 +137,34 @@ def test_criterion_07_universal_pipeline_desk_scale():
                   f"descriptors: {exact}; container lossless: {lossless}")
 
 
-@pytest.mark.skipif(os.environ.get("BICACOMP_LONG_TESTS") != "1",
-                    reason="full-scale reference run (minutes); set BICACOMP_LONG_TESTS=1")
-def test_criterion_07_long_reference_total():
+@pytest.fixture(scope="module")
+def full_scale():
+    """The paper's full-scale universal case: Zipf(2^20, 1.2) with n = 1e6,
+    two 10-bit blocks, order search and 40 iterations."""
     draws = sources.sample(sources.SourceSpec.zipf(1 << 20, 1.2, seed=1234), 10 ** 6)
-    res = universal.descend(draws, 20, 10, method="order", max_iters=40, seed=77)
+    return draws, universal.descend(draws, 20, 10, method="order", max_iters=40, seed=77)
+
+
+def test_criterion_07_long_reference_total(full_scale):
+    draws, res = full_scale
     report_curve = universal.total_cost_curve(res, draws.size)
     best = report_curve.best_total
     ok = abs(best - 8.805e6) / 8.805e6 <= 0.03
     report(7, ok, f"two-block full-scale total {best:.4g} within 3% of 8.805e6")
+
+
+def test_criterion_07_full_scale_container_round_trip(full_scale):
+    # the rate is printed, not bounded: the container stores every step,
+    # which costs more than the analytic best (ROADMAP item 1)
+    draws, res = full_scale
+    n = draws.size
+    blob = universal.compress(draws, res)
+    lossless = bool(np.array_equal(universal.decompress(blob), draws))
+    best = universal.total_cost_curve(res, n).best_total / n
+    canonical = universal.baseline_costs(draws, 1 << 20).canonical / n
+    report(7, lossless, f"full-scale container lossless: {lossless}; "
+                        f"{len(blob) * 8 / n:.3f} bit/symbol against the analytic best "
+                        f"{best:.3f} and canonical Huffman {canonical:.3f}")
 
 
 def test_criterion_08_coder_round_trips():

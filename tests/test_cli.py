@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from bicacomp import cli, coding
+from bicacomp import cli, coding, universal
 from bicacomp.distributions import JointDistribution, SymbolPermutation
 from bicacomp.search import block_bica
 
@@ -148,6 +148,18 @@ def test_empty_or_zero_step_grids_exit_2(capsys, argv):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["classic-zipf", "--m", "0", "--s-grid", "1"], "--m"),  # was "negative shift count"
+    (["classic-zipf", "--m", "1", "--s-grid", "1"], "--m"),
+    # stored step 0 alone and exited 0
+    (["universal", "run", "--zipf", "m=64", "--d", "6", "--b", "3", "--n", "100",
+      "--iters", "-1"], "max_iters"),
+])
+def test_out_of_range_options_exit_2(capsys, argv, named):
+    assert run_main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_a_grid_past_the_point_cap_exits_2(capsys):
     assert cli._parse_grid(f"0:{cli.GRID_MAX_POINTS - 1}:1").size == cli.GRID_MAX_POINTS
     for text in (f"0:{cli.GRID_MAX_POINTS}:1", "0:1:5e-324"):  # the last span is infinite
@@ -257,6 +269,19 @@ def test_decompress_of_symbols_wider_than_a_byte_is_data_error(tmp_path, capsys)
     assert run_main(["decompress", str(packed), str(restored)]) == 3
     assert "10-bit symbols" in capsys.readouterr().err
     assert not restored.exists()
+
+
+def test_decompress_reads_the_header_before_decoding(tmp_path, capsys, monkeypatch):
+    x = np.random.default_rng(4).integers(0, 1 << 12, 500)
+    packed = tmp_path / "wide.bau"
+    packed.write_bytes(universal.compress(x, universal.descend(x, 12, 6, max_iters=1)))
+
+    def refuse(blob):
+        raise AssertionError("the container was decoded before its header was checked")
+
+    monkeypatch.setattr(coding, "read_container", refuse)
+    assert run_main(["decompress", str(packed), str(tmp_path / "out.bin")]) == 3
+    assert "12-bit symbols" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

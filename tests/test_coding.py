@@ -651,6 +651,9 @@ def test_container_rejects_garbage():
 def test_bitcost_total():
     # the data are the block streams' exact bits, the overhead all the rest
     x = np.random.default_rng(3).integers(0, 16, 500)
-    enc = marginal_encode(x, SymbolPermutation.identity(4), BlockPartition.contiguous(4, 2))
-    data = sum(enc.block_bits)
+    g, partition = SymbolPermutation.identity(4), BlockPartition.contiguous(4, 2)
+    enc = marginal_encode(x, g, partition)
+    blob, block_bits = coding.write_container(x, partition, symbol_map=g.map)
+    assert blob == enc.container
+    data = sum(block_bits)
     assert enc.cost == BitCost(data, len(enc.container) * 8 - data)

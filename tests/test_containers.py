@@ -122,12 +122,13 @@ def _lone_blocks(symbols, partition):
 
 
 def _block_records(blob):
-    """(active symbols, stream bits) of every block record of a container
-    without a d-bit map: the records follow the steps."""
+    """(active symbols, stream bits) of every block record of a container:
+    the records follow the d-bit map (flag bit 0) and the steps."""
     head = struct.calcsize("<4sBBBBQI")
-    _, _, d, n_blocks, _, _, n_steps = struct.unpack_from("<4sBBBBQI", blob, 0)
+    _, _, d, n_blocks, flags, _, n_steps = struct.unpack_from("<4sBBBBQI", blob, 0)
     sizes = blob[head:head + n_blocks]
-    at = head + n_blocks + d + n_steps * (d + sum(((s + 7) // 8) << s for s in sizes))
+    at = head + n_blocks + d + (flags & 1) * (((d + 7) // 8) << d)
+    at += n_steps * (d + sum(((s + 7) // 8) << s for s in sizes))
     records = []
     for _ in sizes:
         n_active, stream_bits = struct.unpack_from("<IQ", blob, at)
@@ -145,7 +146,7 @@ def test_bac1_golden_bytes(case):
     assert np.array_equal(marginal_decode(blob), x)
     if case == "lone":
         assert _lone_blocks(g.apply(x), partition) == 1
-        assert 0 in enc.block_bits  # the lone block's stream is empty
+        assert (1, 0) in _block_records(blob)  # the lone block's stream is empty
     assert len(blob) == length
     assert hashlib.sha256(blob).hexdigest() == digest
 
@@ -225,7 +226,7 @@ def formats():
     enc = marginal_encode(x, g, partition)
     xu, result = _universal_order()
     return {"BAC2": (marginal_decode, enc.container, x,
-                     sum((b + 7) // 8 for b in enc.block_bits)),
+                     sum((b + 7) // 8 for _, b in _block_records(enc.container))),
             "BAU2": (decompress, compress(xu, result), xu, None)}
 
 

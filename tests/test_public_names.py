@@ -1,6 +1,6 @@
 """Every public top-level function and class in the library has a caller,
-every public method and property of a library class has a reader, and
-every defaulted parameter or dataclass field has a caller that sets it.
+every public method, property and field of a library class has a reader,
+and every defaulted parameter or dataclass field has a caller that sets it.
 
 A name counts as reached when library code outside its own definition
 (``__init__.py`` aside: re-exporting is not use), the benchmark package or
@@ -75,13 +75,21 @@ def _attributes(tree):
     return [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
 
 
-def test_every_public_method_is_reached():
+def _attribute_uses():
+    """(attribute names that the benchmark package and the acceptance suite
+    use, the parsed library modules by name, and how often the library
+    names each attribute)."""
     outside = set()
     for path in [*sorted((ROOT / "pipebench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
         outside.update(_attributes(_parse(path)))
     library = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "__init__.py"}
     named = Counter(attr for tree in library.values() for attr in _attributes(tree))
+    return outside, library, named
+
+
+def test_every_public_method_is_reached():
+    outside, library, named = _attribute_uses()
     unreached = []
     for mod, tree in library.items():
         for cls in tree.body:
@@ -97,6 +105,35 @@ def test_every_public_method_is_reached():
     assert sorted(set(unreached) - ALLOWED_METHODS.keys()) == []
     # an entry that gains a reader, or whose name is gone, leaves the list
     assert sorted(ALLOWED_METHODS.keys() - set(unreached)) == []
+
+
+# module.Class.field -> why it stays without a reader
+ALLOWED_FIELDS = {
+    "vq.QuantizerState.centroids":
+        "the designed codebook, which test_vq_pinned digests",
+}
+
+
+def test_every_public_field_is_read():
+    outside, library, named = _attribute_uses()
+    unread = []
+    for mod, tree in library.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            # construction checks its own fields; that reads nothing for a program
+            own = Counter(attr for fn in cls.body
+                          if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                          for attr in _attributes(fn))
+            for node in cls.body:
+                if not isinstance(node, ast.AnnAssign) or not isinstance(node.target, ast.Name):
+                    continue
+                name = node.target.id
+                if not name.startswith("_") and name not in outside and named[name] == own[name]:
+                    unread.append(f"{mod}.{cls.name}.{name}")
+    assert sorted(set(unread) - ALLOWED_FIELDS.keys()) == []
+    # an entry that gains a reader, or whose name is gone, leaves the list
+    assert sorted(ALLOWED_FIELDS.keys() - set(unread)) == []
 
 
 # module.function or module.Class -> (parameters or dataclass fields whose

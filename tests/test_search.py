@@ -433,7 +433,7 @@ def test_block_bica_piecewise_fallback_warns_and_orders():
     p = JointDistribution(12, probs)
     res = block_bica(p, "piecewise")
     assert res.fallback
-    assert res.method == "order"
+    assert res.objective == order_permutation(p).objective
 
 
 def test_block_bica_falls_back_above_the_order_table_cap(monkeypatch):
@@ -449,7 +449,6 @@ def test_block_bica_falls_back_above_the_order_table_cap(monkeypatch):
     p = JointDistribution(10, probs)
     res = block_bica(p, "piecewise", k=16)
     assert res.fallback
-    assert res.method == "order"
     assert res.objective == order_permutation(p).objective
     with pytest.raises(ValueError, match="order-table entries"):
         piecewise_relaxation(p, 16)

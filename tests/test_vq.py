@@ -239,7 +239,7 @@ def test_cubic_uniform_high_resolution_mse():
     x = rng.uniform(-2, 2, (10 ** 5, 3))
     scale = 0.25
     q = lattice_quantize(x, Lattice("cubic", 3, scale))
-    assert q.mse_per_dim == pytest.approx(scale ** 2 / 12, rel=0.02)
+    assert q.distortion / 3 == pytest.approx(scale ** 2 / 12, rel=0.02)
 
 
 def test_lattice_error_bounded_by_covering_radius():

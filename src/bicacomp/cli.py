@@ -17,6 +17,9 @@ from .search import block_bica, order_permutation
 
 
 GRID_MAX_POINTS = 10_000  # points a start:stop:step grid may hold
+# Sample values (n x dim) a vq ecvq sweep may fit: 2^23 float64 take 64 MiB,
+# and a fit's working arrays peak near six times its samples.
+ECVQ_MAX_VALUES = 1 << 23
 
 
 class DataError(Exception):
@@ -114,6 +117,8 @@ def run_universal(samples: np.ndarray, d: int, b: int, iters: int, seed: int,
 
 def run_vq_ecvq(dim: int, n: int, m_init: int, lambdas, seed: int, variant: str,
                 csv: str | None = None) -> list[list]:
+    if n * dim > ECVQ_MAX_VALUES:
+        raise ValueError(f"--n x --dim = {n * dim} sample values exceed {ECVQ_MAX_VALUES}")
     spec = sources.SourceSpec.gaussian_mixture(dim, seed)
     x = sources.sample(spec, n)
     rows = []
@@ -300,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.vq_cmd in ("ecvq", "bica-ecvq"):
                 if args.lambdas:
                     lambdas = _parse_grid(args.lambdas)
+                elif not 1 <= args.lambda_count <= GRID_MAX_POINTS:
+                    raise ValueError(f"--lambda-count must be 1..{GRID_MAX_POINTS}")
                 else:
                     lambdas = np.geomspace(args.lambda_min, args.lambda_max, args.lambda_count)
                 run_vq_ecvq(args.dim, args.n, args.m_init, lambdas, args.seed,

@@ -612,11 +612,11 @@ def write_container(coded: np.ndarray, partition: BlockPartition, symbol_map=Non
     ``steps`` in reverse and then ``symbol_map``, a map on all d bits
     (none when omitted). Returns (container, stream bits per block).
     Raises ValueError on a block wider than the decoder's alphabet cap and
-    on more than 255 bits, which also bounds the block count, since the
-    header stores both in a byte."""
+    on more than 63 bits, the most an int64 symbol holds; that also keeps d
+    and the block count inside the header's byte fields."""
     sizes = partition.sizes
-    if partition.d > 0xFF:
-        raise ValueError(f"{partition.d}-bit symbols exceed the header's 255 bits")
+    if partition.d > 63:
+        raise ValueError(f"{partition.d}-bit symbols exceed the 63 bits of an int64")
     if any(1 << s > ALPHABET_CAP for s in sizes):
         raise ValueError(f"block sizes {sizes} exceed {ALPHABET_CAP.bit_length() - 1} bits")
     flags = 0 if symbol_map is None else _SYMBOL_MAP
@@ -655,8 +655,8 @@ def read_container(blob: bytes) -> np.ndarray:
         raise ContainerError(f"unsupported container version {version}")
     if flags & ~_SYMBOL_MAP:
         raise ContainerError(f"unknown container flags {flags:#04x}")
-    if d == 0:
-        raise ContainerError("container of 0-bit symbols")
+    if not 0 < d <= 63:  # the symbols are decoded into int64
+        raise ContainerError(f"container of {d}-bit symbols, not 1..63")
     sizes = tuple(reader.take(n_blocks).tolist())
     if not all(0 < s and 1 << s <= ALPHABET_CAP for s in sizes):
         raise ContainerError(f"block sizes {sizes} outside 1..{ALPHABET_CAP.bit_length() - 1}")

@@ -9,7 +9,14 @@ one: cluster indices are embedded as fixed-width binary words, a
 marginal-entropy search picks a permutation of them, and a cluster's
 length is the sum of -log2 marginal bit probabilities of its transformed
 index (kept only when it beats the previous permutation, so each sweep
-still descends).
+still descends). That length step is one batched NumPy pass per sweep:
+the order search's map and the current map are scored side by side, and
+no distribution or permutation object is built until the fit returns.
+
+The pinned fit histories depend on two summation orders: each bit's zero
+mass adds the cluster probabilities in index order, as a masked sum does,
+and each centroid's coordinate sums add its samples in sample order, as
+``bincount`` does.
 
 Fixed quantizers: the cubic integer lattice in any dimension, the
 even-coordinate-sum lattice in four dimensions, and its eight-dimensional
@@ -30,11 +37,13 @@ from .bounds import standard_redundancy
 from .distributions import (
     JointDistribution,
     SymbolPermutation,
+    binary_entropy,
+    bit_zero_marginals,
     entropy_bits,
-    marginals,
     next_bit_dimension,
+    stable_argsort,
 )
-from .search import block_bica, order_permutation
+from .search import order_permutation
 
 # Lattices are truncated to a sphere of this many source standard deviations.
 SPHERE_STD = 5.0
@@ -88,14 +97,17 @@ def _lloyd(x: np.ndarray, m_init: int, lam: float, seed: int, max_sweeps: int,
     retires an empty cluster), move occupied centroids to their means; stop
     once a sweep lowers the Lagrangian by less than SWEEP_TOL.
 
-    A centroid's coordinate sums come from ``bincount``, which adds the
-    samples in order as ``x[assign == c].mean(axis=0)`` does for dim >= 2
-    (at dim = 1 that mean sums pairwise)."""
+    All centroids' coordinate sums come from one ``bincount`` over the bins
+    ``assign * dim + column``, which adds each bin's samples in sample order
+    as ``x[assign == c].mean(axis=0)`` does for dim >= 2 (at dim = 1 that
+    mean sums pairwise)."""
     if max_sweeps < 1:
         raise ValueError("need at least one sweep")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     centroids = x[rng.choice(x.shape[0], size=m_init, replace=False)].copy()
-    columns = x.T.copy()
+    dim = x.shape[1]
+    columns = np.arange(dim)
+    values = x.ravel()
     history = []
     prev = np.inf
     for _ in range(max_sweeps):
@@ -104,8 +116,8 @@ def _lloyd(x: np.ndarray, m_init: int, lam: float, seed: int, max_sweeps: int,
         counts = np.bincount(assign, minlength=m_init)
         lengths = length_step(counts)
         occupied = counts > 0
-        sums = np.stack([np.bincount(assign, weights=col, minlength=m_init)
-                         for col in columns], axis=1)
+        bins = (assign[:, None] * dim + columns).ravel()
+        sums = np.bincount(bins, weights=values, minlength=m_init * dim).reshape(m_init, dim)
         centroids[occupied] = sums[occupied] / counts[occupied, None]
         dist, rate, lag = _sweep_eval(x, centroids, lengths, assign, lam)
         history.append(lag)
@@ -128,21 +140,48 @@ def ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
     return _lloyd(x, m_init, lam, seed, max_sweeps, init, ideal_lengths)
 
 
-def _index_bit_lengths(probs: np.ndarray, g: SymbolPermutation) -> np.ndarray:
+def _index_bit_lengths(probs: np.ndarray, g) -> np.ndarray:
     """Per-cluster length under bit-wise coding of the transformed index:
-    sum over bits of -log2 of the marginal probability of that bit value."""
-    d = g.d
-    y = g.map
-    out = np.zeros(probs.size)
-    for j in range(d):
-        # a masked sum, not bit_zero_marginals: the pinned fit histories
-        # depend on its summation order
-        zero_mass = float(probs[(y >> j) & 1 == 0].sum())
-        bitval = (y >> j) & 1
-        q = np.where(bitval == 0, zero_mass, 1.0 - zero_mass)
-        with np.errstate(divide="ignore"):
-            out -= np.where(probs > 0, np.log2(np.maximum(q, 1e-300)), 0.0)
-    return np.where(probs > 0, out, np.inf)
+    sum over bits of -log2 of the marginal probability of that bit value.
+    ``g`` is the transform, a SymbolPermutation or its map.
+
+    Each bit's zero mass is gathered in index order and summed per row, the
+    same elements in the same order as the masked sum ``probs[bit == 0]``
+    the pinned fit histories were recorded with (``bit_zero_marginals``
+    sums in another order); the bits' logs are added one bit at a time and
+    subtracted from 0.0, so a zero length is +0.0."""
+    y = g.map if isinstance(g, SymbolPermutation) else g
+    d = y.size.bit_length() - 1
+    bits = (y >> np.arange(d)[:, None]) & 1
+    zero = bits == 0
+    zero_mass = probs[np.nonzero(zero)[1].reshape(d, -1)].sum(axis=1)[:, None]
+    q = np.where(zero, zero_mass, 1.0 - zero_mass)
+    return np.where(probs > 0, 0.0 - np.log2(np.maximum(q, 1e-300)).sum(axis=0), np.inf)
+
+
+def _bica_length_step(counts: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One sweep's length step of ``bica_ecvq_fit``: from the cluster counts
+    and the current index map ``y`` (over 2^d >= counts.size indices),
+    return the map kept and each cluster's length (inf when empty).
+
+    The candidate is ``order_permutation``'s map of the occupancy padded
+    to 2^d and normalized as ``JointDistribution`` does; it is kept when
+    its sum of marginal bit entropies beats the current map's by more than
+    1e-15. Both maps are scored in one pass, each summed as
+    ``marginals(...).entropy_sum()`` sums it."""
+    probs = np.zeros(y.size)
+    probs[:counts.size] = counts / counts.sum()
+    p = probs / float(probs.sum())
+    cand = np.empty_like(y)
+    cand[stable_argsort(p)] = np.arange(y.size)
+    rows = np.empty((2, y.size))
+    rows[0, cand] = p
+    rows[1, y] = p
+    pis = bit_zero_marginals(rows / rows.sum(axis=1, keepdims=True), y.size.bit_length() - 1)
+    cand_sum, cur_sum = binary_entropy(np.minimum(np.maximum(pis, 0.0), 1.0)).sum(axis=1)
+    if cand_sum < cur_sum - 1e-15:
+        y = cand
+    return y, np.where(counts > 0, _index_bit_lengths(probs, y)[:counts.size], np.inf)
 
 
 def bica_ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
@@ -155,21 +194,16 @@ def bica_ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
     if m_init > 1 << 16:
         raise ValueError("cluster budget exceeds the index embedding cap")
     d_bits = next_bit_dimension(m_init)
-    g = SymbolPermutation.identity(d_bits)
+    gmap = np.arange(1 << d_bits)
 
     def bit_lengths(counts):
-        nonlocal g
-        probs = np.zeros(1 << d_bits)
-        probs[:m_init] = counts / counts.sum()
-        dist = JointDistribution(d_bits, probs)
-        cand = block_bica(dist, "order")
-        if cand.objective < marginals(dist, g).entropy_sum() - 1e-15:
-            g = cand.g
-        return np.where(counts > 0, _index_bit_lengths(probs, g)[:m_init], np.inf)
+        nonlocal gmap
+        gmap, lengths = _bica_length_step(counts, gmap)
+        return lengths
 
     state = _lloyd(x, m_init, lam, seed, max_sweeps, np.full(m_init, float(d_bits)),
                    bit_lengths)
-    return state, g
+    return state, SymbolPermutation(d_bits, gmap)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,10 @@ def test_empty_or_zero_step_grids_exit_2(capsys, argv):
     # stored step 0 alone and exited 0
     (["universal", "run", "--zipf", "m=64", "--d", "6", "--b", "3", "--n", "100",
       "--iters", "-1"], "max_iters"),
+    # asked for 74.5 GiB and 745 GiB, and exited 1 with NumPy's memory error
+    (["vq", "ecvq", "--dim", "2", "--n", "10000000000", "--m-init", "8"], "--n x --dim"),
+    (["vq", "ecvq", "--lambda-count", "100000000000"], "--lambda-count"),
+    (["vq", "ecvq", "--lambda-count", "0"], "--lambda-count"),  # printed only the CSV header
 ])
 def test_out_of_range_options_exit_2(capsys, argv, named):
     assert run_main(argv) == 2

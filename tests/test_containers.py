@@ -373,5 +373,22 @@ def test_malformed_block_tables_raise_container_error():
 
 
 def test_a_header_field_past_a_byte_raises_at_encode_time():
-    with pytest.raises(ValueError, match="255"):
-        write_container(np.arange(3), BlockPartition.contiguous(300, 10))
+    # past 63 bits the symbols no longer fit int64, long before d or the
+    # block count would overflow the header's byte fields
+    for d in (300, 70, 64):
+        with pytest.raises(ValueError, match="63 bits"):
+            write_container(np.arange(3), BlockPartition.contiguous(d, 10))
+    write_container(np.arange(3), BlockPartition.contiguous(63, 9))
+
+
+def test_symbols_wider_than_int64_raise_container_error():
+    # ten 7-bit blocks of one lone symbol each, five samples; the top
+    # block's symbol 5 sets bits 63 and 65, which used to decode into the
+    # sign bit and vanish, giving five copies of -2^63
+    d, b, n = 70, 7, 5
+    body = struct.pack("<4sBBBBQI", b"BAC3", 3, d, d // b, 0, n, 0)
+    body += bytes([b] * (d // b)) + bytes(range(d))
+    for symbol in [0] * (d // b - 1) + [5]:
+        body += struct.pack("<IQIH", 1, 0, symbol, 0xFFFF)
+    with pytest.raises(ContainerError, match="70-bit symbols"):
+        marginal_decode(_reseal(body))

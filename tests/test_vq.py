@@ -13,9 +13,11 @@ from bicacomp.vq import (
     gaussian_rd,
     lattice_quantize,
     lattice_rate_report,
+    _bica_length_step,
     _index_bit_lengths,
 )
-from bicacomp.distributions import SymbolPermutation
+from bicacomp.distributions import JointDistribution, SymbolPermutation, marginals
+from bicacomp.search import block_bica
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +147,69 @@ def test_index_bit_lengths_product_occupancy_equals_joint():
     probs = np.array([q0 * q1, (1 - q0) * q1, q0 * (1 - q1), (1 - q0) * (1 - q1)])
     lens = _index_bit_lengths(probs, SymbolPermutation.identity(2))
     assert np.allclose(lens, -np.log2(probs), atol=1e-12)
+
+
+def _length_step_through_search_objects(counts, g):
+    """The length step as the search objects compute it: the order search
+    on the padded occupancy, kept when its objective beats the current
+    map's by 1e-15, then one masked sum per bit for each zero mass."""
+    d = g.d
+    probs = np.zeros(1 << d)
+    probs[:counts.size] = counts / counts.sum()
+    dist = JointDistribution(d, probs)
+    cand = block_bica(dist, "order")
+    if cand.objective < marginals(dist, g).entropy_sum() - 1e-15:
+        g = cand.g
+    y = g.map
+    out = np.zeros(probs.size)
+    for j in range(d):
+        zero_mass = float(probs[(y >> j) & 1 == 0].sum())
+        q = np.where((y >> j) & 1 == 0, zero_mass, 1.0 - zero_mass)
+        out -= np.where(probs > 0, np.log2(np.maximum(q, 1e-300)), 0.0)
+    lengths = np.where(probs > 0, out, np.inf)
+    return g.map, np.where(counts > 0, lengths[:counts.size], np.inf)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_bica_length_step_matches_the_search_objects(d):
+    rng = np.random.default_rng(100 + d)
+    kept = 0
+    for trial in range(12):
+        # cluster counts that are mostly not a power of two, with empty clusters
+        m_init = int(rng.integers((1 << (d - 1)) + 1, (1 << d) + 1))
+        counts = rng.integers(0, 50, size=m_init) * (rng.random(m_init) < 0.7)
+        counts[rng.integers(m_init)] += 1
+        # the current map: identity, a random permutation, or the map the
+        # last trial returned
+        if trial == 0:
+            y = np.arange(1 << d)
+        elif trial % 3 == 1:
+            y = rng.permutation(1 << d)
+        want_map, want = _length_step_through_search_objects(counts, SymbolPermutation(d, y))
+        got_map, got = _bica_length_step(counts, y)
+        assert np.array_equal(got_map, want_map)
+        assert got.tobytes() == want.tobytes()
+        kept += not np.array_equal(got_map, y)
+        y = got_map
+    # at d = 1 every map has the same one-bit entropy, so none is kept
+    assert kept > 0 or d == 1
+
+
+def test_bica_fit_builds_no_distribution_and_one_permutation(monkeypatch):
+    # the length step works on arrays: one SymbolPermutation, the one the
+    # fit returns, and no JointDistribution, however many sweeps run
+    built = {"JointDistribution": 0, "SymbolPermutation": 0}
+    for cls in (JointDistribution, SymbolPermutation):
+        def counted(self, _init=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    x = sample(SourceSpec.gaussian_mixture(6, seed=1), 1000)
+    for lam in (0.01, 10.0):
+        built.update(JointDistribution=0, SymbolPermutation=0)
+        st, _ = bica_ecvq_fit(x, 64, lam, seed=1)
+        assert st.history.size > 1
+        assert built == {"JointDistribution": 0, "SymbolPermutation": 1}
 
 
 def test_bica_ecvq_monotone_history():

@@ -10,6 +10,10 @@ that moves a single tie or rounding shows here.
 One more pair pins both fits on one-dimensional samples, where a
 cluster's mean is summed by ``bincount`` in sample order while
 ``x[assign == c].mean(axis=0)`` would sum its single column pairwise.
+
+One more digest pins ``bica_ecvq_fit`` at 40 initial clusters, whose
+indices are embedded in 6 bits: the 24 indices no cluster owns carry zero
+probability in every sweep's length step.
 """
 
 import hashlib
@@ -43,6 +47,10 @@ DIM1_DIGESTS = {
     "bica": "8f96d2ac4ac521fd5a20794ba28fdbcaf6581dec55fa2510642a0a598c719f45",
 }
 
+# (m_init, seed, lambda) of the fit whose index embedding has an empty tail
+PADDED_CASE = (40, 1, 0.01)
+PADDED_DIGEST = "d934c664d4ce29436e426b737c4d3a15cf0a5ed147fc47614b0ba5ac49eaaef2"
+
 
 def _samples(seed):
     return sample(SourceSpec.gaussian_mixture(DIM, seed=seed), N)
@@ -73,3 +81,9 @@ def test_one_dimensional_fits_pinned():
     assert _digest(ecvq_fit(x, m_init, lam, seed=seed)) == DIM1_DIGESTS["ecvq"]
     state, g = bica_ecvq_fit(x, m_init, lam, seed=seed)
     assert _digest(state, g.map) == DIM1_DIGESTS["bica"]
+
+
+def test_bica_ecvq_fit_padded_index_tail_pinned():
+    m_init, seed, lam = PADDED_CASE
+    state, g = bica_ecvq_fit(_samples(seed), m_init, lam, seed=seed)
+    assert _digest(state, g.map) == PADDED_DIGEST

@@ -174,24 +174,15 @@ def expected_marginal_bound(m: int, j: int) -> tuple[float, float]:
 
 def ordered_gap_bound(m: int) -> float:
     """Upper bound on the mean total correlation under the ordering transform
-    over the uniform simplex: exact per-bit bounds for the ten coarsest bits,
-    1 bit for each remaining bit, minus the mean joint entropy. Requires
-    d >= 10; tends to just under 0.0162 as m grows."""
-    d = m.bit_length() - 1
-    if m != 1 << d or d < 10:
-        raise ValueError("need m = 2^d with d >= 10")
-    head = sum(expected_marginal_bound(m, j)[0] for j in range(1, 11))
-    return head + (d - 10) - expected_joint_entropy(m)
-
-
-def ordered_gap_bound_all_bits(m: int) -> float:
-    """Tighter variant of ordered_gap_bound using the exact per-bit bound for
-    every bit instead of capping bits past the tenth at 1."""
+    over the uniform simplex: exact per-bit bounds for the min(d, 10)
+    coarsest bits, 1 bit for each bit past the tenth, minus the mean joint
+    entropy. Requires m = 2^d with d >= 1; tends to just under 0.0162 as m
+    grows."""
     d = m.bit_length() - 1
     if m != 1 << d or d < 1:
-        raise ValueError("need m = 2^d")
-    total = sum(expected_marginal_bound(m, j)[0] for j in range(1, d + 1))
-    return total - expected_joint_entropy(m)
+        raise ValueError("need m = 2^d with d >= 1")
+    head = sum(expected_marginal_bound(m, j)[0] for j in range(1, min(d, 10) + 1))
+    return head + max(d - 10, 0) - expected_joint_entropy(m)
 
 
 def identity_gap_limit() -> float:

@@ -20,6 +20,10 @@ GRID_MAX_POINTS = 10_000  # points a start:stop:step grid may hold
 # Sample values (n x dim) a vq ecvq sweep may fit: 2^23 float64 take 64 MiB,
 # and a fit's working arrays peak near six times its samples.
 ECVQ_MAX_VALUES = 1 << 23
+THEORY_MAX_BITS = 14  # a Monte Carlo shard, 500 x 2^d float64s, peaks near 200 MiB per core
+THEORY_MAX_DRAWS = 10 ** 6  # 10^5 draws take 2.4 s at d = 10, and the shard list grows with them
+CLASSIC_MAX_SYMBOLS = 1 << 20  # Huffman and order search peak near 170 MiB, past 1.5 GiB at 2^24
+UNIVERSAL_MAX_SAMPLES = 1 << 24  # 128 MiB of int64 samples; a run on them peaks near 470 MiB
 
 
 class DataError(Exception):
@@ -67,8 +71,8 @@ def _parse_grid(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def run_classic_zipf(m: int, s_grid, csv: str | None = None) -> list[list]:
-    if m < 2 or m & (m - 1):
-        raise ValueError(f"--m must be a power of two of at least 2, got {m}")
+    if m < 2 or m & (m - 1) or m > CLASSIC_MAX_SYMBOLS:
+        raise ValueError(f"--m must be a power of two in 2..{CLASSIC_MAX_SYMBOLS}, got {m}")
     d = m.bit_length() - 1
     rows = []
     for s in s_grid:
@@ -87,8 +91,12 @@ def run_classic_zipf(m: int, s_grid, csv: str | None = None) -> list[list]:
 
 
 def run_theory_bounds(d: int, draws: int, seed: int, csv: str | None = None) -> list[list]:
+    if not 1 <= d <= THEORY_MAX_BITS:
+        raise ValueError(f"--d must lie in 1..{THEORY_MAX_BITS}, got {d}")
+    if draws > THEORY_MAX_DRAWS:
+        raise ValueError(f"--draws must be at most {THEORY_MAX_DRAWS}, got {draws}")
     m = 1 << d
-    bound = bounds.ordered_gap_bound(m) if d >= 10 else bounds.ordered_gap_bound_all_bits(m)
+    bound = bounds.ordered_gap_bound(m)
     mean, se = bounds.mc_ordered_gap(d, draws, seed)
     rows = [[m, bound, mean, se]]
     _write_csv(csv, ["m", "bound", "monte_carlo_mean", "stderr"], rows)
@@ -96,8 +104,8 @@ def run_theory_bounds(d: int, draws: int, seed: int, csv: str | None = None) -> 
 
 
 def run_universal(samples: np.ndarray, d: int, b: int, iters: int, seed: int,
-                  csv: str | None = None, method: str = "auto", k: int = 8) -> universal.CostReport:
-    result = universal.descend(samples, d, b, method=method, max_iters=iters, seed=seed, k=k)
+                  csv: str | None = None, method: str = "auto") -> universal.CostReport:
+    result = universal.descend(samples, d, b, method=method, max_iters=iters, seed=seed)
     base = universal.baseline_costs(samples, 1 << d)
     report = universal.total_cost_curve(result, samples.size, base)
     baselines = [report.baseline_standard, report.baseline_pattern, report.baseline_canonical]
@@ -156,8 +164,7 @@ def run_vq_lattice(dim: int, n: int, kind: str, scales, seed: int,
     return rows
 
 
-def run_compress(input_path: str, output_path: str, blocks: int = 2,
-                 method: str = "order", k: int = 8) -> None:
+def run_compress(input_path: str, output_path: str, blocks: int = 2) -> None:
     d = 8
     if not 1 <= blocks <= d:
         raise ValueError(f"--blocks must lie in 1..{d}, got {blocks}")
@@ -170,8 +177,7 @@ def run_compress(input_path: str, output_path: str, blocks: int = 2,
     symbols = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
     counts = np.bincount(symbols, minlength=1 << d)
     if symbols.size:
-        dist = JointDistribution(d, counts / counts.sum())
-        g = block_bica(dist, method, k=k).g
+        g = order_permutation(JointDistribution(d, counts / counts.sum())).g
     else:
         g = SymbolPermutation.identity(d)
     enc = coding.marginal_encode(symbols, g, coding.BlockPartition(np.arange(d), sizes))
@@ -229,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     un.add_argument("--iters", type=int, default=30)
     un.add_argument("--seed", type=int, default=0)
     un.add_argument("--method", default="auto", choices=["auto", "order", "piecewise"])
-    un.add_argument("--k", type=int, default=8, help="piecewise-envelope segments")
     un.add_argument("--csv")
 
     vqp = sub.add_parser("vq", help="quantizer experiments")
@@ -258,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("output")
     cp.add_argument("--blocks", type=int, default=2,
                     help="bit blocks per byte, 1-8; widths differ by at most one, wider first")
-    cp.add_argument("--method", default="order", choices=["order", "piecewise"])
-    cp.add_argument("--k", type=int, default=8, help="piecewise-envelope segments")
 
     dp = sub.add_parser("decompress", help="invert compress")
     dp.add_argument("input")
@@ -268,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _universal_samples(args) -> tuple[np.ndarray, int]:
-    if args.n < 0:
-        raise ValueError("--n must be non-negative")
+    if not 0 <= args.n <= UNIVERSAL_MAX_SAMPLES:
+        raise ValueError(f"--n must lie in 0..{UNIVERSAL_MAX_SAMPLES}, got {args.n}")
     if args.zipf:
         bad = ValueError(f"--zipf {args.zipf!r} must be m=<int> or m=<int>,s=<float>")
         params = dict(kv.partition("=")[::2] for kv in args.zipf.split(","))
@@ -299,8 +302,7 @@ def main(argv: list[str] | None = None) -> int:
             run_theory_bounds(args.d, args.draws, args.seed, args.csv)
         elif args.cmd == "universal":
             samples, d = _universal_samples(args)
-            run_universal(samples, d, args.b, args.iters, args.seed, args.csv,
-                          args.method, args.k)
+            run_universal(samples, d, args.b, args.iters, args.seed, args.csv, args.method)
         elif args.cmd == "vq":
             if args.vq_cmd in ("ecvq", "bica-ecvq"):
                 if args.lambdas:
@@ -315,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
                 run_vq_lattice(args.dim, args.n, args.kind,
                                _parse_grid(args.scales), args.seed, args.csv)
         elif args.cmd == "compress":
-            run_compress(args.input, args.output, args.blocks, args.method, args.k)
+            run_compress(args.input, args.output, args.blocks)
         elif args.cmd == "decompress":
             run_decompress(args.input, args.output)
     except DataError as exc:

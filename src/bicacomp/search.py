@@ -6,19 +6,20 @@ Three routes with increasing cost/quality:
   ascending codewords. Linear-time, minimizes each bit's marginal entropy
   sequentially from the most significant bit down.
 * ``piecewise_relaxation`` -- upper-bound the concave binary entropy with k
-  tangent segments, enumerate placements of the d bit marginals into the k
-  segments, and solve each placement as a linear assignment of sorted
-  probabilities to sorted coefficients. The allocation orders do not
-  depend on the distribution and are cached per (d, k) as a read-only rank
-  table: one row per distinct order, its inverse permutation, so that
-  ``p_desc[ranks]`` lays out every placement's probabilities over the
-  codewords. Placements share orders (1083 distinct of 1716 at (6, 8);
-  6362 of 6435 at (8, 8) and 19189 of 19448 at (10, 8)); each placement
-  keeps an index into the table. The table holds distinct orders x 2^d
-  entries (69 KB at (6, 8), 39 MB at (10, 8)), at most C(d+k-1, d) x 2^d:
-  ``PIECEWISE_MAX_ENTRIES`` caps that count at the (10, 8) size. All
-  placements are screened by one gather and one matmul, and only those
-  within the screen's error of the best are evaluated exactly.
+  tangent segments (``block_bica`` uses k = DEFAULT_PIECES = 8), enumerate
+  placements of the d bit marginals into the k segments, and solve each
+  placement as a linear assignment of sorted probabilities to sorted
+  coefficients. The allocation orders do not depend on the distribution
+  and are cached per (d, k) as a read-only rank table: one row per
+  distinct order, its inverse permutation, so that ``p_desc[ranks]`` lays
+  out every placement's probabilities over the codewords. Placements
+  share orders (1083 distinct of 1716 at (6, 8); 6362 of 6435 at (8, 8)
+  and 19189 of 19448 at (10, 8)); each placement keeps an index into the
+  table. The table holds distinct orders x 2^d entries (69 KB at (6, 8),
+  39 MB at (10, 8)), at most C(d+k-1, d) x 2^d: ``PIECEWISE_MAX_ENTRIES``
+  caps that count at the (10, 8) size, the widest ``block_bica`` searches.
+  All placements are screened by one gather and one matmul, and only
+  those within the screen's error of the best are evaluated exactly.
 * ``brute_force_optimum`` -- exact minimum over all m! permutations, only
   for d <= 3; the oracle the other two are tested against.
 """
@@ -47,9 +48,6 @@ log = logging.getLogger(__name__)
 REGION_TOL = 1e-12  # boundary points belong to both regions
 DEFAULT_PIECES = 8
 PIECEWISE_MAX_BITS = 10
-# Placements x symbols of the largest (d, k) piecewise search runs at: the
-# (10, 8) count, C(17, 10) x 2^10 = 19,914,752, bounds its rank table.
-PIECEWISE_MAX_ENTRIES = math.comb(17, 10) << 10
 BLOCK_MAX_BITS = 16
 # Bound on the error of a screened marginal or objective. The screen sums
 # in another order than the exact evaluation; at d = 10 the round-off is
@@ -122,6 +120,10 @@ def _table_entries(d: int, k: int) -> int:
     """Placements x symbols at (d, k), C(d+k-1, d) x 2^d: a bound on the
     entries of the (d, k) rank table."""
     return math.comb(d + k - 1, d) << d
+
+
+# Placements x symbols at (10, 8), 19,914,752: the largest rank table.
+PIECEWISE_MAX_ENTRIES = _table_entries(PIECEWISE_MAX_BITS, DEFAULT_PIECES)
 
 
 @functools.lru_cache(maxsize=8)
@@ -271,22 +273,23 @@ def brute_force_optimum(p: JointDistribution) -> SearchResult:
     return SearchResult(SymbolPermutation(d, gmap), float(objs[n_best]))
 
 
-def block_bica(p_block: JointDistribution, method: str = "order",
-               k: int = DEFAULT_PIECES) -> SearchResult:
-    """Run a marginal-entropy search, 'order' or 'piecewise', on a block of at
-    most BLOCK_MAX_BITS bits treated as a standalone vector. Piecewise search
-    over blocks wider than PIECEWISE_MAX_BITS, or whose (b, k) order table
-    would exceed PIECEWISE_MAX_ENTRIES, falls back to ordering with a warning."""
+def block_bica(p_block: JointDistribution, method: str = "order") -> SearchResult:
+    """Run a marginal-entropy search, 'order', 'piecewise' (at k =
+    DEFAULT_PIECES) or 'auto', on a block of at most BLOCK_MAX_BITS bits
+    treated as a standalone vector. 'auto' is piecewise up to
+    PIECEWISE_MAX_BITS bits and order above; piecewise search over a block
+    wider than PIECEWISE_MAX_BITS falls back to ordering with a warning."""
     b = p_block.d
     if b > BLOCK_MAX_BITS:
         raise ValueError(f"block dimension {b} exceeds maximum {BLOCK_MAX_BITS}")
+    if method == "auto":
+        method = "piecewise" if b <= PIECEWISE_MAX_BITS else "order"
     if method == "order":
         return order_permutation(p_block)
     if method == "piecewise":
-        if b > PIECEWISE_MAX_BITS or _table_entries(b, k) > PIECEWISE_MAX_ENTRIES:
-            log.warning("piecewise search infeasible at b=%d, k=%d; using order permutation",
-                        b, k)
+        if b > PIECEWISE_MAX_BITS:
+            log.warning("piecewise search infeasible at b=%d; using order permutation", b)
             res = order_permutation(p_block)
             return SearchResult(res.g, res.objective, fallback=True)
-        return piecewise_relaxation(p_block, k)
+        return piecewise_relaxation(p_block, DEFAULT_PIECES)
     raise ValueError(f"unknown search method {method!r}")

@@ -38,7 +38,7 @@ from .coding import (
     write_container,
 )
 from .distributions import JointDistribution, binary_entropy, bit_zero_marginals, entropy_bits
-from .search import PIECEWISE_MAX_BITS, block_bica
+from .search import block_bica
 
 DESCENT_TOL = 1e-6
 
@@ -99,8 +99,7 @@ def _block_stats(values: np.ndarray, weights: np.ndarray, partition: BlockPartit
 
 
 def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
-            seed: int = 0, init_shuffles: int = 32, patience: int = 10,
-            k: int = 8) -> DescentResult:
+            seed: int = 0, init_shuffles: int = 32, patience: int = 10) -> DescentResult:
     """Run the shuffle-and-transform descent on d-bit samples.
 
     Iteration 0 is the naive search: the best bit arrangement by
@@ -110,7 +109,9 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
     iterations shuffle once and apply the per-block search, keeping each
     block's transform only when it lowers that block's marginal-entropy
     sum; proposals that improve the bound by less than DESCENT_TOL
-    bits/symbol are discarded. Terminates at ``max_iters`` accepted
+    bits/symbol are discarded. ``method`` is ``block_bica``'s, which
+    resolves 'auto' per block: piecewise up to PIECEWISE_MAX_BITS bits,
+    order above. Terminates at ``max_iters`` accepted
     iterations or once ``patience`` consecutive proposals fail to improve
     (the point where the bound can no longer be decreased, as far as random
     search can tell). Raises ValueError on an empty sample, on max_iters < 0
@@ -123,8 +124,6 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
         raise ValueError(f"max_iters must be non-negative, got {max_iters}")
     z, _, weights = _group(x, d)
     partition = BlockPartition.contiguous(d, b)
-    if method == "auto":
-        method = "piecewise" if b <= PIECEWISE_MAX_BITS else "order"
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     # naive initialization: lowest block-entropy sum over candidate shuffles
@@ -149,7 +148,7 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
         transforms = []
         for counts, size, ident_obj in zip(counts_list, partition.sizes, ident_bounds):
             probs = counts / x.size
-            res = block_bica(JointDistribution(size, probs), method, k=k)
+            res = block_bica(JointDistribution(size, probs), method)
             if res.objective < ident_obj - 1e-15:
                 transforms.append(res.g.map)
                 new_bound += res.objective

@@ -140,17 +140,16 @@ def ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
     return _lloyd(x, m_init, lam, seed, max_sweeps, init, ideal_lengths)
 
 
-def _index_bit_lengths(probs: np.ndarray, g) -> np.ndarray:
-    """Per-cluster length under bit-wise coding of the transformed index:
-    sum over bits of -log2 of the marginal probability of that bit value.
-    ``g`` is the transform, a SymbolPermutation or its map.
+def _index_bit_lengths(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-cluster length under bit-wise coding of the index transformed by
+    the map ``y``: sum over bits of -log2 of the marginal probability of
+    that bit value.
 
     Each bit's zero mass is gathered in index order and summed per row, the
     same elements in the same order as the masked sum ``probs[bit == 0]``
     the pinned fit histories were recorded with (``bit_zero_marginals``
     sums in another order); the bits' logs are added one bit at a time and
     subtracted from 0.0, so a zero length is +0.0."""
-    y = g.map if isinstance(g, SymbolPermutation) else g
     d = y.size.bit_length() - 1
     bits = (y >> np.arange(d)[:, None]) & 1
     zero = bits == 0

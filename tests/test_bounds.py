@@ -14,7 +14,6 @@ from bicacomp.bounds import (
     identity_gap_limit,
     minimax_redundancy,
     ordered_gap_bound,
-    ordered_gap_bound_all_bits,
     pattern_dictionary_cost,
     standard_redundancy,
     worst_case_gap,
@@ -224,14 +223,18 @@ def test_ordered_gap_bound_values():
     b20 = ordered_gap_bound(1 << 20)
     assert abs(b20 - 0.0162) < 1e-3
     assert b20 < b10
-    with pytest.raises(ValueError):
-        ordered_gap_bound(1 << 9)
+    for m in (0, 1, 3, 1000):
+        with pytest.raises(ValueError):
+            ordered_gap_bound(m)
 
 
-def test_ordered_gap_bound_all_bits_is_tighter():
-    for d in (10, 12):
-        m = 1 << d
-        assert ordered_gap_bound_all_bits(m) <= ordered_gap_bound(m) + 1e-12
+@pytest.mark.parametrize("d", range(1, 10))
+def test_ordered_gap_bound_below_ten_bits_sums_every_bit(d):
+    # below ten bits no bit is capped at 1: the bound is the exact per-bit
+    # sum over all d bits, which theory-bounds prints for d < 10
+    m = 1 << d
+    total = sum(expected_marginal_bound(m, j)[0] for j in range(1, d + 1))
+    assert ordered_gap_bound(m) == total - expected_joint_entropy(m)
 
 
 def test_monte_carlo_ordered_gap_below_bound():

@@ -1,11 +1,14 @@
+import argparse
+import ast
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bicacomp import cli, coding, universal
+from bicacomp import cli, coding, sources, universal, vq
 from bicacomp.distributions import JointDistribution, SymbolPermutation
 from bicacomp.search import block_bica
 
@@ -59,6 +62,19 @@ def test_universal_run_csv(tmp_path):
     assert all(a >= b - 1e-9 for a, b in zip(bounds, bounds[1:]))
 
 
+def test_universal_method_order_runs_the_order_search(tmp_path):
+    out = tmp_path / "un.csv"
+    assert run_main(["universal", "run", "--zipf", "m=256,s=1.2", "--d", "8", "--b", "4",
+                     "--n", "5000", "--iters", "6", "--seed", "3", "--method", "order",
+                     "--csv", str(out)]) == 0
+    bounds = [float(r[1]) for r in read_csv(out)[1]]
+    x = sources.sample(sources.SourceSpec.zipf(256, 1.2, 3), 5000)
+    order = universal.descend(x, 8, 4, method="order", max_iters=6, seed=3).bounds
+    auto = universal.descend(x, 8, 4, method="auto", max_iters=6, seed=3).bounds
+    assert bounds == [float(format(b, ".10g")) for b in order]
+    assert bounds[-1] > auto[-1]  # the default searches piecewise
+
+
 def test_universal_requires_source(tmp_path):
     rc = run_main(["universal", "run", "--d", "8", "--b", "4"])
     assert rc == 2
@@ -77,6 +93,51 @@ def test_theory_bounds_takes_no_worker_count():
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["theory-bounds", "--workers", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["universal", "run", "--zipf", "m=64", "--d", "6", "--b", "3", "--k", "8"],
+    ["compress", "in.bin", "out.bac", "--k", "8"],
+    ["compress", "in.bin", "out.bac", "--method", "order"],
+])
+def test_search_options_with_one_value_in_use_are_gone(argv):
+    # the piecewise search runs at 8 segments, and compress always orders
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+def _subcommand_flags(parser, path=()):
+    """(subcommand path, --flag) of every option of every subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommand_flags(sub, (*path, name))
+        elif path:
+            yield from ((path, flag) for flag in action.option_strings
+                        if flag.startswith("--") and flag != "--help")
+
+
+def _argvs_in_this_file():
+    """(leading string constants, all string constants) of every list
+    literal in this file: an argv names the subcommand its leading
+    constants spell."""
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.List):
+            strings = [e.value if isinstance(e, ast.Constant) and isinstance(e.value, str)
+                       else None for e in node.elts]
+            lead = tuple(strings[:strings.index(None)] if None in strings else strings)
+            out.append((lead, {v for v in strings if v is not None}))
+    return out
+
+
+def test_every_cli_flag_is_set_by_a_cli_test():
+    argvs = _argvs_in_this_file()
+    unset = [f"{' '.join(path)} {flag}" for path, flag in _subcommand_flags(cli.build_parser())
+             if not any(lead[:len(path)] == path and flag in strings for lead, strings in argvs)]
+    assert unset == []
 
 
 def test_universal_missing_input_file(tmp_path):
@@ -113,6 +174,31 @@ def test_vq_ecvq_csv(tmp_path):
     assert rc == 0
     _, rows = read_csv(out)
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["vq", "ecvq", "--lambda-min", "0.05", "--lambda-max", "2.0", "--lambda-count", "3"],
+    ["vq", "bica-ecvq", "--lambda-min", "0.05", "--lambda-max", "2.0", "--lambda-count", "3"],
+])
+def test_vq_lambda_ends_give_a_geometric_grid(tmp_path, argv):
+    ends, grid = tmp_path / "ends.csv", tmp_path / "grid.csv"
+    common = ["--dim", "3", "--n", "300", "--m-init", "16", "--seed", "5"]
+    assert run_main([*argv, *common, "--csv", str(ends)]) == 0
+    lambdas = ",".join(repr(float(v)) for v in np.geomspace(0.05, 2.0, 3))
+    assert run_main([*argv[:2], *common, "--lambdas", lambdas, "--csv", str(grid)]) == 0
+    assert len(read_csv(ends)[1]) == 3
+    assert ends.read_text() == grid.read_text()
+
+
+def test_vq_lattice_kind_d4(tmp_path):
+    d4, cubic = tmp_path / "d4.csv", tmp_path / "cubic.csv"
+    argv = ["--dim", "4", "--n", "2000", "--scales", "0.8", "--seed", "5"]
+    assert run_main(["vq", "lattice", "--kind", "d4", *argv, "--csv", str(d4)]) == 0
+    assert run_main(["vq", "lattice", *argv, "--csv", str(cubic)]) == 0
+    x = np.random.default_rng(np.random.SeedSequence(5)).standard_normal((2000, 4))
+    want = vq.lattice_rate_report(x, vq.Lattice("d4", 4, 0.8), "joint").distortion
+    assert float(read_csv(d4)[1][0][0]) == float(format(want, ".10g"))
+    assert d4.read_text() != cubic.read_text()
 
 
 def test_vq_bica_ecvq_csv(tmp_path):
@@ -158,6 +244,12 @@ def test_empty_or_zero_step_grids_exit_2(capsys, argv):
     (["vq", "ecvq", "--dim", "2", "--n", "10000000000", "--m-init", "8"], "--n x --dim"),
     (["vq", "ecvq", "--lambda-count", "100000000000"], "--lambda-count"),
     (["vq", "ecvq", "--lambda-count", "0"], "--lambda-count"),  # printed only the CSV header
+    # each asked NumPy for 8 TiB, 8 TiB and 74.5 GiB, and exited 1 with its memory error
+    (["theory-bounds", "--d", "40", "--draws", "10"], "--d"),
+    (["classic-zipf", "--m", "1099511627776", "--s-grid", "1"], "--m"),
+    (["universal", "run", "--zipf", "m=4096,s=1.2", "--d", "12", "--b", "6",
+      "--n", "10000000000"], "--n"),
+    (["theory-bounds", "--d", "10", "--draws", "100000000000"], "--draws"),  # ran past a 20 s timeout
 ])
 def test_out_of_range_options_exit_2(capsys, argv, named):
     assert run_main(argv) == 2

@@ -415,7 +415,7 @@ def test_block_bica_matches_brute_on_small_blocks():
     rng = np.random.default_rng(67)
     for _ in range(10):
         p = JointDistribution(3, rng.dirichlet(np.ones(8)))
-        res = block_bica(p, "piecewise", k=16)
+        res = piecewise_relaxation(p, 16)
         assert res.objective <= brute_force_optimum(p).objective + 1e-3
 
 
@@ -436,20 +436,27 @@ def test_block_bica_piecewise_fallback_warns_and_orders():
     assert res.objective == order_permutation(p).objective
 
 
+def test_block_bica_auto_is_piecewise_up_to_ten_bits_and_order_above():
+    rng = np.random.default_rng(79)
+    for b in (3, 10, 11):
+        p = JointDistribution(b, rng.dirichlet(np.ones(1 << b)))
+        res = block_bica(p, "auto")
+        want = piecewise_relaxation(p, 8) if b <= 10 else order_permutation(p)
+        assert not res.fallback
+        assert np.array_equal(res.g.map, want.g.map)
+        assert res.objective == want.objective
+
+
 def test_block_bica_falls_back_above_the_order_table_cap(monkeypatch):
-    # (10, 16) would need C(25, 10) x 2^10 entries, about 6.7 GB
-    assert search._table_entries(10, 16) > search.PIECEWISE_MAX_ENTRIES
-    assert search._table_entries(10, 8) <= search.PIECEWISE_MAX_ENTRIES
+    # the cap is the table of the widest block search: (10, 8)
+    assert search.PIECEWISE_MAX_ENTRIES == search._table_entries(10, 8)
 
     def refuse(d, k):
         raise AssertionError(f"order table built at d={d}, k={k}")
 
     monkeypatch.setattr(search, "_placements", refuse)
-    probs = np.random.default_rng(73).dirichlet(np.ones(1 << 10))
-    p = JointDistribution(10, probs)
-    res = block_bica(p, "piecewise", k=16)
-    assert res.fallback
-    assert res.objective == order_permutation(p).objective
+    p = JointDistribution(10, np.random.default_rng(73).dirichlet(np.ones(1 << 10)))
+    # (10, 16) would need C(25, 10) x 2^10 entries, about 6.7 GB
     with pytest.raises(ValueError, match="order-table entries"):
         piecewise_relaxation(p, 16)
 

@@ -145,7 +145,7 @@ def test_index_bit_lengths_product_occupancy_equals_joint():
     # joint ideal length for every cluster
     q0, q1 = 0.3, 0.6
     probs = np.array([q0 * q1, (1 - q0) * q1, q0 * (1 - q1), (1 - q0) * (1 - q1)])
-    lens = _index_bit_lengths(probs, SymbolPermutation.identity(2))
+    lens = _index_bit_lengths(probs, SymbolPermutation.identity(2).map)
     assert np.allclose(lens, -np.log2(probs), atol=1e-12)
 
 

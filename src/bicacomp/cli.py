@@ -22,7 +22,9 @@ GRID_MAX_POINTS = 10_000  # points a start:stop:step grid may hold
 ECVQ_MAX_VALUES = 1 << 23
 THEORY_MAX_BITS = 14  # a Monte Carlo shard, 500 x 2^d float64s, peaks near 200 MiB per core
 THEORY_MAX_DRAWS = 10 ** 6  # 10^5 draws take 2.4 s at d = 10, and the shard list grows with them
-CLASSIC_MAX_SYMBOLS = 1 << 20  # Huffman and order search peak near 170 MiB, past 1.5 GiB at 2^24
+# Whole-alphabet Huffman and order search over classic-zipf's --m and universal
+# run's 2^--d symbols peak near 170 MiB, past 1.5 GiB at 2^24
+CLASSIC_MAX_SYMBOLS = 1 << 20
 UNIVERSAL_MAX_SAMPLES = 1 << 24  # 128 MiB of int64 samples; a run on them peaks near 470 MiB
 
 
@@ -127,6 +129,8 @@ def run_vq_ecvq(dim: int, n: int, m_init: int, lambdas, seed: int, variant: str,
                 csv: str | None = None) -> list[list]:
     if n * dim > ECVQ_MAX_VALUES:
         raise ValueError(f"--n x --dim = {n * dim} sample values exceed {ECVQ_MAX_VALUES}")
+    if m_init > vq.INDEX_MAX_CLUSTERS:
+        raise ValueError(f"--m-init must be at most {vq.INDEX_MAX_CLUSTERS}, got {m_init}")
     spec = sources.SourceSpec.gaussian_mixture(dim, seed)
     x = sources.sample(spec, n)
     rows = []
@@ -180,7 +184,7 @@ def run_compress(input_path: str, output_path: str, blocks: int = 2) -> None:
         g = order_permutation(JointDistribution(d, counts / counts.sum())).g
     else:
         g = SymbolPermutation.identity(d)
-    enc = coding.marginal_encode(symbols, g, coding.BlockPartition(np.arange(d), sizes))
+    enc = coding.marginal_encode(symbols, g, coding.BlockPartition(sizes))
     with open(output_path, "wb") as fh:
         fh.write(enc.container)
     print(f"# {symbols.size} bytes -> {len(enc.container)} bytes "
@@ -234,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     un.add_argument("--n", type=int, default=100000)
     un.add_argument("--iters", type=int, default=30)
     un.add_argument("--seed", type=int, default=0)
-    un.add_argument("--method", default="auto", choices=["auto", "order", "piecewise"])
+    un.add_argument("--method", default="auto", choices=["auto", "order"])
     un.add_argument("--csv")
 
     vqp = sub.add_parser("vq", help="quantizer experiments")
@@ -271,6 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _universal_samples(args) -> tuple[np.ndarray, int]:
+    max_bits = CLASSIC_MAX_SYMBOLS.bit_length() - 1
+    if not 1 <= args.d <= max_bits:
+        raise ValueError(f"--d must lie in 1..{max_bits}, got {args.d}")
     if not 0 <= args.n <= UNIVERSAL_MAX_SAMPLES:
         raise ValueError(f"--n must lie in 0..{UNIVERSAL_MAX_SAMPLES}, got {args.n}")
     if args.zipf:
@@ -282,6 +289,8 @@ def _universal_samples(args) -> tuple[np.ndarray, int]:
             m, s = int(params["m"]), float(params.get("s", 1.2))
         except ValueError:
             raise bad from None
+        if not 1 <= m <= 1 << args.d:
+            raise ValueError(f"--zipf m must lie in 1..{1 << args.d} (2^--d), got {m}")
         spec = sources.SourceSpec.zipf(m, s, args.seed)
     elif args.input:
         spec = sources.SourceSpec.frequency_list(args.input, args.d, args.seed)

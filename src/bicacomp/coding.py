@@ -7,11 +7,12 @@ blocks and entropy-codes each block stream separately.
 
 Both codecs write one container format (see README for the byte layout)
 through ``write_container``, and ``read_container`` parses every container:
-the header, the block sizes, the bit assignment, an optional map on all d
-bits (flag bit 0), the recorded steps (a bit shuffle and one map per block
-each), the per-block quantized frequency tables, the block streams and a
-CRC32 trailer. The decoder groups the decoded symbols once and undoes the
-steps in reverse, then the d-bit map, on the distinct symbols alone.
+the header, the block sizes, the bit assignment (always 0..d-1: blocks
+are consecutive bits), an optional map on all d bits (flag bit 0), the
+recorded steps (a bit shuffle and one map per block each), the per-block
+quantized frequency tables, the block streams and a CRC32 trailer. The
+decoder groups the decoded symbols once and undoes the steps in reverse,
+then the d-bit map, on the distinct symbols alone.
 Every field is taken through one bounds-checked reader, and a malformed
 container raises ``ContainerError``. Frequencies are quantized to 16-bit
 totals; zero-count symbols are excluded from code construction under the
@@ -404,43 +405,40 @@ def arithmetic_decode(bits, probs, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Assignment of d bit positions into consecutive groups. ``assignment``
-    is a permutation of 0..d-1; group v covers sizes[v] consecutive entries."""
+    """Consecutive blocks of a symbol's bits from bit 0: block v holds the
+    sizes[v] bits above blocks 0..v-1. Raises ValueError on a width outside
+    1..16 (the decoder's slot table holds ALPHABET_CAP values) and on more
+    than 63 bits, which int64 symbols and the header's byte fields cannot hold."""
 
-    assignment: np.ndarray
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.assignment, dtype=np.int64)
-        if sum(self.sizes) != a.size or any(s < 1 for s in self.sizes):
-            raise ValueError("group sizes must cover all bit positions")
-        inverse_permutation(a)
-        a.flags.writeable = False
-        object.__setattr__(self, "assignment", a)
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        sizes = tuple(int(s) for s in self.sizes)
+        if not all(0 < s and 1 << s <= ALPHABET_CAP for s in sizes):
+            raise ValueError(f"block sizes {sizes} outside 1..{ALPHABET_CAP.bit_length() - 1} bits")
+        if sum(sizes) > 63:
+            raise ValueError(f"{sum(sizes)}-bit symbols exceed the 63 bits of an int64")
+        object.__setattr__(self, "sizes", sizes)
 
     @classmethod
     def contiguous(cls, d: int, b: int) -> "BlockPartition":
-        """Consecutive groups of b bits; when b does not divide d the last
-        group is smaller."""
+        """Blocks of b bits; when b does not divide d the last block is
+        smaller."""
         if not 1 <= b <= d:
             raise ValueError("need 1 <= b <= d")
         sizes = [b] * (d // b)
         if d % b:
             sizes.append(d % b)
-        return cls(np.arange(d), tuple(sizes))
+        return cls(tuple(sizes))
 
     @property
     def d(self) -> int:
-        return int(self.assignment.size)
+        return sum(self.sizes)
 
     def groups(self) -> list[np.ndarray]:
-        out = []
-        at = 0
-        for s in self.sizes:
-            out.append(self.assignment[at: at + s])
-            at += s
-        return out
+        """The bit positions of each block, in block order."""
+        ends = np.cumsum(self.sizes, dtype=np.int64)
+        return [np.arange(end - s, end) for s, end in zip(self.sizes, ends)]
 
 
 def _bit_runs(positions) -> list[list[int]]:
@@ -610,20 +608,13 @@ def write_container(coded: np.ndarray, partition: BlockPartition, symbol_map=Non
     """The container of the d-bit symbols ``coded``, which a decoder turns
     back into the source by undoing every (bit shuffle, block maps) step of
     ``steps`` in reverse and then ``symbol_map``, a map on all d bits
-    (none when omitted). Returns (container, stream bits per block).
-    Raises ValueError on a block wider than the decoder's alphabet cap and
-    on more than 63 bits, the most an int64 symbol holds; that also keeps d
-    and the block count inside the header's byte fields."""
+    (none when omitted). Returns (container, stream bits per block)."""
     sizes = partition.sizes
-    if partition.d > 63:
-        raise ValueError(f"{partition.d}-bit symbols exceed the 63 bits of an int64")
-    if any(1 << s > ALPHABET_CAP for s in sizes):
-        raise ValueError(f"block sizes {sizes} exceed {ALPHABET_CAP.bit_length() - 1} bits")
     flags = 0 if symbol_map is None else _SYMBOL_MAP
     out = bytearray(np.array((CONTAINER_MAGIC, CONTAINER_VERSION, partition.d, len(sizes), flags,
                               coded.size, len(steps)), _HEADER))
     out += np.asarray(sizes, dtype="<u1").tobytes()
-    out += np.asarray(partition.assignment, dtype="<u1").tobytes()
+    out += np.arange(partition.d, dtype="<u1").tobytes()  # the bit assignment, always 0..d-1
     if symbol_map is not None:
         out += _pack_map(symbol_map, partition.d)
     for shuffle, maps in steps:
@@ -657,14 +648,16 @@ def read_container(blob: bytes) -> np.ndarray:
         raise ContainerError(f"unknown container flags {flags:#04x}")
     if not 0 < d <= 63:  # the symbols are decoded into int64
         raise ContainerError(f"container of {d}-bit symbols, not 1..63")
-    sizes = tuple(reader.take(n_blocks).tolist())
-    if not all(0 < s and 1 << s <= ALPHABET_CAP for s in sizes):
-        raise ContainerError(f"block sizes {sizes} outside 1..{ALPHABET_CAP.bit_length() - 1}")
-    step_bytes = d + sum(((s + 7) // 8) << s for s in sizes)
-    if n_steps * step_bytes > reader.rest.size:
-        raise ContainerError(f"{n_steps} steps run past the end of the container")
-    try:  # sizes that miss d and fields that are not permutations raise ValueError
-        partition = BlockPartition(reader.take(d), sizes)
+    try:  # a field out of range or not a permutation raises ValueError
+        partition = BlockPartition(tuple(reader.take(n_blocks).tolist()))
+        sizes = partition.sizes
+        if partition.d != d:
+            raise ValueError(f"block sizes {sizes} do not cover all bit positions of {d}")
+        if np.any(reader.take(d) != np.arange(d)):
+            raise ValueError(f"bit assignment is not 0..{d - 1} in order")
+        step_bytes = d + sum(((s + 7) // 8) << s for s in sizes)
+        if n_steps * step_bytes > reader.rest.size:
+            raise ValueError(f"{n_steps} steps run past the end of the container")
         unmap = inverse_permutation(_read_map(reader, d)) if flags & _SYMBOL_MAP else None
         steps = [(inverse_permutation(reader.take(d)),
                   [inverse_permutation(_read_map(reader, s)) for s in sizes])

@@ -48,7 +48,6 @@ log = logging.getLogger(__name__)
 REGION_TOL = 1e-12  # boundary points belong to both regions
 DEFAULT_PIECES = 8
 PIECEWISE_MAX_BITS = 10
-BLOCK_MAX_BITS = 16
 # Bound on the error of a screened marginal or objective. The screen sums
 # in another order than the exact evaluation; at d = 10 the round-off is
 # under 3e-13 per marginal and 1e-10 per objective.
@@ -274,22 +273,11 @@ def brute_force_optimum(p: JointDistribution) -> SearchResult:
 
 
 def block_bica(p_block: JointDistribution, method: str = "order") -> SearchResult:
-    """Run a marginal-entropy search, 'order', 'piecewise' (at k =
-    DEFAULT_PIECES) or 'auto', on a block of at most BLOCK_MAX_BITS bits
-    treated as a standalone vector. 'auto' is piecewise up to
-    PIECEWISE_MAX_BITS bits and order above; piecewise search over a block
-    wider than PIECEWISE_MAX_BITS falls back to ordering with a warning."""
-    b = p_block.d
-    if b > BLOCK_MAX_BITS:
-        raise ValueError(f"block dimension {b} exceeds maximum {BLOCK_MAX_BITS}")
-    if method == "auto":
-        method = "piecewise" if b <= PIECEWISE_MAX_BITS else "order"
-    if method == "order":
-        return order_permutation(p_block)
-    if method == "piecewise":
-        if b > PIECEWISE_MAX_BITS:
-            log.warning("piecewise search infeasible at b=%d; using order permutation", b)
-            res = order_permutation(p_block)
-            return SearchResult(res.g, res.objective, fallback=True)
+    """Run a marginal-entropy search on a block treated as a standalone
+    vector: 'order', or 'auto', which is the piecewise relaxation at k =
+    DEFAULT_PIECES up to PIECEWISE_MAX_BITS bits and order above."""
+    if method not in ("auto", "order"):
+        raise ValueError(f"unknown search method {method!r}")
+    if method == "auto" and p_block.d <= PIECEWISE_MAX_BITS:
         return piecewise_relaxation(p_block, DEFAULT_PIECES)
-    raise ValueError(f"unknown search method {method!r}")
+    return order_permutation(p_block)

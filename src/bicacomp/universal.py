@@ -59,9 +59,12 @@ class DescentResult:
     """The descent's history: the coded symbols are the samples pushed
     through ``steps`` in order."""
 
-    d: int
     partition: BlockPartition
     steps: tuple[PipelineStep, ...]
+
+    @property
+    def d(self) -> int:
+        return self.partition.d
 
     @property
     def bounds(self) -> np.ndarray:
@@ -109,21 +112,21 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
     iterations shuffle once and apply the per-block search, keeping each
     block's transform only when it lowers that block's marginal-entropy
     sum; proposals that improve the bound by less than DESCENT_TOL
-    bits/symbol are discarded. ``method`` is ``block_bica``'s, which
-    resolves 'auto' per block: piecewise up to PIECEWISE_MAX_BITS bits,
-    order above. Terminates at ``max_iters`` accepted
-    iterations or once ``patience`` consecutive proposals fail to improve
-    (the point where the bound can no longer be decreased, as far as random
-    search can tell). Raises ValueError on an empty sample, on max_iters < 0
-    and on samples that are not 1-D integers in 0..2^d-1.
+    bits/symbol are discarded. ``method`` is ``block_bica``'s, 'order' or
+    'auto', which is piecewise up to PIECEWISE_MAX_BITS bits, order above.
+    Terminates at ``max_iters`` accepted iterations or once ``patience``
+    consecutive proposals fail to improve (the point where the bound can
+    no longer be decreased, as far as random search can tell). Raises
+    ValueError on an empty sample, on max_iters < 0, on samples that are not
+    1-D integers in 0..2^d-1, and on blocks ``BlockPartition`` rejects.
     """
     x = _symbols(samples, 1 << d)
     if x.size == 0:
         raise ValueError("cannot descend on an empty sample")
     if max_iters < 0:
         raise ValueError(f"max_iters must be non-negative, got {max_iters}")
-    z, _, weights = _group(x, d)
     partition = BlockPartition.contiguous(d, b)
+    z, _, weights = _group(x, d)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     # naive initialization: lowest block-entropy sum over candidate shuffles
@@ -162,7 +165,7 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
         z = map_blocks(cand, transforms, partition)
         bound_prev, bsum, _, _ = _block_stats(z, weights, partition)
         steps.append(PipelineStep(sh, tuple(transforms), bound_prev, bsum))
-    return DescentResult(d, partition, tuple(steps))
+    return DescentResult(partition, tuple(steps))
 
 
 def _walk(samples, result: DescentResult):
@@ -257,9 +260,8 @@ def baseline_costs(samples, m: int) -> Baselines:
     data = n * h_emp
     standard = data + standard_redundancy(m, n)
     pattern = pattern_dictionary_cost(n, n0, m, data)
-    book = canonicalize(huffman_build(probs), m)
-    avg_len = book.code().average_length(probs)
-    canonical = n * avg_len + book.serialized_bits
+    code = huffman_build(probs)
+    canonical = n * code.average_length(probs) + canonicalize(code, m).serialized_bits
     return Baselines(standard, pattern, canonical)
 
 

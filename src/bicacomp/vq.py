@@ -49,6 +49,9 @@ from .search import order_permutation
 SPHERE_STD = 5.0
 # A fit stops once a sweep lowers its Lagrangian by less than this.
 SWEEP_TOL = 1e-9
+# Clusters whose indices the bit-wise variant embeds: 16-bit index words,
+# the widest block the codecs code.
+INDEX_MAX_CLUSTERS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,7 @@ def bica_ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
     permutation is kept only when it lowers the marginal-entropy objective
     on the current occupancy, so the Lagrangian still never increases."""
     x = _fit_samples(samples, m_init, lam)
-    if m_init > 1 << 16:
+    if m_init > INDEX_MAX_CLUSTERS:
         raise ValueError("cluster budget exceeds the index embedding cap")
     d_bits = next_bit_dimension(m_init)
     gmap = np.arange(1 << d_bits)

@@ -99,27 +99,29 @@ def test_theory_bounds_takes_no_worker_count():
     ["universal", "run", "--zipf", "m=64", "--d", "6", "--b", "3", "--k", "8"],
     ["compress", "in.bin", "out.bac", "--k", "8"],
     ["compress", "in.bin", "out.bac", "--method", "order"],
+    ["universal", "run", "--zipf", "m=64", "--d", "6", "--b", "3", "--method", "piecewise"],
 ])
 def test_search_options_with_one_value_in_use_are_gone(argv):
-    # the piecewise search runs at 8 segments, and compress always orders
+    # the piecewise search runs at 8 segments, compress always orders, and
+    # "auto" is the piecewise search wherever that runs
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(argv)
     assert exc.value.code == 2
 
 
-def _subcommand_flags(parser, path=()):
-    """(subcommand path, --flag) of every option of every subcommand."""
+def _subcommand_actions(parser, path=()):
+    """(subcommand path, action) of every option and positional of every
+    subcommand."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                yield from _subcommand_flags(sub, (*path, name))
+                yield from _subcommand_actions(sub, (*path, name))
         elif path:
-            yield from ((path, flag) for flag in action.option_strings
-                        if flag.startswith("--") and flag != "--help")
+            yield path, action
 
 
 def _argvs_in_this_file():
-    """(leading string constants, all string constants) of every list
+    """(leading string constants, string constants in order) of every list
     literal in this file: an argv names the subcommand its leading
     constants spell."""
     tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
@@ -129,14 +131,29 @@ def _argvs_in_this_file():
             strings = [e.value if isinstance(e, ast.Constant) and isinstance(e.value, str)
                        else None for e in node.elts]
             lead = tuple(strings[:strings.index(None)] if None in strings else strings)
-            out.append((lead, {v for v in strings if v is not None}))
+            out.append((lead, strings))
     return out
 
 
 def test_every_cli_flag_is_set_by_a_cli_test():
     argvs = _argvs_in_this_file()
-    unset = [f"{' '.join(path)} {flag}" for path, flag in _subcommand_flags(cli.build_parser())
+    unset = [f"{' '.join(path)} {flag}" for path, action in _subcommand_actions(cli.build_parser())
+             for flag in action.option_strings if flag.startswith("--") and flag != "--help"
              if not any(lead[:len(path)] == path and flag in strings for lead, strings in argvs)]
+    assert unset == []
+
+
+def test_every_cli_choice_is_passed_by_a_cli_test():
+    # an option's value must follow its flag; a positional's may stand anywhere
+    argvs = _argvs_in_this_file()
+    unset = [" ".join((*path, *action.option_strings[:1], value))
+             for path, action in _subcommand_actions(cli.build_parser())
+             for value in action.choices or () if value != action.default
+             if not any(lead[:len(path)] == path
+                        and (any((flag, value) in zip(strings, strings[1:])
+                                 for flag in action.option_strings)
+                             or not action.option_strings and value in strings)
+                        for lead, strings in argvs)]
     assert unset == []
 
 
@@ -201,6 +218,15 @@ def test_vq_lattice_kind_d4(tmp_path):
     assert d4.read_text() != cubic.read_text()
 
 
+def test_vq_lattice_kind_e8(tmp_path):
+    out = tmp_path / "e8.csv"
+    assert run_main(["vq", "lattice", "--kind", "e8", "--dim", "8", "--n", "500",
+                     "--scales", "0.8", "--seed", "5", "--csv", str(out)]) == 0
+    x = np.random.default_rng(np.random.SeedSequence(5)).standard_normal((500, 8))
+    want = vq.lattice_rate_report(x, vq.Lattice("e8", 8, 0.8), "joint").distortion
+    assert float(read_csv(out)[1][0][0]) == float(format(want, ".10g"))
+
+
 def test_vq_bica_ecvq_csv(tmp_path):
     out = tmp_path / "vb.csv"
     rc = run_main(["vq", "bica-ecvq", "--dim", "3", "--n", "300", "--m-init", "16",
@@ -250,6 +276,13 @@ def test_empty_or_zero_step_grids_exit_2(capsys, argv):
     (["universal", "run", "--zipf", "m=4096,s=1.2", "--d", "12", "--b", "6",
       "--n", "10000000000"], "--n"),
     (["theory-bounds", "--d", "10", "--draws", "100000000000"], "--draws"),  # ran past a 20 s timeout
+    # each asked NumPy for 8 TiB, and exited 1 with its memory error
+    (["universal", "run", "--zipf", "m=4096,s=1.2", "--d", "40", "--b", "6", "--n", "1000"], "--d"),
+    (["universal", "run", "--zipf", "m=1099511627776,s=1.2", "--d", "20", "--b", "10",
+      "--n", "1000"], "--zipf m"),
+    # exited 2 only after the whole fit, on the block search's width cap
+    (["vq", "ecvq", "--dim", "1", "--n", "70000", "--m-init", "70000", "--lambdas", "1"],
+     "--m-init"),
 ])
 def test_out_of_range_options_exit_2(capsys, argv, named):
     assert run_main(argv) == 2

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -103,6 +104,19 @@ def test_descent_rejects_empty_and_bad_blocks():
         descend(np.zeros(10, dtype=np.int64), 8, 9)
 
 
+def test_descent_rejects_a_block_past_16_bits_before_allocating():
+    # refused before the initial shuffles count any block into 2^17 entries
+    x = np.arange(100, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"outside 1\.\.16"):
+            descend(x, 17, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("bad", [256, 300, -1])
 def test_descent_rejects_symbols_outside_the_alphabet(bad):
     # such a symbol used to lose its high bits (300 decoded as 44, -1 as 255)
@@ -172,7 +186,7 @@ def test_a_wide_alphabet_round_trips_through_the_sort_path():
 
 @settings(max_examples=25, deadline=None)
 @given(d=st.integers(2, 8), b=st.integers(1, 4), n=st.integers(1, 300),
-       seed=st.integers(0, 2 ** 32 - 1), method=st.sampled_from(["order", "piecewise"]))
+       seed=st.integers(0, 2 ** 32 - 1), method=st.sampled_from(["order", "auto"]))
 def test_descent_is_invariant_under_row_permutation(d, b, n, seed, method):
     rng = np.random.default_rng(seed)
     w = rng.random(1 << d) ** 4
@@ -217,7 +231,7 @@ def _reseal(blob):
 def test_decompress_rejects_non_bijective_steps():
     # the container pinned as "piecewise" in test_containers
     draws = sample(SourceSpec.zipf(256, 1.1, seed=5), 3000)
-    blob = compress(draws, descend(draws, 8, 4, method="piecewise", max_iters=4, seed=1))
+    blob = compress(draws, descend(draws, 8, 4, method="auto", max_iters=4, seed=1))
     tried = 0
     for at, count, size in _step_entries(blob):
         for i in range(1, count):

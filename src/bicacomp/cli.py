@@ -278,6 +278,8 @@ def _universal_samples(args) -> tuple[np.ndarray, int]:
     max_bits = CLASSIC_MAX_SYMBOLS.bit_length() - 1
     if not 1 <= args.d <= max_bits:
         raise ValueError(f"--d must lie in 1..{max_bits}, got {args.d}")
+    if not 1 <= args.b <= args.d:
+        raise ValueError(f"--b must lie in 1..{args.d} (--d), got {args.b}")
     if not 0 <= args.n <= UNIVERSAL_MAX_SAMPLES:
         raise ValueError(f"--n must lie in 0..{UNIVERSAL_MAX_SAMPLES}, got {args.n}")
     if args.zipf:

@@ -20,15 +20,23 @@ def binary_entropy(q):
     """Entropy in bits of a Bernoulli(q) variable; accepts scalars or arrays.
 
     h(0) = h(1) = 0 by the 0*log(0) = 0 convention. Raises ValueError
-    outside [0, 1].
+    outside [0, 1] and on NaN.
+
+    One pass over the whole array: the 0 * -inf = NaN that the formula
+    gives at 0 and 1 is replaced by 0, and every other element is the
+    value the formula gives on that element alone.
     """
     q = np.asarray(q, dtype=np.float64)
-    if np.any(q < 0) or np.any(q > 1):
+    if not np.all((q >= 0) & (q <= 1)):  # False on NaN
         raise ValueError("binary_entropy argument must lie in [0, 1]")
-    out = np.zeros_like(q)
-    inner = (q > 0) & (q < 1)
-    qi = q[inner]
-    out[inner] = -(qi * np.log2(qi) + (1 - qi) * np.log2(1 - qi))
+    r = 1 - q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.log2(q)
+        t *= q
+        u = np.log2(r)
+        u *= r
+        t += u
+    out = np.where((q > 0) & (q < 1), -t, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

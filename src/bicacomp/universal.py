@@ -15,11 +15,15 @@ Shuffles and block transforms are bijections on symbols, so the descent,
 symbols only and count blocks with the symbols' multiplicities: after one
 grouping of the sample (``coding._group``, which counts instead of sorting
 when 2^d is not far above n), each proposal costs O(distinct symbols)
-instead of O(n).
+instead of O(n). Blocks are consecutive bits, so a block's counts take one
+shift, one mask and one ``bincount``, and its per-bit zero counts one
+product with ``zero_bit_matrix``; the shuffle candidates of iteration 0 are
+ranked by their block sums alone, and only the winner's bound is taken.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +41,7 @@ from .coding import (
     read_container,
     write_container,
 )
-from .distributions import JointDistribution, binary_entropy, bit_zero_marginals, entropy_bits
+from .distributions import JointDistribution, binary_entropy, entropy_bits, zero_bit_matrix
 from .search import block_bica
 
 DESCENT_TOL = 1e-6
@@ -80,25 +84,52 @@ class DescentResult:
 apply_shuffle = extract_block
 
 
-def _block_stats(values: np.ndarray, weights: np.ndarray, partition: BlockPartition
-                 ) -> tuple[float, float, list[np.ndarray], list[float]]:
-    """(bound, block_sum, per-block count vectors, per-block bounds) of the
-    distinct symbols ``values`` occurring ``weights`` times each; the counts
-    are exact integers and every bound is summed from them."""
-    n = int(weights.sum())
-    bound = 0.0
-    block_sum = 0.0
-    counts_list = []
-    block_bounds = []
-    for positions in partition.groups():
-        counts = np.bincount(extract_block(values, positions), weights=weights,
-                             minlength=1 << positions.size).astype(np.int64)
-        block_sum += entropy_bits(counts / n)
-        block_bound = float(np.sum(binary_entropy(bit_zero_marginals(counts, positions.size) / n)))
-        bound += block_bound
-        block_bounds.append(block_bound)
-        counts_list.append(counts)
-    return bound, block_sum, counts_list, block_bounds
+@functools.lru_cache(maxsize=4)
+def _zero_bits(b: int) -> np.ndarray:
+    """``zero_bit_matrix(b)``, read-only, built once per block width (a
+    partition has at most two)."""
+    a0 = zero_bit_matrix(b)
+    a0.flags.writeable = False
+    return a0
+
+
+def _block_counts(values: np.ndarray, weights: np.ndarray, partition: BlockPartition
+                  ) -> list[np.ndarray]:
+    """Per-block count vectors of the distinct symbols ``values`` occurring
+    ``weights`` times each: a block is a run of consecutive bits, so one
+    shift and one mask take it from every symbol. The counts are exact
+    integers."""
+    counts = []
+    shift = 0
+    for size in partition.sizes:
+        block = (values >> shift) & ((1 << size) - 1)
+        counts.append(np.bincount(block, weights=weights, minlength=1 << size).astype(np.int64))
+        shift += size
+    return counts
+
+
+def _sum_in_order(values) -> float:
+    """Left-to-right float sum, as the descent has always added its block
+    terms (``sum()`` compensates its float sums from Python 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _block_sum(counts: list[np.ndarray], n: int) -> float:
+    """Sum of empirical block entropies, bits/symbol, of per-block counts
+    over n samples."""
+    return _sum_in_order(entropy_bits(c / n) for c in counts)
+
+
+def _block_bounds(counts: list[np.ndarray], n: int) -> list[float]:
+    """Each block's sum of empirical marginal bit entropies, bits/symbol.
+    A block's per-bit zero counts are one product of its integer counts
+    with ``zero_bit_matrix``: sums of exact integers below 2^53, so their
+    order cannot matter."""
+    return [float(np.sum(binary_entropy((c @ _zero_bits(c.size.bit_length() - 1)) / n)))
+            for c in counts]
 
 
 def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
@@ -127,30 +158,34 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
         raise ValueError(f"max_iters must be non-negative, got {max_iters}")
     partition = BlockPartition.contiguous(d, b)
     z, _, weights = _group(x, d)
+    n = x.size
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    # naive initialization: lowest block-entropy sum over candidate shuffles
+    # naive initialization: lowest block-entropy sum over candidate shuffles;
+    # only the winner's bound is needed
     best = None
     candidates = [np.arange(d)] + [rng.permutation(d) for _ in range(max(init_shuffles, 0))]
     for sh in candidates:
         cand = apply_shuffle(z, sh)
-        bound, bsum, _, _ = _block_stats(cand, weights, partition)
+        counts = _block_counts(cand, weights, partition)
+        bsum = _block_sum(counts, n)
         if best is None or bsum < best[0] - 1e-15:
-            best = (bsum, bound, sh, cand)
-    bsum0, bound0, sh0, z = best
+            best = (bsum, counts, sh, cand)
+    bsum0, counts0, sh0, z = best
     ident = tuple(np.arange(1 << s, dtype=np.int64) for s in partition.sizes)
-    steps = [PipelineStep(sh0, ident, bound0, bsum0)]
+    steps = [PipelineStep(sh0, ident, _sum_in_order(_block_bounds(counts0, n)), bsum0)]
 
-    bound_prev = bound0
+    bound_prev = steps[0].bound
     stall = 0
     while len(steps) - 1 < max_iters and stall < patience:
         sh = rng.permutation(d)
         cand = apply_shuffle(z, sh)
-        _, _, counts_list, ident_bounds = _block_stats(cand, weights, partition)
+        counts_list = _block_counts(cand, weights, partition)
         new_bound = 0.0
         transforms = []
-        for counts, size, ident_obj in zip(counts_list, partition.sizes, ident_bounds):
-            probs = counts / x.size
+        for counts, size, ident_obj in zip(counts_list, partition.sizes,
+                                           _block_bounds(counts_list, n)):
+            probs = counts / n
             res = block_bica(JointDistribution(size, probs), method)
             if res.objective < ident_obj - 1e-15:
                 transforms.append(res.g.map)
@@ -163,8 +198,9 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
             continue
         stall = 0
         z = map_blocks(cand, transforms, partition)
-        bound_prev, bsum, _, _ = _block_stats(z, weights, partition)
-        steps.append(PipelineStep(sh, tuple(transforms), bound_prev, bsum))
+        counts = _block_counts(z, weights, partition)
+        bound_prev = _sum_in_order(_block_bounds(counts, n))
+        steps.append(PipelineStep(sh, tuple(transforms), bound_prev, _block_sum(counts, n)))
     return DescentResult(partition, tuple(steps))
 
 
@@ -187,16 +223,31 @@ def replay(samples, result: DescentResult) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError on samples that are not 1-D integers in 0..2^d-1."""
     walk = _walk(samples, result)
     next(walk)  # the samples before any step
-    stats = [_block_stats(values, weights, result.partition)[:2] for values, _, weights in walk]
-    return np.array([s[0] for s in stats]), np.array([s[1] for s in stats])
+    bounds, block_sums = [], []
+    for values, inverse, weights in walk:
+        counts = _block_counts(values, weights, result.partition)
+        bounds.append(_sum_in_order(_block_bounds(counts, inverse.size)))
+        block_sums.append(_block_sum(counts, inverse.size))
+    return np.array(bounds), np.array(block_sums)
 
 
 # ---------------------------------------------------------------------------
 # Cost accounting
 # ---------------------------------------------------------------------------
 
+def _block_redundancy(n: int, size: int) -> float:
+    """Model redundancy of one block of 2^size values over n samples: the
+    paper's ((2^size - 1)/2) log2(n / 2^size) while 8 * 2^size <= n;
+    beyond, where that term shrinks and turns negative, the large-alphabet
+    or linear regime that ``standard_redundancy`` picks."""
+    m = 1 << size
+    if 8 * m <= n:
+        return (m - 1) / 2 * math.log2(n / m)
+    return standard_redundancy(m, n)
+
+
 def _partition_redundancy(n: int, sizes: tuple[int, ...]) -> float:
-    return sum(((1 << s) - 1) / 2 * math.log2(n / (1 << s)) for s in sizes)
+    return sum(_block_redundancy(n, s) for s in sizes)
 
 
 def _transform_description_bits(sizes: tuple[int, ...]) -> float:
@@ -219,7 +270,9 @@ class CostReport:
 def total_cost_curve(result: DescentResult, n: int, baselines: "Baselines | None" = None) -> CostReport:
     """Total size at every recorded iteration I:
     n*block_sum(I) + sum_v (2^b_v - 1)/2 log2(n/2^b_v)
-    + I * sum_v b_v 2^b_v + I * d log2(d)."""
+    + I * sum_v b_v 2^b_v + I * d log2(d), where a block with 8 * 2^b_v > n
+    is charged ``standard_redundancy``'s large or linear regime instead
+    (``_block_redundancy``)."""
     sizes = result.partition.sizes
     red = _partition_redundancy(n, sizes)
     tdesc = _transform_description_bits(sizes)

@@ -283,6 +283,9 @@ def test_empty_or_zero_step_grids_exit_2(capsys, argv):
     # exited 2 only after the whole fit, on the block search's width cap
     (["vq", "ecvq", "--dim", "1", "--n", "70000", "--m-init", "70000", "--lambdas", "1"],
      "--m-init"),
+    # named no option: "need 1 <= b <= d"
+    (["universal", "run", "--zipf", "m=64", "--d", "6", "--b", "0", "--n", "100"], "--b"),
+    (["universal", "run", "--zipf", "m=64", "--d", "6", "--b", "17", "--n", "100"], "--b"),
 ])
 def test_out_of_range_options_exit_2(capsys, argv, named):
     assert run_main(argv) == 2

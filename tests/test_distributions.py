@@ -54,6 +54,28 @@ def test_binary_entropy_domain():
         binary_entropy(1.1)
 
 
+def test_binary_entropy_rejects_nan():
+    with pytest.raises(ValueError):
+        binary_entropy(float("nan"))
+    with pytest.raises(ValueError):
+        binary_entropy(np.array([0.25, np.nan, 0.5]))
+
+
+def test_binary_entropy_is_the_formula_element_by_element():
+    # each inner element is -(q log2 q + (1-q) log2(1-q)) on that element
+    # alone, to the bit, whatever the array around it; 0 and 1 give 0
+    rng = np.random.default_rng(3)
+    q = rng.random(257)
+    q[::5] = 0.0
+    q[::7] = 1.0
+    q[::11] *= 1e-300
+    got = binary_entropy(q)
+    for qi, hi in zip(q, got):
+        expect = 0.0 if qi in (0.0, 1.0) else float(-(qi * np.log2(qi) + (1 - qi) * np.log2(1 - qi)))
+        assert hi == expect
+        assert binary_entropy(float(qi)) == expect
+
+
 def brute_marginals(p, g):
     """Independent oracle: direct double loop over symbols and bits."""
     d = p.d

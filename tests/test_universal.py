@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import math
 import struct
 import tracemalloc
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicacomp import ContainerError, coding
+from bicacomp import ContainerError, coding, universal
+from bicacomp.bounds import standard_redundancy
 from bicacomp.distributions import SymbolPermutation, entropy_bits
 from bicacomp.sources import SourceSpec, read_frequency_list, sample
 from bicacomp.universal import (
@@ -76,6 +79,68 @@ def test_compress_codes_any_samples_in_the_alphabet():
             compress(bad, result)
         with pytest.raises(ValueError, match=match):
             replay(bad, result)
+
+
+def _zipf4096_samples(seed, n):
+    """The universal benchmark's sample: n draws of Zipf(4096, 1.2) as its
+    workload seeds them."""
+    w = np.arange(1, 4097, dtype=np.float64) ** -1.2
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    return rng.choice(4096, size=n, p=w / w.sum()).astype(np.int64)
+
+
+def _history_digest(result):
+    """SHA-256 of every step's shuffle and block maps (as int64) and the
+    float.hex of its bound and block sum."""
+    h = hashlib.sha256()
+    for step in result.steps:
+        h.update(np.asarray(step.shuffle, dtype=np.int64).tobytes())
+        for gmap in step.transforms:
+            h.update(np.asarray(gmap, dtype=np.int64).tobytes())
+        h.update(f"{float(step.bound).hex()} {float(step.block_sum).hex()};".encode())
+    return h.hexdigest()
+
+
+def test_descent_histories_are_pinned_bit_for_bit():
+    # digests of the plain per-block evaluation: a faster block count,
+    # piecewise screen or binary_entropy must keep every decision, bound
+    # and block sum to the bit
+    x = _zipf4096_samples(1, 100_000)
+    res = descend(x, 12, 6, method="auto", max_iters=20, seed=1)
+    assert len(res.steps) == 21
+    assert _history_digest(res) == \
+        "91f058cbec7b704e63814dec6c3fad61789f56e7ce205877e763715761732fdb"
+    w = np.arange(1, 1025, dtype=np.float64) ** -1.1
+    y = np.random.default_rng(5).choice(1024, size=20_000, p=w / w.sum()).astype(np.int64)
+    for method, digest in (
+            ("auto", "07eabb45585175ff52cb54fc64dbe51e7541d75a80dd90a3710f311e51179c50"),
+            ("order", "ee3ed7c322f88a5ed4c82e6b2c24a041c7a1d688a3edaf99fcb26005cbcf8470")):
+        res = descend(y, 10, 4, method=method, max_iters=12, seed=7)  # blocks of 4, 4, 2
+        assert len(res.steps) == 13
+        assert _history_digest(res) == digest
+
+
+def test_descent_shuffles_once_per_candidate_and_proposal(monkeypatch):
+    # the benchmark's trace counts proposals as the shuffles inside descend
+    # past the identity and the init_shuffles candidates, and expects one
+    # block search per block per proposal
+    calls = {"shuffle": 0, "bica": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(universal, "apply_shuffle", counted("shuffle", universal.apply_shuffle))
+    monkeypatch.setattr(universal, "block_bica", counted("bica", universal.block_bica))
+    res = descend(_zipf4096_samples(1, 3000), 12, 6, method="auto", max_iters=3, seed=1)
+    init = inspect.signature(descend).parameters["init_shuffles"].default
+    n_blocks = len(res.partition.sizes)
+    assert calls["bica"] % n_blocks == 0
+    proposals = calls["bica"] // n_blocks
+    assert proposals >= len(res.steps) - 1 >= 1
+    assert calls["shuffle"] == 1 + init + proposals
 
 
 def test_descent_independent_bits_no_gain():
@@ -264,6 +329,20 @@ def test_block_cost_formula_reference_rows():
     # redundancy = reported total
     assert 10 ** 6 * 9.09 + 5.41e4 == pytest.approx(9.144e6, rel=1e-3)
     assert 10 ** 6 * 8.69 + 1.15e5 == pytest.approx(8.805e6, rel=1e-3)
+
+
+def test_block_cost_of_a_block_wider_than_the_sample():
+    # the paper's term alone would charge a 16-bit block over 100 samples
+    # (2^16 - 1)/2 log2(100 / 2^16), about -3e5 bits; where 8 * 2^b > n
+    # the large-alphabet and linear regimes apply
+    assert _partition_redundancy(100, (16, 4)) == \
+        standard_redundancy(1 << 16, 100) + standard_redundancy(16, 100)
+    assert _partition_redundancy(128, (4,)) == 15 / 2 * math.log2(128 / 16)
+    draws = sample(SourceSpec.zipf(64, 1.2, seed=0), 100)
+    result = descend(draws, 20, 16, max_iters=1)
+    report = total_cost_curve(result, draws.size)
+    assert np.all(report.totals >= draws.size * result.block_sums)
+    assert report.best_total >= draws.size * result.block_sums[report.best_iteration]
 
 
 def test_total_cost_curve_identity(zipf_run):

@@ -48,15 +48,11 @@ def harmonic_numbers(m: int) -> np.ndarray:
     return _harmonic[: m + 1]
 
 
-def harmonic_number(m: int) -> float:
-    return float(harmonic_numbers(m)[m])
-
-
 def digamma_integer(n: int) -> float:
     """psi(n) for integer n >= 1 via psi(1) = -gamma and the unit recurrence."""
     if n < 1:
         raise ValueError("integer digamma defined for n >= 1")
-    return -EULER_GAMMA + harmonic_number(n - 1)
+    return -EULER_GAMMA + float(harmonic_numbers(n - 1)[n - 1])
 
 
 @dataclass(frozen=True)

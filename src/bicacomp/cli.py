@@ -198,10 +198,10 @@ def run_decompress(input_path: str, output_path: str) -> None:
             blob = fh.read()
     except OSError as exc:
         raise DataError(str(exc)) from exc
-    # the header's d, read before decoding: wider symbols do not fit in a byte
-    if blob[:4] == coding.CONTAINER_MAGIC and len(blob) > 5 and blob[5] > 8:
-        raise DataError(f"container holds {blob[5]}-bit symbols, not bytes")
     try:
+        d = coding.parse_container(blob).partition.d
+        if d > 8:  # read from the parsed header, before any stream decodes
+            raise DataError(f"container holds {d}-bit symbols, not bytes")
         symbols = coding.marginal_decode(blob)
     except (ValueError, IndexError) as exc:
         raise DataError(f"corrupt container: {exc}") from exc

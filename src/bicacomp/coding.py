@@ -5,18 +5,12 @@ compact codebook wire format, a static rANS coder driven by the kernels
 module, and a block codec that transforms symbols, slices their bits into
 blocks and entropy-codes each block stream separately.
 
-Both codecs write one container format (see README for the byte layout)
-through ``write_container``, and ``read_container`` parses every container:
-the header, the block sizes, the bit assignment (always 0..d-1: blocks
-are consecutive bits), an optional map on all d bits (flag bit 0), the
-recorded steps (a bit shuffle and one map per block each), the per-block
-quantized frequency tables, the block streams and a CRC32 trailer. The
-decoder groups the decoded symbols once and undoes the steps in reverse,
-then the d-bit map, on the distinct symbols alone.
-Every field is taken through one bounds-checked reader, and a malformed
-container raises ``ContainerError``. Frequencies are quantized to 16-bit
-totals; zero-count symbols are excluded from code construction under the
-contract that they never occur in the stream being coded.
+Both codecs write one container, laid out as ``SECTIONS`` lists, and
+``parse_container`` checks its every field through one bounds-checked
+reader before ``read_container`` decodes a stream (``ContainerError``
+otherwise). Frequencies are quantized to 16-bit totals; zero-count symbols
+are excluded from code construction under the contract that they never
+occur in the stream being coded.
 """
 
 from __future__ import annotations
@@ -506,34 +500,35 @@ def _group(symbols: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return values, rank[symbols], counts[values]
 
 
-# Every container opens with this header and ends with a CRC32 of every
-# byte before the trailer.
+# A container's sections in order: an absent symbol map or an empty history
+# is an empty section, and the trailer is a CRC32 of every byte before it.
+SECTIONS = ("header", "block_sizes", "assignment", "symbol_map", "steps", "block_records",
+            "streams", "trailer")
 _HEADER = np.dtype([("magic", "S4"), ("version", "u1"), ("d", "u1"), ("n_blocks", "u1"),
                     ("flags", "u1"), ("n", "<u8"), ("n_steps", "<u4")])
 _TRAILER = np.dtype([("crc32", "<u4")])
-_SYMBOL_MAP = 1  # flag bit 0: a map on all d bits follows the bit assignment
-# Per-block table record: n_active u32, stream_bits u64, then (symbol u32,
-# count u16) per active symbol; the byte-aligned streams of all blocks
-# follow the last record.
+_SYMBOL_MAP = 1  # flag bit 0: the symbol map section is present
 _RECORD = np.dtype([("n_active", "<u4"), ("stream_bits", "<u8")])
 _ENTRY = np.dtype([("symbol", "<u4"), ("count", "<u2")])
 
 
 class _Reader:
     """The bytes of a container body not yet read, ``rest``, handed out
-    front to back."""
+    front to back, and the bytes handed out so far by section name."""
 
     def __init__(self, body):
         self.rest = np.frombuffer(body, dtype=np.uint8)
+        self.sections = {name: bytearray() for name in SECTIONS}
 
-    def take(self, count, dtype="<u1") -> np.ndarray:
-        """The next ``count`` items of ``dtype`` as a read-only view, once
-        they are checked to fit; raises ContainerError when they do not."""
+    def take(self, section, count, dtype="<u1") -> np.ndarray:
+        """The next ``count`` items of ``dtype``, a field of ``section``, as a
+        read-only view; raises ContainerError when they do not fit."""
         size = count * np.dtype(dtype).itemsize
         if size > self.rest.size:
             raise ContainerError("a field runs past the end of the container")
-        field, self.rest = self.rest[:size].view(dtype), self.rest[size:]
-        return field
+        field, self.rest = self.rest[:size], self.rest[size:]
+        self.sections[section] += field.data
+        return field.view(dtype)
 
 
 def _pack_map(values: np.ndarray, bits: int) -> bytes:
@@ -542,21 +537,20 @@ def _pack_map(values: np.ndarray, bits: int) -> bytes:
     return wide[:, :(bits + 7) // 8].tobytes()
 
 
-def _read_map(reader: _Reader, bits: int) -> np.ndarray:
+def _read_map(reader: _Reader, section: str, bits: int) -> np.ndarray:
     """The 2^bits entries written by ``_pack_map``, taken from ``reader``."""
     width = (bits + 7) // 8
-    packed = reader.take(width << bits).reshape(1 << bits, width)
+    packed = reader.take(section, width << bits).reshape(1 << bits, width)
     wide = np.zeros((1 << bits, 4), dtype=np.uint8)
     wide[:, :width] = packed
     return wide.view("<u4").ravel().astype(np.int64)
 
 
-def _write_block_record(out: bytearray, block_symbols: np.ndarray, b: int) -> tuple[bytes, int]:
+def _write_block_record(block_symbols: np.ndarray, b: int) -> tuple[bytes, bytes, int]:
     """Entropy-code a block of b-bit values against its own quantized
-    frequency table, append the table record to ``out`` and return the
-    stream as (bytes, exact bits). A lone active symbol's count (the whole
-    16-bit total) saturates its u16 field; ``_read_block_record`` restores
-    it, and its stream is empty."""
+    frequency table; returns (table record, stream, exact stream bits). A
+    lone active symbol's count (the whole 16-bit total) saturates its u16
+    field, which ``_read_block_record`` restores, and its stream is empty."""
     counts = np.bincount(block_symbols, minlength=1 << b)
     if block_symbols.size:
         counts = quantize_counts(counts / counts.sum())
@@ -567,9 +561,8 @@ def _write_block_record(out: bytearray, block_symbols: np.ndarray, b: int) -> tu
     entries = np.zeros(active.size, dtype=_ENTRY)
     entries["symbol"] = active
     entries["count"] = np.minimum(counts[active], 0xFFFF)
-    out += np.array((entries.size, nbits), _RECORD).tobytes()
-    out += entries.tobytes()
-    return data, nbits
+    record = np.array((entries.size, nbits), _RECORD).tobytes() + entries.tobytes()
+    return record, data, nbits
 
 
 def _read_block_record(reader: _Reader, b: int) -> tuple[np.ndarray, int]:
@@ -578,10 +571,10 @@ def _read_block_record(reader: _Reader, b: int) -> tuple[np.ndarray, int]:
     2^b entries, on symbols that are not below 2^b and strictly
     increasing, and on counts that do not sum to the 16-bit total, except
     the saturated count of a lone symbol and the empty table of n = 0."""
-    n_active, stream_bits = reader.take(1, _RECORD).item()
+    n_active, stream_bits = reader.take("block_records", 1, _RECORD).item()
     if n_active > 1 << b:
         raise ContainerError(f"{n_active} table entries for a {b}-bit block")
-    entries = reader.take(n_active, _ENTRY)
+    entries = reader.take("block_records", n_active, _ENTRY)
     symbols = entries["symbol"].astype(np.int64)
     if np.any(symbols >= 1 << b) or np.any(np.diff(symbols) <= 0):
         raise ContainerError(f"table symbols of a {b}-bit block out of range or out of order")
@@ -591,26 +584,6 @@ def _read_block_record(reader: _Reader, b: int) -> tuple[np.ndarray, int]:
     counts = np.zeros(1 << b, dtype=np.int64)
     counts[symbols] = 1 << FREQ_TOTAL_BITS if n_active == 1 else entries["count"]
     return counts, stream_bits
-
-
-def _decode_block_streams(reader: _Reader, records, partition: BlockPartition,
-                          n: int) -> np.ndarray:
-    """Decode the byte-aligned streams left in ``reader``, one per (counts,
-    stream_bits) record in block order, and reassemble n symbols from the
-    partition's blocks. Raises ContainerError when a stream runs past the
-    end or does not decode cleanly, or when bytes are left over."""
-    out = np.zeros(n, dtype=np.int64)
-    for (counts, nbits), positions in zip(records, partition.groups()):
-        data = reader.take((nbits + 7) // 8)
-        if n:
-            try:
-                block = kernels.ac_decode(data, n, _cum_from_counts(counts), nbits)
-            except ValueError as exc:
-                raise ContainerError(f"corrupt block stream: {exc}") from exc
-            insert_block(out, block, positions)
-    if reader.rest.size:
-        raise ContainerError("bytes left after the last block stream")
-    return out
 
 
 def map_blocks(symbols: np.ndarray, maps, partition: BlockPartition) -> np.ndarray:
@@ -627,31 +600,44 @@ def write_container(coded: np.ndarray, partition: BlockPartition, symbol_map=Non
     back into the source by undoing every (bit shuffle, block maps) step of
     ``steps`` in reverse and then ``symbol_map``, a map on all d bits
     (none when omitted). Returns (container, stream bits per block)."""
-    sizes = partition.sizes
     flags = 0 if symbol_map is None else _SYMBOL_MAP
-    out = bytearray(np.array((CONTAINER_MAGIC, CONTAINER_VERSION, partition.d, len(sizes), flags,
-                              coded.size, len(steps)), _HEADER))
-    out += np.asarray(sizes, dtype="<u1").tobytes()
-    out += np.arange(partition.d, dtype="<u1").tobytes()  # the bit assignment, always 0..d-1
-    if symbol_map is not None:
-        out += _pack_map(symbol_map, partition.d)
-    for shuffle, maps in steps:
-        out += np.asarray(shuffle, dtype="<u1").tobytes()
-        for gmap, s in zip(maps, sizes):
-            out += _pack_map(gmap, s)
-    streams = [_write_block_record(out, extract_block(coded, positions), positions.size)
-               for positions in partition.groups()]
-    for data, _ in streams:
-        out += data
-    out += np.array((zlib.crc32(out),), _TRAILER).tobytes()
-    return bytes(out), tuple(nbits for _, nbits in streams)
+    blocks = [_write_block_record(extract_block(coded, positions), positions.size)
+              for positions in partition.groups()]
+    sections = {
+        "header": np.array((CONTAINER_MAGIC, CONTAINER_VERSION, partition.d, len(partition.sizes),
+                            flags, coded.size, len(steps)), _HEADER).tobytes(),
+        "block_sizes": np.asarray(partition.sizes, dtype="<u1").tobytes(),
+        "assignment": np.arange(partition.d, dtype="<u1").tobytes(),  # always 0..d-1
+        "symbol_map": b"" if symbol_map is None else _pack_map(symbol_map, partition.d),
+        "steps": b"".join(np.asarray(shuffle, dtype="<u1").tobytes()
+                          + b"".join(_pack_map(gmap, s) for gmap, s in zip(maps, partition.sizes))
+                          for shuffle, maps in steps),
+        "block_records": b"".join(record for record, _, _ in blocks),
+        "streams": b"".join(data for _, data, _ in blocks),
+    }
+    body = b"".join(sections[name] for name in SECTIONS[:-1])  # all but the trailer
+    return body + np.array((zlib.crc32(body),), _TRAILER).tobytes(), tuple(
+        nbits for _, _, nbits in blocks)
 
 
-def read_container(blob: bytes) -> np.ndarray:
-    """Invert ``write_container``: decode the block streams, undo the steps
-    in reverse, then the symbol map. Raises ContainerError on a wrong magic,
-    version or checksum, on any field that is cut short or out of range,
-    and on a stream that does not decode cleanly."""
+@dataclass(frozen=True)
+class ParsedContainer:
+    """A container's ``SECTIONS`` as (name, bytes) pairs and their fields,
+    all checked: the d-bit map's inverse (None without one), (inverse
+    shuffle, inverse block maps) per step, (counts, bits, stream) per block."""
+
+    sections: tuple[tuple[str, bytes], ...]
+    n: int
+    partition: BlockPartition
+    unmap: np.ndarray | None
+    steps: list
+    records: list
+
+
+def parse_container(blob: bytes) -> ParsedContainer:
+    """Split a container into its sections and check every field, decoding
+    no stream. Raises ContainerError on a wrong magic, version or checksum,
+    and on a field cut short or out of range, the streams' length included."""
     blob = bytes(blob)
     if len(blob) < _HEADER.itemsize + _TRAILER.itemsize or blob[:4] != CONTAINER_MAGIC:
         raise ContainerError(f"not a {CONTAINER_MAGIC.decode()} container")
@@ -659,7 +645,7 @@ def read_container(blob: bytes) -> np.ndarray:
     if zlib.crc32(body) != np.frombuffer(blob, _TRAILER, offset=len(body))["crc32"][0]:
         raise ContainerError("container checksum mismatch")
     reader = _Reader(body)
-    _, version, d, n_blocks, flags, n, n_steps = reader.take(1, _HEADER).item()
+    _, version, d, n_blocks, flags, n, n_steps = reader.take("header", 1, _HEADER).item()
     if version != CONTAINER_VERSION:
         raise ContainerError(f"unsupported container version {version}")
     if flags & ~_SYMBOL_MAP:
@@ -667,27 +653,46 @@ def read_container(blob: bytes) -> np.ndarray:
     if not 0 < d <= 63:  # the symbols are decoded into int64
         raise ContainerError(f"container of {d}-bit symbols, not 1..63")
     try:  # a field out of range or not a permutation raises ValueError
-        partition = BlockPartition(tuple(reader.take(n_blocks).tolist()))
-        sizes = partition.sizes
+        partition = BlockPartition(tuple(reader.take("block_sizes", n_blocks).tolist()))
         if partition.d != d:
-            raise ValueError(f"block sizes {sizes} do not cover all bit positions of {d}")
-        if np.any(reader.take(d) != np.arange(d)):
+            raise ValueError(f"block sizes {partition.sizes} do not cover all bit positions of {d}")
+        if np.any(reader.take("assignment", d) != np.arange(d)):
             raise ValueError(f"bit assignment is not 0..{d - 1} in order")
-        step_bytes = d + sum(((s + 7) // 8) << s for s in sizes)
+        step_bytes = d + sum(((s + 7) // 8) << s for s in partition.sizes)
         if n_steps * step_bytes > reader.rest.size:
             raise ValueError(f"{n_steps} steps run past the end of the container")
-        unmap = inverse_permutation(_read_map(reader, d)) if flags & _SYMBOL_MAP else None
-        steps = [(inverse_permutation(reader.take(d)),
-                  [inverse_permutation(_read_map(reader, s)) for s in sizes])
+        unmap = inverse_permutation(_read_map(reader, "symbol_map", d)) if flags & _SYMBOL_MAP else None
+        steps = [(inverse_permutation(reader.take("steps", d)),
+                  [inverse_permutation(_read_map(reader, "steps", s)) for s in partition.sizes])
                  for _ in range(n_steps)]
     except ValueError as exc:
         raise ContainerError(str(exc)) from exc
-    records = [_read_block_record(reader, s) for s in sizes]
+    tables = [_read_block_record(reader, s) for s in partition.sizes]
+    records = [(counts, nbits, reader.take("streams", (nbits + 7) // 8)) for counts, nbits in tables]
+    if reader.rest.size:
+        raise ContainerError("bytes left after the last block stream")
+    reader.sections["trailer"] += blob[len(body):]
+    return ParsedContainer(tuple((name, bytes(part)) for name, part in reader.sections.items()),
+                           n, partition, unmap, steps, records)
+
+
+def read_container(blob: bytes) -> np.ndarray:
+    """Invert ``write_container``: parse, decode the block streams, undo the
+    steps in reverse, then the symbol map; raises ContainerError on a fault."""
+    container = parse_container(blob)
+    out = np.zeros(container.n, dtype=np.int64)
+    for (counts, nbits, data), positions in zip(container.records, container.partition.groups()):
+        if container.n:
+            try:
+                block = kernels.ac_decode(data, container.n, _cum_from_counts(counts), nbits)
+            except ValueError as exc:
+                raise ContainerError(f"corrupt block stream: {exc}") from exc
+            insert_block(out, block, positions)
     # the steps and the map are undone on the distinct symbols alone
-    z, inverse, _ = _group(_decode_block_streams(reader, records, partition, n), d)
-    for unshuffle, inverses in reversed(steps):
-        z = extract_block(map_blocks(z, inverses, partition), unshuffle)
-    return (z if unmap is None else unmap[z])[inverse]
+    z, inverse, _ = _group(out, container.partition.d)
+    for unshuffle, inverses in reversed(container.steps):
+        z = extract_block(map_blocks(z, inverses, container.partition), unshuffle)
+    return (z if container.unmap is None else container.unmap[z])[inverse]
 
 
 @dataclass(frozen=True)

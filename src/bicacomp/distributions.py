@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _NORM_TOL = 1e-12
-_LOG2 = np.log(2.0)
 
 
 def binary_entropy(q):
@@ -175,7 +174,7 @@ class MarginalProfile:
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.pis, dtype=np.float64)
-        if (v < -1e-12).any() or (v > 1 + 1e-12).any():
+        if not np.all((v >= -1e-12) & (v <= 1 + 1e-12)):  # False on NaN
             raise ValueError("marginal probabilities must lie in [0, 1]")
         # np.clip's wrapper costs more than the two ufuncs on d-entry arrays
         v = np.minimum(np.maximum(v, 0.0), 1.0)

@@ -233,8 +233,8 @@ class Lattice:
             raise ValueError("d4 lattice requires dim=4")
         if self.kind == "e8" and self.dim != 8:
             raise ValueError("e8 lattice requires dim=8")
-        if self.scale <= 0 or self.dim < 1:
-            raise ValueError("scale must be positive and dim >= 1")
+        if not 0 < self.scale < math.inf or self.dim < 1:
+            raise ValueError("scale must be positive and finite, and dim >= 1")
 
     def nearest(self, x: np.ndarray) -> np.ndarray:
         """Nearest lattice point(s), ignoring the sphere truncation."""

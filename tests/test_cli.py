@@ -1,6 +1,5 @@
 import argparse
 import ast
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -286,6 +285,9 @@ def test_empty_or_zero_step_grids_exit_2(capsys, argv):
     # named no option: "need 1 <= b <= d"
     (["universal", "run", "--zipf", "m=64", "--d", "6", "--b", "0", "--n", "100"], "--b"),
     (["universal", "run", "--zipf", "m=64", "--d", "6", "--b", "17", "--n", "100"], "--b"),
+    # exited 0 with a nan distortion row
+    (["vq", "lattice", "--dim", "3", "--n", "100", "--scales", "nan"], "scale must be positive"),
+    (["vq", "lattice", "--dim", "3", "--n", "100", "--scales", "inf"], "scale must be positive"),
 ])
 def test_out_of_range_options_exit_2(capsys, argv, named):
     assert run_main(argv) == 2
@@ -320,10 +322,9 @@ def test_compress_decompress_round_trip(tmp_path):
 
 
 def _block_widths(blob):
-    """Per-block bit widths: the container's sizes field, one u8 per block
-    after the header, whose byte 6 holds the block count."""
-    head = struct.calcsize("<4sBBBBQI")
-    return list(blob[head:head + blob[6]])
+    """Per-block bit widths: the container's block sizes section, one u8
+    per block."""
+    return list(dict(coding.parse_container(blob).sections)["block_sizes"])
 
 
 @pytest.mark.parametrize("blocks, widths", [

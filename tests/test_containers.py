@@ -24,9 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicacomp import ContainerError
-from bicacomp.coding import (BlockPartition, extract_block, marginal_decode, marginal_encode,
-                             write_container)
+from bicacomp import ContainerError, kernels
+from bicacomp.coding import (SECTIONS, BlockPartition, extract_block, marginal_decode,
+                             marginal_encode, parse_container, write_container)
 from bicacomp.distributions import JointDistribution, SymbolPermutation
 from bicacomp.search import order_permutation
 from bicacomp.sources import SourceSpec, sample
@@ -122,19 +122,16 @@ def _lone_blocks(symbols, partition):
 
 
 def _block_records(blob):
-    """(active symbols, stream bits) of every block record of a container:
-    the records follow the d-bit map (flag bit 0) and the steps."""
-    head = struct.calcsize("<4sBBBBQI")
-    _, _, d, n_blocks, flags, _, n_steps = struct.unpack_from("<4sBBBBQI", blob, 0)
-    sizes = blob[head:head + n_blocks]
-    at = head + n_blocks + d + (flags & 1) * (((d + 7) // 8) << d)
-    at += n_steps * (d + sum(((s + 7) // 8) << s for s in sizes))
-    records = []
-    for _ in sizes:
-        n_active, stream_bits = struct.unpack_from("<IQ", blob, at)
-        records.append((n_active, stream_bits))
-        at += struct.calcsize("<IQ") + struct.calcsize("<IH") * n_active
-    return records
+    """(active symbols, stream bits) of every block record of a container."""
+    return [(np.count_nonzero(counts), bits) for counts, bits, _ in parse_container(blob).records]
+
+
+def _check_sections(blob):
+    """The parsed sections come out in the declared order and their bytes
+    concatenate to the container."""
+    sections = parse_container(blob).sections
+    assert tuple(name for name, _ in sections) == SECTIONS
+    assert b"".join(part for _, part in sections) == blob
 
 
 @pytest.mark.parametrize("case", sorted(MARGINAL_CASES))
@@ -144,6 +141,7 @@ def test_bac1_golden_bytes(case):
     enc = marginal_encode(x, g, partition)
     blob = enc.container
     assert np.array_equal(marginal_decode(blob), x)
+    _check_sections(blob)
     if case == "lone":
         assert _lone_blocks(g.apply(x), partition) == 1
         assert (1, 0) in _block_records(blob)  # the lone block's stream is empty
@@ -157,6 +155,7 @@ def test_bau1_golden_bytes(case):
     x, result = make()
     blob = compress(x, result)
     assert np.array_equal(decompress(blob), x)
+    _check_sections(blob)
     if case == "lone":
         assert (1, 0) in _block_records(blob)  # a lone symbol's stream is empty
     assert len(blob) == length
@@ -190,6 +189,7 @@ def test_bac1_round_trip_property(src, seed):
     enc = marginal_encode(x, _random_g(d, seed), BlockPartition.contiguous(d, b))
     assert np.array_equal(marginal_decode(enc.container), x)
     assert enc.cost.data_bits + enc.cost.overhead_bits == len(enc.container) * 8
+    _check_sections(enc.container)
 
 
 @settings(max_examples=40, deadline=None)
@@ -201,7 +201,20 @@ def test_bau1_round_trip_property(src, method, seed):
         b = min(b, 4)  # the placement count grows as C(b + 7, b)
     result = descend(x, d, b, method=method, max_iters=2, seed=seed,
                      init_shuffles=2, patience=2)
-    assert np.array_equal(decompress(compress(x, result)), x)
+    blob = compress(x, result)
+    assert np.array_equal(decompress(blob), x)
+    _check_sections(blob)
+
+
+def test_a_full_16_bit_block_round_trips():
+    # the widest block: all 2^16 values once each, in a seeded order, so its
+    # table holds 2^16 entries and the decoder's slot table is uint16
+    x = np.random.default_rng(16).permutation(1 << 16)
+    blob = marginal_encode(x, SymbolPermutation.identity(16),
+                           BlockPartition.contiguous(16, 16)).container
+    assert [active for active, _ in _block_records(blob)] == [1 << 16]
+    assert len(blob) == 655_413
+    assert np.array_equal(marginal_decode(blob), x)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +237,7 @@ def formats():
     enc = marginal_encode(x, g, partition)
     xu, result = _universal_order()
     return {"BAC2": (marginal_decode, enc.container, x,
-                     sum((b + 7) // 8 for _, b in _block_records(enc.container))),
+                     len(dict(parse_container(enc.container).sections)["streams"])),
             "BAU2": (decompress, compress(xu, result), xu, None)}
 
 
@@ -280,12 +293,22 @@ def test_corrupt_stream_with_a_valid_checksum_raises(formats):
 
 
 @pytest.mark.parametrize("fmt", ["BAC2", "BAU2"])
-def test_a_container_cut_anywhere_raises(fmt, formats):
-    decode, blob = formats[fmt][:2]
+def test_a_container_cut_anywhere_raises(fmt, formats, monkeypatch):
+    decode, blob, x = formats[fmt][:3]
     body = blob[:-4]
+    ac_decode, decodes = kernels.ac_decode, []
+
+    def counted(*args):
+        decodes.append(args)
+        return ac_decode(*args)
+
+    monkeypatch.setattr(kernels, "ac_decode", counted)
     for cut in range(len(body)):
         with pytest.raises(ContainerError):
             decode(_reseal(body[:cut]))
+    assert decodes == []  # the parse rejects every cut before any stream decodes
+    assert np.array_equal(decode(blob), x)
+    assert decodes  # the counter does see the whole container's streams
 
 
 def test_a_map_longer_than_the_container_raises_before_allocating():

@@ -204,8 +204,9 @@ def test_permutation_validation_and_inverse():
 
 
 def test_marginal_profile_validation():
-    with pytest.raises(ValueError):
-        MarginalProfile(np.array([0.5, 1.5]))
+    for bad in ([0.5, 1.5], [0.5, np.nan]):  # NaN used to construct
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            MarginalProfile(np.array(bad))
     prof = MarginalProfile(np.array([0.5, 0.5]))
     assert prof.entropy_sum() == pytest.approx(2.0)
 

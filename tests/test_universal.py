@@ -269,21 +269,23 @@ def test_descent_is_invariant_under_row_permutation(d, b, n, seed, method):
 
 
 def _step_entries(blob):
-    """(offset, count, itemsize) of every shuffle and block map in a
-    container without a d-bit map: a b-bit block map takes ceil(b/8) bytes
-    per entry."""
-    head = struct.calcsize("<4sBBBBQI")
-    _, _, d, n_blocks, _, _, n_steps = struct.unpack_from("<4sBBBBQI", blob, 0)
-    sizes = blob[head:head + n_blocks]
-    at = head + n_blocks + d
+    """(offset, count, itemsize) of every shuffle and block map in the steps
+    section of a container: each step is a d-byte shuffle, then one map per
+    block, whose b-bit entries take ceil(b/8) bytes each."""
+    parsed = coding.parse_container(blob)
+    steps = coding.SECTIONS.index("steps")
+    at = sum(len(part) for _, part in parsed.sections[:steps])
+    end = at + len(parsed.sections[steps][1])
+    d = parsed.partition.d
     out = []
-    for _ in range(n_steps):
+    for _ in parsed.steps:
         out.append((at, d, 1))
         at += d
-        for s in sizes:
+        for s in parsed.partition.sizes:
             width = (s + 7) // 8
             out.append((at, 1 << s, width))
             at += width << s
+    assert at == end
     return out
 
 

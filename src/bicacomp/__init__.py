@@ -22,7 +22,6 @@ from .bounds import (
     RedundancyRegime,
     expected_joint_entropy,
     expected_marginal_bound,
-    expected_order_statistic,
     identity_gap_limit,
     minimax_redundancy,
     ordered_gap_bound,

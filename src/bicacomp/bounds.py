@@ -128,15 +128,6 @@ def expected_joint_entropy(m: int) -> float:
     return (digamma_integer(m + 1) - digamma_integer(2)) / math.log(2.0)
 
 
-def expected_order_statistic(m: int, i: int) -> float:
-    """Mean of the i-th smallest coordinate of a uniform simplex point:
-    (K_m - K_{m-i}) / m."""
-    if not 1 <= i <= m:
-        raise ValueError("order-statistic index out of range")
-    k = harmonic_numbers(m)
-    return (k[m] - k[m - i]) / m
-
-
 def expected_marginal_bound(m: int, j: int) -> tuple[float, float]:
     """Jensen upper bound on the mean entropy of bit j under the ordering
     transform, as (exact finite-m value, large-m limit), both in bits.

@@ -73,7 +73,9 @@ class PrefixCode:
     """Codeword lengths and values per symbol; length 0 marks a symbol that
     is absent from the code (zero probability). Construction checks that
     every codeword fits its length (at most 63 bits) and that no codeword
-    is a prefix of another, which also implies the Kraft inequality."""
+    is a prefix of another, which also implies the Kraft inequality.
+    ``huffman_build``'s codes are prefix-free by construction and skip
+    that check (``_canonical_code``)."""
 
     lengths: np.ndarray
     codes: np.ndarray
@@ -129,7 +131,12 @@ def huffman_build(probs) -> PrefixCode:
     an odd last one waits for the next round. The leaves are sorted by
     ``stable_argsort``, an exact stable order from SIMD sorts, and the
     codes numbered in (length, index) order by a radix sort of the lengths
-    (``_length_order``)."""
+    (``_length_order``).
+
+    The code is returned by ``_canonical_code``, without the general
+    prefix check of ``PrefixCode``: canonical numbering of lengths in
+    0..63 that pass the exact Kraft count is prefix-free by construction
+    (Schwartz & Kallick, 1964), and ``_canonical_codes`` checks both."""
     p = np.asarray(probs, dtype=np.float64)
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise ValueError("probabilities must be finite and non-negative")
@@ -171,7 +178,7 @@ def huffman_build(probs) -> PrefixCode:
         depth[k + lo:k + hi] = depth[parent[k + lo:k + hi]] + 1
     lengths = np.zeros(p.size, dtype=np.int64)
     lengths[active] = depth[parent[:k]] + 1
-    return PrefixCode(lengths, _canonical_codes(lengths))
+    return _canonical_code(lengths)
 
 
 def _length_order(lengths: np.ndarray) -> np.ndarray:
@@ -184,21 +191,42 @@ def _length_order(lengths: np.ndarray) -> np.ndarray:
     return np.argsort(lengths.astype(np.uint8), kind="stable")
 
 
-def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Consecutive binary numbering, symbols visited by (length, index):
-    the first code of each length plus the rank within its length class."""
-    order = _length_order(lengths)
-    counts = np.bincount(lengths, minlength=1)
+def _code_offsets(counts: np.ndarray) -> np.ndarray:
+    """Canonical numbering of ``counts[l]`` codewords of each length l,
+    listed by length: the code at position i of the list, in class l, is
+    ``offset[l] + i``, the first code of length l plus the rank within its
+    class. Raises ValueError when the counts fail the exact Kraft count."""
     first = [0] * counts.size
     for l in range(2, counts.size):
         first[l] = (first[l - 1] + int(counts[l - 1])) << 1
     if counts.size > 1 and first[-1] + int(counts[-1]) > 1 << (counts.size - 1):
         raise ValueError("Kraft inequality violated")
-    # code = first[l] + rank, rank = position in (length, index) order - class start
-    offset = np.array(first, dtype=np.int64) - (np.cumsum(counts) - counts)
+    return np.array(first, dtype=np.int64) - (np.cumsum(counts) - counts)
+
+
+def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
+    """Consecutive binary numbering, symbols visited by (length, index)."""
+    order = _length_order(lengths)
+    offset = _code_offsets(np.bincount(lengths, minlength=1))
     codes = np.empty_like(lengths)
     codes[order] = offset[lengths[order]] + np.arange(lengths.size)
     return np.where(lengths > 0, codes, 0)
+
+
+def _canonical_code(lengths: np.ndarray) -> PrefixCode:
+    """The ``PrefixCode`` of int64 ``lengths`` numbered by
+    ``_canonical_codes``, which raises unless they lie in 0..63 and pass
+    the exact Kraft count. Such a numbering gives each length class
+    consecutive codewords, each class starting past every shorter
+    codeword's range, so no codeword is a prefix of another and
+    ``PrefixCode``'s general check (a sort of every codeword) is skipped."""
+    codes = _canonical_codes(lengths)
+    lengths.flags.writeable = False
+    codes.flags.writeable = False
+    code = object.__new__(PrefixCode)
+    object.__setattr__(code, "lengths", lengths)
+    object.__setattr__(code, "codes", codes)
+    return code
 
 
 @dataclass(frozen=True)
@@ -248,7 +276,10 @@ def serialize_codebook(book: CanonicalCodebook, alphabet_size: int) -> np.ndarra
 
 def deserialize_codebook(bits: np.ndarray, alphabet_size: int, n_coded: int) -> CanonicalCodebook:
     """Parse ``serialize_codebook``'s wire. Raises ``ValueError`` if the counts miss
-    ``n_coded`` within 63 lengths or a symbol is cut off, out of range or repeated."""
+    ``n_coded`` within 63 lengths, a symbol is cut off, out of range or repeated,
+    the symbols of a length class do not ascend, or the counts fail the exact
+    Kraft count. The symbols are then in (length, symbol) order, so the codes
+    are numbered in wire order (``_code_offsets``), with no sort."""
     w = next_bit_dimension(alphabet_size)
     bits = np.asarray(bits)
     zeros = np.flatnonzero(bits[:n_coded + 63] == 0)
@@ -276,12 +307,18 @@ def deserialize_codebook(bits: np.ndarray, alphabet_size: int, n_coded: int) -> 
     syms &= (1 << w) - 1
     if np.any(syms >= alphabet_size):
         raise ValueError("codebook symbol outside the alphabet")
+    counts = np.diff(seen[:n_len + 1], prepend=0)  # per length 0..n_len; none of length 0
+    wire_lengths = np.repeat(np.arange(n_len + 1), counts)
     lengths = np.zeros(alphabet_size, dtype=np.int64)
-    lengths[syms] = np.searchsorted(seen, np.arange(n_coded), side="right")
+    lengths[syms] = wire_lengths
     if np.count_nonzero(lengths) != n_coded:
         raise ValueError("codebook symbol repeated")
+    if np.any((np.diff(syms) <= 0) & (np.diff(wire_lengths) == 0)):
+        raise ValueError("codebook symbols out of (length, symbol) order")
+    codes = np.zeros(alphabet_size, dtype=np.int64)
+    codes[syms] = _code_offsets(counts)[wire_lengths] + np.arange(n_coded)
     # the wire read: n_len unary counts (the longest length is n_len) and the symbols
-    return CanonicalCodebook(lengths, _canonical_codes(lengths), n_coded * (w + 1) + n_len)
+    return CanonicalCodebook(lengths, codes, n_coded * (w + 1) + n_len)
 
 
 def prefix_encode(symbols: np.ndarray, code: PrefixCode) -> np.ndarray:

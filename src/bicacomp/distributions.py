@@ -68,17 +68,22 @@ def stable_argsort(keys) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` of NaN-free 1-D keys, at the speed
     of the SIMD sorts: NumPy runs a stable sort of floats as timsort, 7-9 ms
     on 2^16 keys against 2-3 ms here. One unstable argsort sorts the
-    keys; the runs of equal keys in that order are numbered, and sorting
-    ``run << b | index`` (2^b >= the key count, so it fits an int64 up to
-    2^31 keys) orders each run by index.
+    keys. When no two keys are equal, that order is the only sorted one,
+    hence the stable one, and it is returned as is. Otherwise the runs of
+    equal keys in that order are numbered, and sorting ``run << b | index``
+    (2^b >= the key count, so it fits an int64 up to 2^31 keys) orders
+    each run by index.
     ``-0.0`` and ``0.0`` are equal keys, as in the stable sort; a NaN
     would start a run of its own, so the caller keeps them out."""
     keys = np.asarray(keys)
     n = keys.size
     order = np.argsort(keys)
     ranked = keys[order]
+    new_run = ranked[1:] != ranked[:-1]
+    if new_run.all():
+        return order
     run = np.zeros(n, dtype=np.int64)
-    np.cumsum(ranked[1:] != ranked[:-1], out=run[1:])
+    np.cumsum(new_run, out=run[1:])
     b = max(n - 1, 0).bit_length()
     run <<= b
     run |= order

@@ -9,7 +9,6 @@ from bicacomp.bounds import (
     RedundancyRegime,
     expected_joint_entropy,
     expected_marginal_bound,
-    expected_order_statistic,
     harmonic_numbers,
     identity_gap_limit,
     minimax_redundancy,
@@ -142,26 +141,6 @@ def test_expected_entropy_gap_tends_to_limit_monotonically():
     assert all(a < b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < identity_gap_limit()
     assert identity_gap_limit() - gaps[-1] < 1e-4
-
-
-def test_expected_order_statistic_m2():
-    assert expected_order_statistic(2, 1) == pytest.approx(0.25, abs=1e-15)
-    assert expected_order_statistic(2, 2) == pytest.approx(0.75, abs=1e-15)
-
-
-def test_expected_order_statistics_sum_to_one():
-    for m in (2, 8, 64, 1024):
-        total = sum(expected_order_statistic(m, i) for i in range(1, m + 1))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_expected_order_statistic_top_value_and_range():
-    k = harmonic_numbers(1024)
-    assert expected_order_statistic(1024, 1024) == pytest.approx(float(k[1024]) / 1024, abs=1e-15)
-    with pytest.raises(ValueError):
-        expected_order_statistic(8, 0)
-    with pytest.raises(ValueError):
-        expected_order_statistic(8, 9)
 
 
 # ---------------------------------------------------------------------------

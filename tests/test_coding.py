@@ -137,6 +137,32 @@ def test_prefix_code_validation():
             PrefixCode(np.array(lengths), np.array(codes))
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 600) | st.just(1 << 16),
+       kind=st.sampled_from(["ties", "distinct", "lone"]),
+       zero_share=st.sampled_from([0.0, 0.5, 0.99]), seed=st.integers(0, 2 ** 32 - 1))
+@example(m=1 << 16, kind="distinct", zero_share=0.0, seed=1)  # full support, no ties
+@example(m=1 << 16, kind="ties", zero_share=0.0, seed=2)  # full support, three weights
+@example(m=1 << 16, kind="lone", zero_share=0.0, seed=3)
+@example(m=1, kind="distinct", zero_share=0.0, seed=4)
+def test_every_huffman_code_passes_the_general_prefix_check(m, kind, zero_share, seed):
+    # huffman_build skips PrefixCode's check; its codes must pass it anyway
+    rng = np.random.default_rng(seed)
+    if kind == "ties":  # small integer weights: long runs of equal keys
+        p = rng.integers(1, 4, m).astype(np.float64)
+    elif kind == "distinct":
+        p = rng.dirichlet(np.ones(m))
+    else:
+        p = np.zeros(m)
+    p[rng.random(m) < zero_share] = 0.0
+    p[rng.integers(m)] = 1.0
+    code = huffman_build(p)
+    checked = PrefixCode(code.lengths, code.codes)
+    assert np.array_equal(checked.lengths, code.lengths)
+    assert np.array_equal(checked.codes, code.codes)
+    assert not code.lengths.flags.writeable and not code.codes.flags.writeable
+
+
 def test_prefix_code_accepts_prefix_free_codes():
     PrefixCode(np.array([2, 1, 3, 3]), np.array([3, 0, 5, 4]))
     PrefixCode(np.array([0, 2, 0, 2]), np.array([7, 1, 7, 2]))  # absent symbols' codes are ignored
@@ -341,6 +367,16 @@ def test_codebook_parse_rejects_repeated_symbol():
     wire = _flat8_wire()
     wire[-3:] = wire[-6:-3]  # the last symbol repeats the one before it
     with pytest.raises(ValueError, match="repeated"):
+        deserialize_codebook(wire, 8, 8)
+
+
+def test_codebook_parse_rejects_symbols_out_of_order():
+    # numbering in wire order is canonical only while each length class
+    # lists its symbols ascending
+    wire = _flat8_wire()
+    first = wire.size - 8 * 3  # the first of the eight 3-bit symbols
+    wire[first:first + 6] = np.concatenate([wire[first + 3:first + 6], wire[first:first + 3]])
+    with pytest.raises(ValueError, match="order"):
         deserialize_codebook(wire, 8, 8)
 
 

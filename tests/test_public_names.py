@@ -5,9 +5,11 @@ and every defaulted parameter or dataclass field has a caller that sets it.
 A name counts as reached when library code outside its own definition
 (``__init__.py`` aside: re-exporting is not use), the benchmark package or
 the acceptance suite names it; a method or property, when such code names
-it as an attribute. Anything else is surface only its own tests keep
-alive. Likewise a default that no such caller overrides is a constant
-written as an option.
+it as an attribute; a field, when such code reads it from an object of
+its class or of a class it cannot tell; a public function, when a program
+reaches it through a chain of such uses. Anything else is surface only its
+own tests keep alive. Likewise a default that no such caller overrides is
+a constant written as an option.
 """
 
 import ast
@@ -18,9 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bicacomp"
 
 # module.name -> why it stays without a caller
-ALLOWED = {
-    "bounds.expected_order_statistic": "a closed form the paper states",
-}
+ALLOWED = {}
 
 
 def _named(tree):
@@ -61,6 +61,36 @@ def test_every_public_name_is_reached():
     assert sorted(set(unreached) - ALLOWED.keys()) == []
     # an entry that gains a caller, or whose name is gone, leaves the list
     assert sorted(ALLOWED.keys() - set(unreached)) == []
+
+
+def test_every_public_function_is_reached():
+    # the module-level twin of test_every_public_method_is_reached, and
+    # transitive: a function is reached from a program (the benchmark
+    # package, the acceptance suite, the console script's cli.main, or code
+    # that runs at import), directly or through functions and classes that
+    # are, so one that only unreached code calls is unreached too
+    roots = {"main"}
+    for path in [*sorted((ROOT / "pipebench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
+        roots |= _named(_parse(path))
+    library = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    defs = {}  # name -> the top-level functions and classes of that name
+    for tree in library.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _named(node)
+    reached, todo = set(), [name for name in roots if name in defs]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [used for node in defs[name] for used in _named(node) if used in defs]
+    unreached = [f"{mod}.{node.name}" for mod, tree in library.items() for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                 and node.name not in reached]
+    assert unreached == []
 
 
 # module.Class.method -> why it stays without a reader
@@ -111,25 +141,102 @@ def test_every_public_method_is_reached():
 ALLOWED_FIELDS = {
     "vq.QuantizerState.centroids":
         "the designed codebook, which test_vq_pinned digests",
+    "vq.QuantizerState.lengths":
+        "the per-cluster codeword lengths, which test_vq_pinned digests with the centroids",
+    "coding.ParsedContainer.sections":
+        "the declared layout as parsed, which the container tests join back into the blob",
 }
 
 
+def _class_of(node, classes):
+    """The library class an annotation names (``C``, ``mod.C`` or ``"C"``), else None."""
+    name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+            else node.value if isinstance(node, ast.Constant) else None)
+    return name if name in classes else None
+
+
+def _typing(library):
+    """(library class names, function or method name -> the class its
+    return annotation names, for names that annotate one class throughout)."""
+    classes = {node.name for tree in library.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    returns = {}
+    for tree in library.values():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                cls = _class_of(fn.returns, classes) if fn.returns else None
+                returns[fn.name] = cls if returns.get(fn.name, cls) == cls else None
+    return classes, returns
+
+
+def _bound_types(fn, classes, returns, method_of):
+    """Name -> the class it holds throughout ``fn`` (None when unknown): an
+    annotated parameter, ``self`` of a method, or a name only ever assigned
+    a call of a class or of a function annotated to return one."""
+    args = fn.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    types = {a.arg: _class_of(a.annotation, classes) if a.annotation else None
+             for a in params if a is not None}
+    if method_of and params and params[0] is not None and params[0].arg == "self":
+        types["self"] = method_of
+    assigned = {}
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Call)):
+            called = _called_name(node.value)
+            assigned[node.targets[0]] = called if called in classes else returns.get(called)
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            cls = assigned.get(node)
+            types[node.id] = cls if types.get(node.id, cls) == cls else None
+    return types
+
+
+def _keyed_reads(tree, classes, returns):
+    """How often ``tree`` reads each attribute, keyed (owning class, name):
+    the class is the receiver's when ``_bound_types`` knows it, None when
+    not. A class's reads of its own fields in ``__post_init__`` are left
+    out: construction checks its own fields, which reads nothing for a
+    program."""
+    reads = Counter()
+
+    def visit(node, types, cls, checking):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                method_of = cls if isinstance(node, ast.ClassDef) else None
+                inner = {**types, **_bound_types(child, classes, returns, method_of)}
+                own = method_of if getattr(child, "name", None) == "__post_init__" else None
+                visit(child, inner, None, own)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                owner = types.get(child.value.id) if isinstance(child.value, ast.Name) else None
+                if owner is None or owner != checking:
+                    reads[owner, child.attr] += 1
+            visit(child, types, child.name if isinstance(child, ast.ClassDef) else cls, checking)
+
+    visit(tree, {}, None, None)
+    return reads
+
+
 def test_every_public_field_is_read():
-    outside, library, named = _attribute_uses()
+    library = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    classes, returns = _typing(library)
+    reads = Counter()
+    for tree in [*library.values(), *(_parse(path) for path in [
+            *sorted((ROOT / "pipebench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"])]:
+        reads.update(_keyed_reads(tree, classes, returns))
     unread = []
     for mod, tree in library.items():
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
                 continue
-            # construction checks its own fields; that reads nothing for a program
-            own = Counter(attr for fn in cls.body
-                          if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
-                          for attr in _attributes(fn))
             for node in cls.body:
                 if not isinstance(node, ast.AnnAssign) or not isinstance(node.target, ast.Name):
                     continue
                 name = node.target.id
-                if not name.startswith("_") and name not in outside and named[name] == own[name]:
+                # a read of this class's field, or of a receiver of unknown class
+                if not name.startswith("_") and not reads[cls.name, name] + reads[None, name]:
                     unread.append(f"{mod}.{cls.name}.{name}")
     assert sorted(set(unread) - ALLOWED_FIELDS.keys()) == []
     # an entry that gains a reader, or whose name is gone, leaves the list

@@ -19,9 +19,10 @@ so a block that holds one value codes to 0 bits. The decoder fails unless
 it ends in state 1 with every word consumed.
 
 The coder loops are sequential and run in the interpreter on Python ints.
-The assignment screens chunks of samples with one matrix product and keeps
-each row whose nearest cluster wins by more than a rounding bound; the few
-other rows (ties, near-ties, values near overflow) are summed again one
+The assignment screens chunks of samples with one matrix product, whose
+left factor (the lifted samples) a fit builds once, and keeps each row
+whose nearest cluster wins by more than a rounding bound; the few other
+rows (ties, near-ties, values near overflow) are summed again one
 coordinate at a time, which is the exact rule. Speed numbers are in the
 Baseline section of ``ROADMAP.md``.
 """
@@ -105,7 +106,15 @@ def ac_decode(data, n, cum, nbits) -> np.ndarray:
     return out
 
 
-def ecvq_assign(x, centroids, bias) -> np.ndarray:
+def lift_samples(x) -> np.ndarray:
+    """The (n, dim + 2) block ``[x, |x|^2, 1]`` that ``ecvq_assign``'s
+    screen multiplies; it depends on the samples alone, so a fit builds it
+    once."""
+    xx = np.einsum("ij,ij->i", x, x)
+    return np.concatenate([x, xx[:, None], np.ones((x.shape[0], 1))], axis=1)
+
+
+def ecvq_assign(x, centroids, bias, lifted) -> np.ndarray:
     """Nearest-centroid assignment under squared distance plus a per-cluster
     bias. Retired clusters carry an inf bias and are never selected; a row
     whose clusters are all retired gets 0. The result is ``_assign_exact``'s
@@ -114,7 +123,8 @@ def ecvq_assign(x, centroids, bias) -> np.ndarray:
 
     A screen settles almost every row with one matrix product. Over the
     live clusters, in chunks of ASSIGN_CHUNK_CELLS values, it forms
-    ``|x|^2 + (|c|^2 + bias) - 2 x c^T`` as the product of ``[x, |x|^2, 1]``
+    ``|x|^2 + (|c|^2 + bias) - 2 x c^T`` as the product of ``lifted``, the
+    samples' ``lift_samples`` block ``[x, |x|^2, 1]`` (built once per fit),
     with ``[-2 c^T; 1; |c|^2 + bias]`` and takes each row's argmin. With
     u = 2^-53 and S = |x_i|^2 + max |c_j|^2 + max |bias_j| over the live
     clusters, a screened value is within (3*dim + 5) u S of the real biased
@@ -127,33 +137,37 @@ def ecvq_assign(x, centroids, bias) -> np.ndarray:
     strict minimum. Ties, near-ties and rows whose S is not finite or comes
     near overflow are summed again by ``_assign_exact``."""
     n, dim = x.shape
-    assign = np.zeros(n, dtype=np.int64)
+    if lifted.shape != (n, dim + 2):
+        raise ValueError("lifted must be the samples' (n, dim + 2) lift_samples block")
     live = np.flatnonzero(bias != np.inf)
     if n == 0 or live.size == 0:
-        return assign
+        return np.zeros(n, dtype=np.int64)
     c = centroids[live]
+    b = bias[live]
     cc = np.einsum("ij,ij->i", c, c)
-    right = np.concatenate([-2.0 * c.T, np.ones((1, live.size)), (cc + bias[live])[None]])
-    xx = np.einsum("ij,ij->i", x, x)
-    left = np.concatenate([x, xx[:, None], np.ones((n, 1))], axis=1)
-    scale = xx + (np.max(cc) + np.max(np.abs(bias[live])))
+    right = np.empty((dim + 2, live.size))  # [-2 c^T; 1; |c|^2 + bias]
+    np.multiply(c.T, -2.0, out=right[:dim])
+    right[dim] = 1.0
+    np.add(cc, b, out=right[dim + 1])
+    scale = lifted[:, dim] + (np.max(cc) + np.max(np.abs(b)))
     coef = 5 * dim + 16
     gap = np.where(scale < _SCREEN_MAX, 2 * coef * (_ROUNDOFF * scale + _TINY), np.inf)
+    assign = np.empty(n, dtype=np.int64)
     settled = np.empty(n, dtype=bool)
     rows = max(1, ASSIGN_CHUNK_CELLS // live.size)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are not settled
         for start in range(0, n, rows):
             stop = min(n, start + rows)
-            s = left[start:stop] @ right
+            s = lifted[start:stop] @ right
             at = np.arange(stop - start)
             best = np.argmin(s, axis=1)
             low = s[at, best]
             s[at, best] = np.inf
             runner_up = s[at, np.argmin(s, axis=1)]
-            settled[start:stop] = runner_up > low + gap[start:stop]
-            assign[start:stop] = live[best]
-    hard = np.flatnonzero(~settled)
-    if hard.size:
+            np.greater(runner_up, low + gap[start:stop], out=settled[start:stop])
+            np.take(live, best, out=assign[start:stop])
+    if not settled.all():
+        hard = np.flatnonzero(~settled)
         assign[hard] = _assign_exact(x[hard], centroids, bias)
     return assign
 

@@ -13,10 +13,13 @@ still descends). That length step is one batched NumPy pass per sweep:
 the order search's map and the current map are scored side by side, and
 no distribution or permutation object is built until the fit returns.
 
-The pinned fit histories depend on two summation orders: each bit's zero
-mass adds the cluster probabilities in index order, as a masked sum does,
-and each centroid's coordinate sums add its samples in sample order, as
-``bincount`` does.
+The pinned fit histories depend on three summation orders: each bit's
+zero mass adds the cluster probabilities in index order, as a masked sum
+does; each centroid's coordinate sums add its samples in sample order, as
+``bincount`` does; and each sample's distortion adds its coordinates as
+the row reduction ``np.sum(..., axis=1)`` does (NumPy sums a row of 8 or
+more with 8 partial accumulators, so a column-wise sum over a transposed
+layout is another order from dim 8 on).
 
 Fixed quantizers: the cubic integer lattice in any dimension, the
 even-coordinate-sum lattice in four dimensions, and its eight-dimensional
@@ -71,11 +74,13 @@ class QuantizerState:
 
 def _fit_samples(samples, m_init: int, lam: float) -> np.ndarray:
     """The samples as a float (n, dim) array, once both fits' shared
-    arguments check out: finite samples, 1 <= m_init <= n and a finite
-    lam >= 0."""
+    arguments check out: finite samples with dim >= 1, 1 <= m_init <= n and
+    a finite lam >= 0."""
     x = np.ascontiguousarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("samples must be a non-empty (n, dim) array")
+    if x.shape[1] < 1:
+        raise ValueError("need dim >= 1")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
     if not 1 <= m_init <= x.shape[0]:
@@ -86,9 +91,17 @@ def _fit_samples(samples, m_init: int, lam: float) -> np.ndarray:
 
 
 def _sweep_eval(x, centroids, lengths, assign, lam):
-    diffs = x - centroids[assign]
-    dist = float(np.mean(np.sum(diffs * diffs, axis=1)))
-    rate = float(np.mean(lengths[assign]))
+    """Mean distortion, mean rate and Lagrangian of a sweep, equal bit for
+    bit to ``np.mean(np.sum(diffs * diffs, axis=1))`` with ``diffs = x -
+    centroids[assign]`` and to ``np.mean(lengths[assign])``: the same row
+    reduction and the same total divided by n, without the wrappers'
+    per-call cost."""
+    n = x.shape[0]
+    diffs = np.take(centroids, assign, axis=0)
+    np.subtract(x, diffs, out=diffs)
+    np.multiply(diffs, diffs, out=diffs)
+    dist = float(np.add.reduce(diffs, axis=1).sum()) / n
+    rate = float(np.take(lengths, assign).sum()) / n
     return dist, rate, dist + lam * rate
 
 
@@ -98,7 +111,8 @@ def _lloyd(x: np.ndarray, m_init: int, lam: float, seed: int, max_sweeps: int,
     assign each sample to the cluster minimizing squared distance plus lam
     times its length, take new lengths from ``length_step(counts)`` (inf
     retires an empty cluster), move occupied centroids to their means; stop
-    once a sweep lowers the Lagrangian by less than SWEEP_TOL.
+    once a sweep lowers the Lagrangian by less than SWEEP_TOL. The samples
+    are lifted for the assignment's screen once, before the first sweep.
 
     All centroids' coordinate sums come from one ``bincount`` over the bins
     ``assign * dim + column``, which adds each bin's samples in sample order
@@ -111,17 +125,18 @@ def _lloyd(x: np.ndarray, m_init: int, lam: float, seed: int, max_sweeps: int,
     dim = x.shape[1]
     columns = np.arange(dim)
     values = x.ravel()
+    lifted = kernels.lift_samples(x)
     history = []
     prev = np.inf
     for _ in range(max_sweeps):
-        bias = np.where(np.isfinite(lengths), lam * lengths, np.inf)
-        assign = kernels.ecvq_assign(x, centroids, bias)
+        bias = np.full(m_init, np.inf)  # retired: lam * inf is NaN at lam = 0
+        np.multiply(lam, lengths, out=bias, where=np.isfinite(lengths))
+        assign = kernels.ecvq_assign(x, centroids, bias, lifted)
         counts = np.bincount(assign, minlength=m_init)
         lengths = length_step(counts)
-        occupied = counts > 0
         bins = (assign[:, None] * dim + columns).ravel()
         sums = np.bincount(bins, weights=values, minlength=m_init * dim).reshape(m_init, dim)
-        centroids[occupied] = sums[occupied] / counts[occupied, None]
+        np.divide(sums, counts[:, None], out=centroids, where=counts[:, None] > 0)
         dist, rate, lag = _sweep_eval(x, centroids, lengths, assign, lam)
         history.append(lag)
         if prev - lag < SWEEP_TOL:

@@ -198,8 +198,8 @@ def test_assign_matches_reference_on_random_input():
     x = rng.standard_normal((200, 4))
     cents = rng.standard_normal((10, 4))
     bias = rng.random(10)
-    assert np.array_equal(kernels.ecvq_assign(x, cents, bias),
-                          _assign_reference(x, cents, bias))
+    got = kernels.ecvq_assign(x, cents, bias, kernels.lift_samples(x))
+    assert np.array_equal(got, _assign_reference(x, cents, bias))
 
 
 def test_assign_matches_reference_on_ties():
@@ -209,7 +209,7 @@ def test_assign_matches_reference_on_ties():
     cents = rng.integers(-2, 3, (12, 3)).astype(np.float64)
     bias = np.round(rng.random(12) * 2) / 2
     cents[7], bias[7] = cents[2], bias[2]
-    got = kernels.ecvq_assign(x, cents, bias)
+    got = kernels.ecvq_assign(x, cents, bias, kernels.lift_samples(x))
     assert np.array_equal(got, _assign_reference(x, cents, bias))
     assert not np.any(got == 7)
 
@@ -220,11 +220,12 @@ def test_assign_never_picks_retired_clusters():
     cents = rng.standard_normal((6, 2))
     bias = rng.random(6)
     bias[[0, 3]] = np.inf
-    got = kernels.ecvq_assign(x, cents, bias)
+    lifted = kernels.lift_samples(x)
+    got = kernels.ecvq_assign(x, cents, bias, lifted)
     assert np.array_equal(got, _assign_reference(x, cents, bias))
     assert not np.any(np.isin(got, [0, 3]))
     all_retired = np.full(6, np.inf)
-    assert np.array_equal(kernels.ecvq_assign(x, cents, all_retired), np.zeros(150))
+    assert np.array_equal(kernels.ecvq_assign(x, cents, all_retired, lifted), np.zeros(150))
 
 
 def test_assign_small_chunks_match_one_pass(monkeypatch):
@@ -233,11 +234,29 @@ def test_assign_small_chunks_match_one_pass(monkeypatch):
     cents = rng.standard_normal((9, 3))
     bias = rng.random(9)
     bias[4] = np.inf
-    whole = kernels.ecvq_assign(x, cents, bias)
+    lifted = kernels.lift_samples(x)
+    whole = kernels.ecvq_assign(x, cents, bias, lifted)
     monkeypatch.setattr(kernels, "ASSIGN_CHUNK_CELLS", 20)  # two rows per chunk
-    assert np.array_equal(kernels.ecvq_assign(x, cents, bias), whole)
+    assert np.array_equal(kernels.ecvq_assign(x, cents, bias, lifted), whole)
     monkeypatch.setattr(kernels, "ASSIGN_CHUNK_CELLS", 1)  # one row per chunk
-    assert np.array_equal(kernels.ecvq_assign(x, cents, bias), whole)
+    assert np.array_equal(kernels.ecvq_assign(x, cents, bias, lifted), whole)
+
+
+def test_lift_samples_is_the_screen_block():
+    x = np.random.default_rng(7).standard_normal((40, 5))
+    lifted = kernels.lift_samples(x)
+    assert lifted.shape == (40, 7)
+    assert np.array_equal(lifted[:, :5], x)
+    assert np.array_equal(lifted[:, 5], np.einsum("ij,ij->i", x, x))
+    assert np.array_equal(lifted[:, 6], np.ones(40))
+
+
+def test_assign_rejects_a_block_of_other_samples():
+    x = np.random.default_rng(8).standard_normal((30, 3))
+    cents, bias = x[:4].copy(), np.zeros(4)
+    for other in (x[:29], x[:, :2]):
+        with pytest.raises(ValueError, match="lift_samples"):
+            kernels.ecvq_assign(x, cents, bias, kernels.lift_samples(other))
 
 
 @st.composite
@@ -276,7 +295,7 @@ def test_assign_matches_reference_property(case):
     x, cents, bias, cells = case
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(kernels, "ASSIGN_CHUNK_CELLS", cells)
-        got = kernels.ecvq_assign(x, cents, bias)
+        got = kernels.ecvq_assign(x, cents, bias, kernels.lift_samples(x))
         want = _assign_reference(x, cents, bias)
     assert np.array_equal(got, want)
 
@@ -296,6 +315,6 @@ def test_assign_sends_a_near_tie_to_the_exact_path(monkeypatch):
         return exact(rows, *args)
 
     monkeypatch.setattr(kernels, "_assign_exact", spy)
-    assert np.array_equal(kernels.ecvq_assign(x, cents, bias), [1, 1])
+    assert np.array_equal(kernels.ecvq_assign(x, cents, bias, kernels.lift_samples(x)), [1, 1])
     assert len(sent) == 1 and np.array_equal(sent[0], x[:1])
     assert np.array_equal(_assign_reference(x, cents, bias), [1, 1])

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst  # `st` names fit states here
 
+from bicacomp import kernels
 from bicacomp.sources import SourceSpec, sample
 from bicacomp.vq import (
     SPHERE_STD,
@@ -110,6 +113,12 @@ def test_fits_reject_non_finite_samples(fit, bad):
 
 
 @pytest.mark.parametrize("fit", [ecvq_fit, bica_ecvq_fit])
+def test_fits_reject_zero_width_samples(fit):
+    with pytest.raises(ValueError, match="dim >= 1"):
+        fit(np.zeros((5, 0)), 2, 0.1)
+
+
+@pytest.mark.parametrize("fit", [ecvq_fit, bica_ecvq_fit])
 def test_fits_reject_fewer_than_one_sweep(fit):
     x = np.random.default_rng(7).standard_normal((20, 2))
     with pytest.raises(ValueError, match="sweep"):
@@ -134,6 +143,55 @@ def test_fit_reports_its_last_sweep():
     assert st.lagrangian == st.history[-1]
     assert st.mean_distortion == float(np.mean(np.sum(diffs * diffs, axis=1)))
     assert st.mean_rate == float(np.mean(st.lengths[st.assign]))
+
+
+def _last_state(fit, x, m_init, lam, seed):
+    res = fit(x, m_init, lam, seed=seed)
+    return res[0] if fit is bica_ecvq_fit else res
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), dim=hst.integers(1, 12), n=hst.integers(1, 300),
+       lam=hst.sampled_from([0.0, 0.01, 1.0, 10.0]), grid=hst.booleans(),
+       seed=hst.integers(0, 2**32 - 1))
+def test_fits_report_their_last_sweep_property(data, dim, n, lam, grid, seed):
+    # the scores equal the wrapped NumPy formulas bit for bit at every dim,
+    # on Gaussian samples and on coarse grids (repeated samples, retired
+    # clusters)
+    m_init = data.draw(hst.integers(1, min(n, 40)))
+    rng = np.random.default_rng(seed)
+    if grid:
+        x = rng.integers(-2, 3, (n, dim)).astype(np.float64)
+    else:
+        x = rng.standard_normal((n, dim))
+    for fit in (ecvq_fit, bica_ecvq_fit):
+        state = _last_state(fit, x, m_init, lam, seed % 7)
+        diffs = x - state.centroids[state.assign]
+        assert state.mean_distortion == float(np.mean(np.sum(diffs * diffs, axis=1)))
+        assert state.mean_rate == float(np.mean(state.lengths[state.assign]))
+        assert state.lagrangian == state.history[-1]
+
+
+@pytest.mark.parametrize("fit", [ecvq_fit, bica_ecvq_fit])
+@pytest.mark.parametrize("lam", [0.01, 10.0])
+def test_fits_assign_once_per_sweep(monkeypatch, fit, lam):
+    # the benchmark's trace counts a fit's sweeps as its ecvq_assign calls,
+    # and their work as the first argument's rows times the second's; this
+    # is the ecvq-sweep shape
+    rng = np.random.default_rng(31)
+    signs = rng.integers(0, 2, size=1000) * 2 - 1
+    x = signs[:, None] * np.ones(6) + rng.standard_normal((1000, 6))
+    calls = []
+    assign = kernels.ecvq_assign
+
+    def counted(*args):
+        calls.append(args)
+        return assign(*args)
+
+    monkeypatch.setattr(kernels, "ecvq_assign", counted)
+    state = _last_state(fit, x, 64, lam, 1)
+    assert len(calls) == state.history.size
+    assert all(a[0].shape[0] == 1000 and a[1].shape[0] == 64 for a in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +322,16 @@ def test_d4_points_have_even_sum():
 
 
 def _dn_brute(x):
-    """Enumerate integer points near x with even sum, return the closest."""
+    """Enumerate integer points near x with even sum, return the closest:
+    every point whose coordinates lie within floor(x) - 1 .. floor(x) + 2,
+    as one (4^dim, dim) array."""
     dim = x.size
-    ranges = [np.arange(math.floor(v) - 1, math.floor(v) + 3) for v in x]
-    best, bd = None, np.inf
-    for cand in itertools.product(*ranges):
-        if sum(cand) % 2 != 0:
-            continue
-        d = float(np.sum((x - np.array(cand)) ** 2))
-        if d < bd:
-            bd, best = d, np.array(cand, dtype=float)
-    return best, bd
+    grid = np.indices((4,) * dim).reshape(dim, -1).T
+    cands = np.floor(x).astype(np.int64) - 1 + grid
+    cands = cands[cands.sum(axis=1) % 2 == 0]
+    d = np.sum((x - cands) ** 2, axis=1)
+    best = int(np.argmin(d))
+    return cands[best].astype(float), float(d[best])
 
 
 def test_d4_nearest_matches_enumeration():

@@ -79,6 +79,9 @@ class PrefixCode:
 
     lengths: np.ndarray
     codes: np.ndarray
+    # True only on a code from _canonical_code: its codes are
+    # _canonical_codes(lengths), which canonicalize then reuses
+    _canonical = False
 
     def __post_init__(self):
         ln = np.ascontiguousarray(self.lengths, dtype=np.int64)
@@ -128,7 +131,10 @@ def huffman_build(probs) -> PrefixCode:
     live item no heavier than w0, the sum of the two lightest: all merges
     this round makes weigh at least w0 and have larger ids, so the heap
     would pop all of those items first. The items are paired in pop order;
-    an odd last one waits for the next round. The leaves are sorted by
+    an odd last one waits for the next round. Pop order is one stable
+    argsort of the round's live leaves followed by its live merges: two
+    sorted runs, which NumPy's timsort merges in one linear pass, with a
+    weight tie going to the leaf, which comes first. The leaves are sorted by
     ``stable_argsort``, an exact stable order from SIMD sorts, and the
     codes numbered in (length, index) order by a radix sort of the lengths
     (``_length_order``).
@@ -136,7 +142,9 @@ def huffman_build(probs) -> PrefixCode:
     The code is returned by ``_canonical_code``, without the general
     prefix check of ``PrefixCode``: canonical numbering of lengths in
     0..63 that pass the exact Kraft count is prefix-free by construction
-    (Schwartz & Kallick, 1964), and ``_canonical_codes`` checks both."""
+    (Schwartz & Kallick, 1964), and ``_canonical_codes`` checks both. The
+    code is marked as canonically numbered, so ``canonicalize`` takes its
+    codes as they are and numbers nothing again."""
     p = np.asarray(probs, dtype=np.float64)
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise ValueError("probabilities must be finite and non-negative")
@@ -144,8 +152,9 @@ def huffman_build(probs) -> PrefixCode:
     k = active.size
     if k == 0:
         raise ValueError("empty alphabet or no symbol with positive probability")
-    leaf_id = stable_argsort(p[active])
-    leaf_w = p[active][leaf_id]
+    leaf_w = p[active]
+    leaf_id = stable_argsort(leaf_w)
+    leaf_w = leaf_w[leaf_id]
     merge_w = np.empty(k - 1)
     parent = np.zeros(2 * k - 1, dtype=np.int64)  # a lone symbol is its own parent
     round_ends = [0]  # merges made by the end of each round
@@ -154,19 +163,16 @@ def huffman_build(probs) -> PrefixCode:
         w1, w2 = sorted(leaf_w[li:li + 2].tolist() + merge_w[mi:min(mi + 2, made)].tolist())[:2]
         w0 = w1 + w2
         # merges come out sorted: every live one weighs at most w0, the next one
-        lw = leaf_w[li:li + np.searchsorted(leaf_w[li:], w0, side="right")]
-        mw = merge_w[mi:made]
-        at_l = np.arange(lw.size) + np.searchsorted(mw, lw, side="left")
-        at_m = np.arange(mw.size) + np.searchsorted(lw, mw, side="right")
-        w = np.empty(lw.size + mw.size)
-        node = np.empty(w.size, dtype=np.int64)
-        w[at_l], w[at_m] = lw, mw
-        node[at_l], node[at_m] = leaf_id[li:li + lw.size], np.arange(k + mi, k + made)
+        n_leaves = int(np.searchsorted(leaf_w[li:], w0, side="right"))
+        w = np.concatenate((leaf_w[li:li + n_leaves], merge_w[mi:made]))
+        order = np.argsort(w, kind="stable")  # two sorted runs: one timsort merge
+        w = w[order]
+        node = np.concatenate((leaf_id[li:li + n_leaves], np.arange(k + mi, k + made)))[order]
         pairs = w.size // 2
         merge_w[made:made + pairs] = w[0:2 * pairs:2] + w[1:2 * pairs:2]
         parent[node[0:2 * pairs:2]] = parent[node[1:2 * pairs:2]] = np.arange(
             k + made, k + made + pairs)
-        paired_leaves = int(np.count_nonzero(at_l < 2 * pairs))
+        paired_leaves = int(np.count_nonzero(order[:2 * pairs] < n_leaves))
         li += paired_leaves
         mi += 2 * pairs - paired_leaves
         made += pairs
@@ -219,13 +225,16 @@ def _canonical_code(lengths: np.ndarray) -> PrefixCode:
     the exact Kraft count. Such a numbering gives each length class
     consecutive codewords, each class starting past every shorter
     codeword's range, so no codeword is a prefix of another and
-    ``PrefixCode``'s general check (a sort of every codeword) is skipped."""
+    ``PrefixCode``'s general check (a sort of every codeword) is skipped.
+    The code is marked canonical, so ``canonicalize`` does not number it
+    again."""
     codes = _canonical_codes(lengths)
     lengths.flags.writeable = False
     codes.flags.writeable = False
     code = object.__new__(PrefixCode)
     object.__setattr__(code, "lengths", lengths)
     object.__setattr__(code, "codes", codes)
+    object.__setattr__(code, "_canonical", True)
     return code
 
 
@@ -243,13 +252,29 @@ class CanonicalCodebook:
         return PrefixCode(self.lengths, self.codes)
 
 
+def _check_coded_symbols(lengths: np.ndarray, alphabet_size: int) -> None:
+    """Raise ValueError when a symbol with a codeword is outside
+    0..alphabet_size-1: its index would not fit the wire's symbol width."""
+    if np.any(lengths[alphabet_size:]):
+        raise ValueError(f"a coded symbol is {int(np.flatnonzero(lengths)[-1])}, "
+                         f"outside alphabet_size {alphabet_size}")
+
+
 def canonicalize(code: PrefixCode, alphabet_size: int | None = None) -> CanonicalCodebook:
+    """The canonical codebook of ``code``'s lengths over ``alphabet_size``
+    symbols (``code``'s table size by default), with ``serialized_bits``
+    the size of its wire. A code from ``huffman_build`` is already
+    numbered canonically and its codes are reused; any other code is
+    renumbered by ``_canonical_codes``. Raises ValueError when a coded
+    symbol is not below ``alphabet_size``."""
     lengths = code.lengths
     m = lengths.size if alphabet_size is None else alphabet_size
+    _check_coded_symbols(lengths, m)
     n_coded = int(np.count_nonzero(lengths))
     # a unary count per length 1..max_len (ones plus a zero), then the symbols
     bits = n_coded * (next_bit_dimension(m) + 1) + int(lengths.max(initial=0))
-    return CanonicalCodebook(lengths, _canonical_codes(lengths), bits)
+    codes = code.codes if code._canonical else _canonical_codes(lengths)
+    return CanonicalCodebook(lengths, codes, bits)
 
 
 def serialize_codebook(book: CanonicalCodebook, alphabet_size: int) -> np.ndarray:
@@ -257,9 +282,11 @@ def serialize_codebook(book: CanonicalCodebook, alphabet_size: int) -> np.ndarra
     starting at 1, the count of symbols in unary (count ones, then a zero);
     the list ends once every coded symbol is counted; then the symbols in
     (length, symbol) order, each in ceil(log2 m) bits. Raises ValueError
-    on a length outside 0..63."""
+    on a length outside 0..63 and on a coded symbol not below
+    ``alphabet_size``."""
     w = next_bit_dimension(alphabet_size)
     lengths = book.lengths
+    _check_coded_symbols(lengths, alphabet_size)
     order = _length_order(lengths)
     counts = np.bincount(lengths)[1:]
     n_coded = int(counts.sum())

@@ -141,7 +141,10 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class SymbolPermutation:
-    """Invertible symbol-to-symbol map; ``map[i]`` is where symbol i lands."""
+    """Invertible symbol-to-symbol map; ``map[i]`` is where symbol i lands.
+    Construction proves the map a bijection (``inverse_permutation``); the
+    searches, whose maps are bijections by construction, skip that proof
+    (``_bijection``)."""
 
     d: int
     map: np.ndarray = field(repr=False)
@@ -169,6 +172,19 @@ class SymbolPermutation:
         out = np.empty_like(p.probs)
         out[self.map] = p.probs
         return JointDistribution(self.d, out)
+
+
+def _bijection(d: int, gmap: np.ndarray) -> SymbolPermutation:
+    """The ``SymbolPermutation`` of an int64 map of 2^d entries that is a
+    bijection by construction: an inverted argsort, or one XORed with a
+    mask below 2^d. ``inverse_permutation``'s proof is skipped, as
+    ``coding._canonical_code`` skips ``PrefixCode``'s prefix check; the map
+    is made read-only."""
+    gmap.flags.writeable = False
+    g = object.__new__(SymbolPermutation)
+    object.__setattr__(g, "d", d)
+    object.__setattr__(g, "map", gmap)
+    return g
 
 
 @dataclass(frozen=True)

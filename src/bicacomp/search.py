@@ -41,6 +41,7 @@ import numpy as np
 from .distributions import (
     JointDistribution,
     SymbolPermutation,
+    _bijection,
     binary_entropy,
     marginals,
     stable_argsort,
@@ -98,11 +99,13 @@ def order_permutation(p: JointDistribution) -> SearchResult:
     """Map the i-th smallest probability to codeword i-1 (ties stable by
     original symbol index). The order is ``stable_argsort``'s, an exact
     stable order from SIMD sorts; construction keeps NaN out of the
-    probabilities, which is its precondition."""
+    probabilities, which is its precondition. The map inverts that order,
+    so it is a bijection by construction and is not proven one again
+    (``_bijection``)."""
     order = stable_argsort(p.probs)
     gmap = np.empty(p.m, dtype=np.int64)
     gmap[order] = np.arange(p.m, dtype=np.int64)
-    g = SymbolPermutation(p.d, gmap)
+    g = _bijection(p.d, gmap)
     return SearchResult(g, marginals(p, g).entropy_sum())
 
 
@@ -277,7 +280,9 @@ def piecewise_relaxation(p: JointDistribution, k: int = DEFAULT_PIECES) -> Searc
                     "(d=%d, k=%d); falling back to order permutation", d, k)
         res = order_permutation(p)
         return SearchResult(res.g, res.objective, fallback=True)
-    return SearchResult(SymbolPermutation(d, best_map), best_obj)
+    # an argsort XORed with the fold mask, placed through another argsort:
+    # a bijection by construction
+    return SearchResult(_bijection(d, best_map), best_obj)
 
 
 @functools.lru_cache(maxsize=3)

@@ -418,6 +418,53 @@ def test_serialize_rejects_lengths_outside_0_to_63():
             serialize_codebook(book, 4)
 
 
+@pytest.mark.parametrize("coded", [[0, 5], [0, 1, 6]])
+def test_codebook_rejects_coded_symbols_outside_alphabet_size(coded):
+    # symbol 5 used to be written in the 2 bits of a 4-symbol alphabet and
+    # read back, without error, as symbol 1
+    p = np.zeros(8)
+    p[coded] = 1.0
+    code = huffman_build(p / p.sum())
+    with pytest.raises(ValueError, match="alphabet_size"):
+        canonicalize(code, 4)
+    book = canonicalize(code, 8)
+    # the size canonicalize(code, 4) used to give: 2 bits and a unary one a symbol
+    at_4 = coding.CanonicalCodebook(book.lengths, book.codes,
+                                    len(coded) * 3 + int(book.lengths.max()))
+    with pytest.raises(ValueError, match="alphabet_size"):
+        serialize_codebook(at_4, 4)
+
+
+def _count_numberings(monkeypatch):
+    calls = []
+    numbering = coding._canonical_codes
+
+    def counted(lengths):
+        calls.append(lengths.size)
+        return numbering(lengths)
+
+    monkeypatch.setattr(coding, "_canonical_codes", counted)
+    return calls
+
+
+def test_a_huffman_code_is_numbered_once(monkeypatch):
+    calls = _count_numberings(monkeypatch)
+    p = np.random.default_rng(43).dirichlet(np.full(300, 0.3))
+    code = huffman_build(p)
+    book = canonicalize(code, 300)
+    assert calls == [300]  # the build's; canonicalize reuses its codes
+    assert book.codes.tolist() == _reference_codes(code.lengths.tolist())
+
+
+def test_a_hand_built_code_is_renumbered(monkeypatch):
+    calls = _count_numberings(monkeypatch)
+    # the four-symbol table, numbered B->0, A->10, D->110, C->111
+    code = PrefixCode(np.array([2, 1, 3, 3]), np.array([2, 0, 7, 6]))
+    book = canonicalize(code)
+    assert calls == [4]
+    assert book.codes.tolist() == [2, 0, 6, 7]  # A->10, B->0, C->110, D->111
+
+
 @pytest.mark.parametrize("m", [2, 3, 255, 257, 1 << 20])
 def test_codebook_symbols_round_trip_at_each_symbol_width(m):
     # widths 1, 2, 8, 9 and 20 bits: a symbol spans one, two or three bytes

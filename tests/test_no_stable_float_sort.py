@@ -4,7 +4,9 @@ builds the stable order from NumPy's SIMD sorts. A stable ``sort`` or
 2^16 float keys and 2-3 ms on 2^16 int64 lengths, against about 2 ms and
 0.3 ms. Small keys stay with the plain stable sort, which is faster below
 about 2^11 keys (timings: best of 300 on a 2-core x86-64 machine with
-AVX-512, NumPy 2.4)."""
+AVX-512, NumPy 2.4). So do keys that are two sorted runs, which timsort
+merges in one linear pass: each round of ``huffman_build`` (timings: best
+of 21 builds at m = 2^16 on a 2-core x86-64 machine, NumPy 2.4)."""
 
 import ast
 from pathlib import Path
@@ -15,6 +17,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bicacomp"
 ALLOWED = {
     "coding.py:_length_order": "uint8 codeword lengths, which NumPy radix-sorts: "
                                "0.3 ms on 2^16 against 2-3 ms as int64",
+    "coding.py:huffman_build": "each round's live leaves then live merges, two sorted runs "
+                               "that timsort merges in one pass: a build's lengths at "
+                               "m = 2^16, skews 1.2-2.8, take 3.5-3.9 ms against 5.1-5.7 ms "
+                               "merging by searchsorted and 4.8-5.4 ms by stable_argsort",
     "coding.py:quantize_counts": "a block's 2^b symbols, 64 at b = 6: 3 us against 15 us "
                                  "through stable_argsort",
     "search.py:_placements": "2^d <= 1024 coefficients per placement, thousands of "

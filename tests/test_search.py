@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicacomp import search
 from bicacomp.distributions import (
@@ -9,6 +11,7 @@ from bicacomp.distributions import (
     SymbolPermutation,
     binary_entropy,
     bit_zero_marginals,
+    inverse_permutation,
     joint_entropy,
     marginals,
     zero_bit_matrix,
@@ -399,6 +402,48 @@ def test_results_are_bijections_and_bounded_below_by_entropy():
         for res in (order_permutation(p), piecewise_relaxation(p, 8)):
             assert np.array_equal(np.sort(res.g.map), np.arange(8))
             assert res.objective >= joint_entropy(p) - 1e-9
+
+
+def _drawn(d, kind, seed):
+    rng = np.random.default_rng(seed)
+    m = 1 << d
+    if kind == "dirichlet":
+        p = rng.dirichlet(np.full(m, 0.5))
+    elif kind == "ties":  # small integer counts: long runs of equal keys
+        p = rng.integers(1, 4, m).astype(np.float64)
+    else:  # zero-heavy: about one symbol in ten present
+        p = rng.integers(1, 4, m) * (rng.random(m) < 0.1)
+        p[rng.integers(m)] += 1
+    return JointDistribution(d, p / p.sum())
+
+
+KINDS = st.sampled_from(["dirichlet", "ties", "zeros"])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+# order_permutation and piecewise_relaxation skip SymbolPermutation's
+# bijection proof: their maps must be bijections all the same
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 12), kind=KINDS, seed=SEEDS)
+def test_order_map_is_a_read_only_bijection(d, kind, seed):
+    p = _drawn(d, kind, seed)
+    res = order_permutation(p)
+    inverse_permutation(res.g.map)
+    assert not res.g.map.flags.writeable
+    assert res.objective == marginals(p, res.g).entropy_sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 6), kind=KINDS, seed=SEEDS)
+def test_piecewise_map_is_a_read_only_bijection(d, kind, seed):
+    p = _drawn(d, kind, seed)
+    res = piecewise_relaxation(p, search.DEFAULT_PIECES)
+    inverse_permutation(res.g.map)
+    assert not res.g.map.flags.writeable
+    # the objective sums the marginals by a matmul, as the reference scan
+    # does; marginals() by bit_zero_marginals, which differs by a few ulps
+    assert res.objective == pytest.approx(marginals(p, res.g).entropy_sum(), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Lossless coders with exact bit accounting.
 
-Provides optimal prefix (Huffman) codes, canonical re-numbering with a
-compact codebook wire format, a static rANS coder driven by the kernels
-module, and a block codec that transforms symbols, slices their bits into
-blocks and entropy-codes each block stream separately.
+Provides optimal prefix (Huffman) codes, built as ``CanonicalCodebook``s:
+the one canonical code type, numbered from its codeword lengths by its one
+constructor and written in a compact codebook wire format; a static rANS
+coder driven by the kernels module; and a block codec that transforms
+symbols, slices their bits into blocks and entropy-codes each block stream
+separately.
 
 Both codecs write one container, laid out as ``SECTIONS`` lists, and
 ``parse_container`` checks its every field through one bounds-checked
@@ -74,14 +76,10 @@ class PrefixCode:
     is absent from the code (zero probability). Construction checks that
     every codeword fits its length (at most 63 bits) and that no codeword
     is a prefix of another, which also implies the Kraft inequality.
-    ``huffman_build``'s codes are prefix-free by construction and skip
-    that check (``_canonical_code``)."""
+    ``CanonicalCodebook``, prefix-free by construction, skips that check."""
 
     lengths: np.ndarray
     codes: np.ndarray
-    # True only on a code from _canonical_code: its codes are
-    # _canonical_codes(lengths), which canonicalize then reuses
-    _canonical = False
 
     def __post_init__(self):
         ln = np.ascontiguousarray(self.lengths, dtype=np.int64)
@@ -116,7 +114,7 @@ class PrefixCode:
         return float(np.sum(0.5 ** self.lengths[self.lengths > 0]))
 
 
-def huffman_build(probs) -> PrefixCode:
+def huffman_build(probs) -> CanonicalCodebook:
     """Optimal prefix code for a probability vector. Merges are tie-broken
     as a heap of ``(weight, node)`` pairs would break them, nodes 0..k-1
     being the active symbols in index order and k.. the merges in creation
@@ -135,16 +133,11 @@ def huffman_build(probs) -> PrefixCode:
     argsort of the round's live leaves followed by its live merges: two
     sorted runs, which NumPy's timsort merges in one linear pass, with a
     weight tie going to the leaf, which comes first. The leaves are sorted by
-    ``stable_argsort``, an exact stable order from SIMD sorts, and the
-    codes numbered in (length, index) order by a radix sort of the lengths
-    (``_length_order``).
+    ``stable_argsort``, an exact stable order from SIMD sorts.
 
-    The code is returned by ``_canonical_code``, without the general
-    prefix check of ``PrefixCode``: canonical numbering of lengths in
-    0..63 that pass the exact Kraft count is prefix-free by construction
-    (Schwartz & Kallick, 1964), and ``_canonical_codes`` checks both. The
-    code is marked as canonically numbered, so ``canonicalize`` takes its
-    codes as they are and numbers nothing again."""
+    The code is the ``CanonicalCodebook`` of the lengths over ``probs``'s
+    alphabet, numbered once in (length, index) order, so ``canonicalize``
+    and ``serialize_codebook`` number and sort nothing again."""
     p = np.asarray(probs, dtype=np.float64)
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise ValueError("probabilities must be finite and non-negative")
@@ -184,7 +177,7 @@ def huffman_build(probs) -> PrefixCode:
         depth[k + lo:k + hi] = depth[parent[k + lo:k + hi]] + 1
     lengths = np.zeros(p.size, dtype=np.int64)
     lengths[active] = depth[parent[:k]] + 1
-    return _canonical_code(lengths)
+    return CanonicalCodebook(lengths, p.size)
 
 
 def _length_order(lengths: np.ndarray) -> np.ndarray:
@@ -210,103 +203,84 @@ def _code_offsets(counts: np.ndarray) -> np.ndarray:
     return np.array(first, dtype=np.int64) - (np.cumsum(counts) - counts)
 
 
-def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Consecutive binary numbering, symbols visited by (length, index)."""
-    order = _length_order(lengths)
-    offset = _code_offsets(np.bincount(lengths, minlength=1))
-    codes = np.empty_like(lengths)
-    codes[order] = offset[lengths[order]] + np.arange(lengths.size)
-    return np.where(lengths > 0, codes, 0)
+@dataclass(frozen=True, init=False)
+class CanonicalCodebook(PrefixCode):
+    """The canonical prefix code of codeword ``lengths`` over
+    ``alphabet_size`` symbols (Schwartz & Kallick, 1964), its lengths
+    zero-padded to the alphabet. ``symbols`` lists the coded symbols in
+    (length, symbol) order, one radix sort of the lengths
+    (``_length_order``), and they take consecutive codewords in that order,
+    each length class starting past every shorter codeword's range. So no
+    codeword is a prefix of another, and ``PrefixCode``'s general check (a
+    sort of every codeword) is skipped. The codebook's wire is a unary
+    count per length 1..max_len, then ``symbols`` in ceil(log2 m) bits
+    each: ``serialized_bits`` in all. Raises ValueError on a length outside
+    0..63, a coded symbol not below ``alphabet_size`` and lengths that fail
+    the exact Kraft count."""
 
-
-def _canonical_code(lengths: np.ndarray) -> PrefixCode:
-    """The ``PrefixCode`` of int64 ``lengths`` numbered by
-    ``_canonical_codes``, which raises unless they lie in 0..63 and pass
-    the exact Kraft count. Such a numbering gives each length class
-    consecutive codewords, each class starting past every shorter
-    codeword's range, so no codeword is a prefix of another and
-    ``PrefixCode``'s general check (a sort of every codeword) is skipped.
-    The code is marked canonical, so ``canonicalize`` does not number it
-    again."""
-    codes = _canonical_codes(lengths)
-    lengths.flags.writeable = False
-    codes.flags.writeable = False
-    code = object.__new__(PrefixCode)
-    object.__setattr__(code, "lengths", lengths)
-    object.__setattr__(code, "codes", codes)
-    object.__setattr__(code, "_canonical", True)
-    return code
-
-
-@dataclass(frozen=True)
-class CanonicalCodebook:
-    """Canonical renumbering of a prefix code: same lengths, codewords are
-    consecutive within each length class, so the codebook serializes as a
-    count-per-length list plus the symbols in (length, symbol) order."""
-
-    lengths: np.ndarray
-    codes: np.ndarray
+    symbols: np.ndarray
     serialized_bits: int
 
-    def code(self) -> PrefixCode:
-        return PrefixCode(self.lengths, self.codes)
+    def __init__(self, lengths, alphabet_size: int):
+        ln = np.ascontiguousarray(lengths, dtype=np.int64)
+        w = next_bit_dimension(alphabet_size)
+        if np.any(ln[alphabet_size:]):
+            raise ValueError(f"a coded symbol is {int(np.flatnonzero(ln)[-1])}, "
+                             f"outside alphabet_size {alphabet_size}")
+        if ln.size != alphabet_size:  # zero-pad, or cut an uncoded tail
+            ln = np.append(ln[:alphabet_size],
+                           np.zeros(max(alphabet_size - ln.size, 0), dtype=np.int64))
+        order = _length_order(ln)
+        counts = np.bincount(ln, minlength=1)
+        symbols = order[counts[0]:]
+        counts[0] = 0  # an uncoded symbol takes no codeword
+        codes = np.zeros(alphabet_size, dtype=np.int64)
+        codes[symbols] = np.repeat(_code_offsets(counts), counts) + np.arange(symbols.size)
+        for name, value in (("lengths", ln), ("codes", codes), ("symbols", symbols)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "serialized_bits", symbols.size * (w + 1) + counts.size - 1)
 
-
-def _check_coded_symbols(lengths: np.ndarray, alphabet_size: int) -> None:
-    """Raise ValueError when a symbol with a codeword is outside
-    0..alphabet_size-1: its index would not fit the wire's symbol width."""
-    if np.any(lengths[alphabet_size:]):
-        raise ValueError(f"a coded symbol is {int(np.flatnonzero(lengths)[-1])}, "
-                         f"outside alphabet_size {alphabet_size}")
+    def code(self) -> CanonicalCodebook:
+        """The codebook itself, a ``PrefixCode`` already."""
+        return self
 
 
 def canonicalize(code: PrefixCode, alphabet_size: int | None = None) -> CanonicalCodebook:
     """The canonical codebook of ``code``'s lengths over ``alphabet_size``
-    symbols (``code``'s table size by default), with ``serialized_bits``
-    the size of its wire. A code from ``huffman_build`` is already
-    numbered canonically and its codes are reused; any other code is
-    renumbered by ``_canonical_codes``. Raises ValueError when a coded
-    symbol is not below ``alphabet_size``."""
-    lengths = code.lengths
-    m = lengths.size if alphabet_size is None else alphabet_size
-    _check_coded_symbols(lengths, m)
-    n_coded = int(np.count_nonzero(lengths))
-    # a unary count per length 1..max_len (ones plus a zero), then the symbols
-    bits = n_coded * (next_bit_dimension(m) + 1) + int(lengths.max(initial=0))
-    codes = code.codes if code._canonical else _canonical_codes(lengths)
-    return CanonicalCodebook(lengths, codes, bits)
+    symbols (``code``'s table size by default). A codebook already over that
+    alphabet, as ``huffman_build``'s is over its own, is returned as it is.
+    Raises ValueError as ``CanonicalCodebook`` does."""
+    m = code.lengths.size if alphabet_size is None else alphabet_size
+    if isinstance(code, CanonicalCodebook) and code.lengths.size == m:
+        return code
+    return CanonicalCodebook(code.lengths, m)
 
 
 def serialize_codebook(book: CanonicalCodebook, alphabet_size: int) -> np.ndarray:
-    """Bit-exact wire form matching ``serialized_bits``: for each length
+    """The wire of ``book``, ``serialized_bits`` bits: for each length
     starting at 1, the count of symbols in unary (count ones, then a zero);
-    the list ends once every coded symbol is counted; then the symbols in
-    (length, symbol) order, each in ceil(log2 m) bits. Raises ValueError
-    on a length outside 0..63 and on a coded symbol not below
-    ``alphabet_size``."""
+    the list ends once every coded symbol is counted; then ``book.symbols``,
+    each in ceil(log2 m) bits. Raises ValueError unless ``book`` is over
+    ``alphabet_size`` symbols."""
+    if book.lengths.size != alphabet_size:
+        raise ValueError(f"a codebook over {book.lengths.size} symbols, "
+                         f"not alphabet_size {alphabet_size}")
     w = next_bit_dimension(alphabet_size)
-    lengths = book.lengths
-    _check_coded_symbols(lengths, alphabet_size)
-    order = _length_order(lengths)
-    counts = np.bincount(lengths)[1:]
-    n_coded = int(counts.sum())
-    head = np.ones(n_coded + counts.size, dtype=np.uint8)
+    counts = np.bincount(book.lengths)[1:]
+    head = np.ones(book.symbols.size + counts.size, dtype=np.uint8)
     head[np.cumsum(counts + 1) - 1] = 0
-    syms = order[lengths.size - n_coded:]
-    lsb_first = np.unpackbits(syms.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+    lsb_first = np.unpackbits(book.symbols.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
                               count=w, bitorder="little")
-    out = np.concatenate([head, lsb_first[:, ::-1].ravel()])
-    if out.size != book.serialized_bits:
-        raise ValueError("codebook was canonicalized for another alphabet size")
-    return out
+    return np.concatenate([head, lsb_first[:, ::-1].ravel()])
 
 
 def deserialize_codebook(bits: np.ndarray, alphabet_size: int, n_coded: int) -> CanonicalCodebook:
-    """Parse ``serialize_codebook``'s wire. Raises ``ValueError`` if the counts miss
-    ``n_coded`` within 63 lengths, a symbol is cut off, out of range or repeated,
-    the symbols of a length class do not ascend, or the counts fail the exact
-    Kraft count. The symbols are then in (length, symbol) order, so the codes
-    are numbered in wire order (``_code_offsets``), with no sort."""
+    """Parse ``serialize_codebook``'s wire into the ``CanonicalCodebook`` of
+    the lengths it lists. Raises ``ValueError`` if the counts miss ``n_coded``
+    within 63 lengths, a symbol is cut off or out of range, the counts fail
+    the exact Kraft count, or the wire's symbols are not the codebook's
+    ``symbols``: one is repeated, or a length class does not ascend."""
     w = next_bit_dimension(alphabet_size)
     bits = np.asarray(bits)
     zeros = np.flatnonzero(bits[:n_coded + 63] == 0)
@@ -334,18 +308,12 @@ def deserialize_codebook(bits: np.ndarray, alphabet_size: int, n_coded: int) -> 
     syms &= (1 << w) - 1
     if np.any(syms >= alphabet_size):
         raise ValueError("codebook symbol outside the alphabet")
-    counts = np.diff(seen[:n_len + 1], prepend=0)  # per length 0..n_len; none of length 0
-    wire_lengths = np.repeat(np.arange(n_len + 1), counts)
     lengths = np.zeros(alphabet_size, dtype=np.int64)
-    lengths[syms] = wire_lengths
-    if np.count_nonzero(lengths) != n_coded:
-        raise ValueError("codebook symbol repeated")
-    if np.any((np.diff(syms) <= 0) & (np.diff(wire_lengths) == 0)):
-        raise ValueError("codebook symbols out of (length, symbol) order")
-    codes = np.zeros(alphabet_size, dtype=np.int64)
-    codes[syms] = _code_offsets(counts)[wire_lengths] + np.arange(n_coded)
-    # the wire read: n_len unary counts (the longest length is n_len) and the symbols
-    return CanonicalCodebook(lengths, codes, n_coded * (w + 1) + n_len)
+    lengths[syms] = np.repeat(np.arange(n_len + 1), np.diff(seen[:n_len + 1], prepend=0))
+    book = CanonicalCodebook(lengths, alphabet_size)
+    if not np.array_equal(book.symbols, syms):
+        raise ValueError("codebook symbols repeated or out of (length, symbol) order")
+    return book
 
 
 def prefix_encode(symbols: np.ndarray, code: PrefixCode) -> np.ndarray:

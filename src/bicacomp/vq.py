@@ -112,7 +112,8 @@ def _lloyd(x: np.ndarray, m_init: int, lam: float, seed: int, max_sweeps: int,
     times its length, take new lengths from ``length_step(counts)`` (inf
     retires an empty cluster), move occupied centroids to their means; stop
     once a sweep lowers the Lagrangian by less than SWEEP_TOL. The samples
-    are lifted for the assignment's screen once, before the first sweep.
+    are lifted for the assignment's screen, and their values' columns
+    listed, once, before the first sweep.
 
     All centroids' coordinate sums come from one ``bincount`` over the bins
     ``assign * dim + column``, which adds each bin's samples in sample order
@@ -123,7 +124,7 @@ def _lloyd(x: np.ndarray, m_init: int, lam: float, seed: int, max_sweeps: int,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     centroids = x[rng.choice(x.shape[0], size=m_init, replace=False)].copy()
     dim = x.shape[1]
-    columns = np.arange(dim)
+    columns = np.tile(np.arange(dim), x.shape[0])  # each value's column, sample by sample
     values = x.ravel()
     lifted = kernels.lift_samples(x)
     history = []
@@ -134,7 +135,8 @@ def _lloyd(x: np.ndarray, m_init: int, lam: float, seed: int, max_sweeps: int,
         assign = kernels.ecvq_assign(x, centroids, bias, lifted)
         counts = np.bincount(assign, minlength=m_init)
         lengths = length_step(counts)
-        bins = (assign[:, None] * dim + columns).ravel()
+        bins = np.repeat(assign * dim, dim)
+        bins += columns
         sums = np.bincount(bins, weights=values, minlength=m_init * dim).reshape(m_init, dim)
         np.divide(sums, counts[:, None], out=centroids, where=counts[:, None] > 0)
         dist, rate, lag = _sweep_eval(x, centroids, lengths, assign, lam)

@@ -133,22 +133,24 @@ def huffman_build(probs) -> CanonicalCodebook:
     argsort of the round's live leaves followed by its live merges: two
     sorted runs, which NumPy's timsort merges in one linear pass, with a
     weight tie going to the leaf, which comes first. The leaves are sorted by
-    ``stable_argsort``, an exact stable order from SIMD sorts.
+    ``stable_argsort``, an exact stable order from one SIMD sort, in which
+    the zero weights come first and are dropped. Leaves are numbered in that
+    order, so the leaves and the merges a round pops are each a run of
+    consecutive nodes, and their parents are written as two slices.
 
     The code is the ``CanonicalCodebook`` of the lengths over ``probs``'s
     alphabet, numbered once in (length, index) order, so ``canonicalize``
     and ``serialize_codebook`` number and sort nothing again."""
     p = np.asarray(probs, dtype=np.float64)
-    if not np.all(np.isfinite(p)) or np.any(p < 0):
+    if not (p.min(initial=0.0) >= 0 and p.max(initial=0.0) < np.inf):  # False on NaN
         raise ValueError("probabilities must be finite and non-negative")
-    active = np.flatnonzero(p)
-    k = active.size
+    k = int(np.count_nonzero(p))
     if k == 0:
         raise ValueError("empty alphabet or no symbol with positive probability")
-    leaf_w = p[active]
-    leaf_id = stable_argsort(leaf_w)
-    leaf_w = leaf_w[leaf_id]
+    leaf_id = stable_argsort(p)[p.size - k:]  # zero weights sort first: no codeword
+    leaf_w = p[leaf_id]
     merge_w = np.empty(k - 1)
+    # node i < k is the i-th leaf in sorted order, node k + j the j-th merge
     parent = np.zeros(2 * k - 1, dtype=np.int64)  # a lone symbol is its own parent
     round_ends = [0]  # merges made by the end of each round
     li = mi = made = 0  # next leaf (in sorted order), next merge, merges made
@@ -160,12 +162,16 @@ def huffman_build(probs) -> CanonicalCodebook:
         w = np.concatenate((leaf_w[li:li + n_leaves], merge_w[mi:made]))
         order = np.argsort(w, kind="stable")  # two sorted runs: one timsort merge
         w = w[order]
-        node = np.concatenate((leaf_id[li:li + n_leaves], np.arange(k + mi, k + made)))[order]
         pairs = w.size // 2
         merge_w[made:made + pairs] = w[0:2 * pairs:2] + w[1:2 * pairs:2]
-        parent[node[0:2 * pairs:2]] = parent[node[1:2 * pairs:2]] = np.arange(
-            k + made, k + made + pairs)
-        paired_leaves = int(np.count_nonzero(order[:2 * pairs] < n_leaves))
+        # the item popped i-th this round gets merge k + made + i // 2; the
+        # leaves and the merges popped are each the next ones in node order
+        is_leaf = order[:2 * pairs] < n_leaves
+        for first, popped in ((li, np.flatnonzero(is_leaf)), (k + mi, np.flatnonzero(~is_leaf))):
+            popped >>= 1
+            popped += k + made
+            parent[first:first + popped.size] = popped
+        paired_leaves = int(np.count_nonzero(is_leaf))
         li += paired_leaves
         mi += 2 * pairs - paired_leaves
         made += pairs
@@ -176,18 +182,23 @@ def huffman_build(probs) -> CanonicalCodebook:
     for lo, hi in zip(round_ends[-3::-1], round_ends[-2::-1]):
         depth[k + lo:k + hi] = depth[parent[k + lo:k + hi]] + 1
     lengths = np.zeros(p.size, dtype=np.int64)
-    lengths[active] = depth[parent[:k]] + 1
+    lengths[leaf_id] = depth[parent[:k]] + 1
     return CanonicalCodebook(lengths, p.size)
 
 
-def _length_order(lengths: np.ndarray) -> np.ndarray:
-    """Indices of ``lengths`` in (length, index) order. Lengths must lie in
-    0..63 (ValueError otherwise); they are then sorted as uint8, which
-    NumPy's stable sort radix-sorts: 0.3 ms on 2^16 lengths against 2-3 ms
-    as int64."""
-    if lengths.min(initial=0) < 0 or lengths.max(initial=0) > 63:
+def _length_order(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of ``lengths`` in (length, index) order, and the count of
+    each length 0..max. Lengths must lie in 0..63 (ValueError otherwise);
+    they are then sorted as uint8, which NumPy's stable sort radix-sorts:
+    0.2 ms on 2^16 lengths against 2-3 ms as int64. The counts are read off
+    the sorted lengths, where each length starts (a uint8 gather, 0.06 ms
+    against 0.1 ms for a ``bincount`` of the int64 lengths)."""
+    top = int(lengths.max(initial=0))
+    if lengths.min(initial=0) < 0 or top > 63:
         raise ValueError("codeword lengths must lie in 0..63 bits")
-    return np.argsort(lengths.astype(np.uint8), kind="stable")
+    short = lengths.astype(np.uint8)
+    order = np.argsort(short, kind="stable")
+    return order, np.diff(np.searchsorted(short[order], np.arange(top + 2)))
 
 
 def _code_offsets(counts: np.ndarray) -> np.ndarray:
@@ -213,12 +224,13 @@ class CanonicalCodebook(PrefixCode):
     each length class starting past every shorter codeword's range. So no
     codeword is a prefix of another, and ``PrefixCode``'s general check (a
     sort of every codeword) is skipped. The codebook's wire is a unary
-    count per length 1..max_len, then ``symbols`` in ceil(log2 m) bits
-    each: ``serialized_bits`` in all. Raises ValueError on a length outside
-    0..63, a coded symbol not below ``alphabet_size`` and lengths that fail
-    the exact Kraft count."""
+    count per length 1..max_len, ``counts[1:]``, then ``symbols`` in
+    ceil(log2 m) bits each: ``serialized_bits`` in all. Raises ValueError on
+    a length outside 0..63, a coded symbol not below ``alphabet_size`` and
+    lengths that fail the exact Kraft count."""
 
     symbols: np.ndarray
+    counts: np.ndarray  # codewords of each length 0..max_len; none of length 0
     serialized_bits: int
 
     def __init__(self, lengths, alphabet_size: int):
@@ -230,13 +242,13 @@ class CanonicalCodebook(PrefixCode):
         if ln.size != alphabet_size:  # zero-pad, or cut an uncoded tail
             ln = np.append(ln[:alphabet_size],
                            np.zeros(max(alphabet_size - ln.size, 0), dtype=np.int64))
-        order = _length_order(ln)
-        counts = np.bincount(ln, minlength=1)
+        order, counts = _length_order(ln)
         symbols = order[counts[0]:]
         counts[0] = 0  # an uncoded symbol takes no codeword
         codes = np.zeros(alphabet_size, dtype=np.int64)
         codes[symbols] = np.repeat(_code_offsets(counts), counts) + np.arange(symbols.size)
-        for name, value in (("lengths", ln), ("codes", codes), ("symbols", symbols)):
+        for name, value in (("lengths", ln), ("codes", codes), ("symbols", symbols),
+                            ("counts", counts)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "serialized_bits", symbols.size * (w + 1) + counts.size - 1)
@@ -257,6 +269,12 @@ def canonicalize(code: PrefixCode, alphabet_size: int | None = None) -> Canonica
     return CanonicalCodebook(code.lengths, m)
 
 
+def _word_width(w: int) -> int:
+    """Bits of the narrowest unsigned integer, 8 to 64 bits, that holds a
+    w-bit codebook symbol (w <= 64)."""
+    return max(8, 1 << (w - 1).bit_length())
+
+
 def serialize_codebook(book: CanonicalCodebook, alphabet_size: int) -> np.ndarray:
     """The wire of ``book``, ``serialized_bits`` bits: for each length
     starting at 1, the count of symbols in unary (count ones, then a zero);
@@ -267,12 +285,16 @@ def serialize_codebook(book: CanonicalCodebook, alphabet_size: int) -> np.ndarra
         raise ValueError(f"a codebook over {book.lengths.size} symbols, "
                          f"not alphabet_size {alphabet_size}")
     w = next_bit_dimension(alphabet_size)
-    counts = np.bincount(book.lengths)[1:]
+    counts = book.counts[1:]
     head = np.ones(book.symbols.size + counts.size, dtype=np.uint8)
     head[np.cumsum(counts + 1) - 1] = 0
-    lsb_first = np.unpackbits(book.symbols.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
-                              count=w, bitorder="little")
-    return np.concatenate([head, lsb_first[:, ::-1].ravel()])
+    # a symbol's w bits, msb first, lead the big-endian bytes of symbol <<
+    # (width - w); unpacking them all at once runs ~4x faster than
+    # unpacking w bits a row
+    width = _word_width(w)
+    top = (book.symbols.view(np.uint64) << (width - w)).astype(f">u{width // 8}")
+    body = np.unpackbits(top.view(np.uint8)).reshape(-1, width)[:, :w]
+    return np.concatenate([head, body.ravel()])
 
 
 def deserialize_codebook(bits: np.ndarray, alphabet_size: int, n_coded: int) -> CanonicalCodebook:
@@ -291,21 +313,12 @@ def deserialize_codebook(bits: np.ndarray, alphabet_size: int, n_coded: int) -> 
     body = bits[n_coded + n_len:n_coded + n_len + n_coded * w]
     if body.size != n_coded * w:
         raise ValueError("codebook wire ends inside the symbol list")
-    # symbol i is the w bits from bit i*w of the packed body: or the bytes
-    # they span into one int64, then shift and mask (exact while the span
-    # fits 64 bits, w <= 57; an alphabet past 2^57 fails to allocate below)
-    span = (w + 14) // 8
-    packed = np.append(np.packbits(body), np.zeros(span, dtype=np.uint8))
-    at = np.arange(0, n_coded * w, w)
-    shift = 8 * span - w - (at & 7)
-    at >>= 3
-    syms = packed[at].astype(np.int64)
-    for _ in range(span - 1):
-        at += 1
-        syms <<= 8
-        syms |= packed[at]
-    syms >>= shift
-    syms &= (1 << w) - 1
+    # symbol i is the w bits from bit i*w of the body: zero-padded on the
+    # left to width bits, they pack into one big-endian unsigned integer
+    width = _word_width(w)
+    rows = np.zeros((n_coded, width), dtype=np.uint8)
+    rows[:, width - w:] = body.reshape(n_coded, w)
+    syms = np.packbits(rows).view(f">u{width // 8}").astype(np.int64)
     if np.any(syms >= alphabet_size):
         raise ValueError("codebook symbol outside the alphabet")
     lengths = np.zeros(alphabet_size, dtype=np.int64)

@@ -66,24 +66,44 @@ def inverse_permutation(perm) -> np.ndarray:
 
 def stable_argsort(keys) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` of NaN-free 1-D keys, at the speed
-    of the SIMD sorts: NumPy runs a stable sort of floats as timsort, 7-9 ms
-    on 2^16 keys against 2-3 ms here. One unstable argsort sorts the
-    keys. When no two keys are equal, that order is the only sorted one,
-    hence the stable one, and it is returned as is. Otherwise the runs of
-    equal keys in that order are numbered, and sorting ``run << b | index``
-    (2^b >= the key count, so it fits an int64 up to 2^31 keys) orders
-    each run by index.
-    ``-0.0`` and ``0.0`` are equal keys, as in the stable sort; a NaN
-    would start a run of its own, so the caller keeps them out."""
+    of the SIMD sorts: NumPy runs a stable sort of floats as timsort, 6-9 ms
+    on 2^16 keys, and an unstable argsort in ~1 ms, against 0.6-0.7 ms here.
+
+    One ``sort`` of packed int64 keys: each key's float64 bits made to order
+    as the floats do (``-0.0`` folded into ``0.0``, a negative's magnitude
+    bits flipped), with the low b bits replaced by the key's index (2^b >=
+    the key count). Equal keys share every bit, so they come out in index
+    order; when the keys gathered in that order do not decrease, it is the
+    stable order. Keys that differ only below bit b can come out reversed,
+    and then ``_stable_argsort_by_runs`` orders them exactly. A NaN has no
+    place in either order, so the caller keeps them out."""
     keys = np.asarray(keys)
+    n = keys.size
+    b = max(n - 1, 0).bit_length()
+    bits = np.add(keys, 0.0, dtype=np.float64).view(np.int64)  # -0.0 + 0.0 is 0.0
+    packed = bits >> 63  # all ones on a negative: flip its magnitude bits
+    packed &= (1 << 63) - 1
+    packed ^= bits
+    packed &= -1 << b
+    packed |= np.arange(n)
+    packed.sort()
+    packed &= (1 << b) - 1
+    ranked = keys[packed]
+    if (ranked[1:] >= ranked[:-1]).all():
+        return packed
+    return _stable_argsort_by_runs(keys)
+
+
+def _stable_argsort_by_runs(keys: np.ndarray) -> np.ndarray:
+    """``stable_argsort`` of keys that its packed sort put out of order: one
+    unstable argsort sorts the keys, the runs of equal keys in that order
+    are numbered, and sorting ``run << b | index`` (which fits an int64 up
+    to 2^31 keys) orders each run by index."""
     n = keys.size
     order = np.argsort(keys)
     ranked = keys[order]
-    new_run = ranked[1:] != ranked[:-1]
-    if new_run.all():
-        return order
     run = np.zeros(n, dtype=np.int64)
-    np.cumsum(new_run, out=run[1:])
+    np.cumsum(ranked[1:] != ranked[:-1], out=run[1:])
     b = max(n - 1, 0).bit_length()
     run <<= b
     run |= order
@@ -236,7 +256,14 @@ def marginals(p: JointDistribution, g: SymbolPermutation) -> MarginalProfile:
         raise ValueError("bit dimensions differ")
     out = np.empty_like(p.probs)
     out[g.map] = p.probs
-    return MarginalProfile(bit_zero_marginals(out / float(out.sum()), p.d))
+    return _placed_marginals(out, p.d)
+
+
+def _placed_marginals(placed: np.ndarray, d: int) -> MarginalProfile:
+    """Bit marginals of Y from ``placed[y]``, the probability g moves onto
+    y, re-normalized as ``g.transform`` normalizes: the one formula behind
+    ``marginals`` and ``order_permutation``'s objective."""
+    return MarginalProfile(bit_zero_marginals(placed / float(placed.sum()), d))
 
 
 def total_correlation(p: JointDistribution, g: SymbolPermutation) -> float:

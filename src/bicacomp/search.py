@@ -42,8 +42,8 @@ from .distributions import (
     JointDistribution,
     SymbolPermutation,
     _bijection,
+    _placed_marginals,
     binary_entropy,
-    marginals,
     stable_argsort,
     zero_bit_matrix,
 )
@@ -101,12 +101,14 @@ def order_permutation(p: JointDistribution) -> SearchResult:
     stable order from SIMD sorts; construction keeps NaN out of the
     probabilities, which is its precondition. The map inverts that order,
     so it is a bijection by construction and is not proven one again
-    (``_bijection``)."""
+    (``_bijection``). Codeword i carries the i-th smallest probability, so
+    the objective scores the probabilities gathered in that order, which
+    ``marginals(p, g)`` would scatter through the map."""
     order = stable_argsort(p.probs)
     gmap = np.empty(p.m, dtype=np.int64)
     gmap[order] = np.arange(p.m, dtype=np.int64)
     g = _bijection(p.d, gmap)
-    return SearchResult(g, marginals(p, g).entropy_sum())
+    return SearchResult(g, _placed_marginals(p.probs[order], p.d).entropy_sum())
 
 
 def _fold_marginals(dest: np.ndarray, pis: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import kernels
 from .bounds import standard_redundancy
+from .coding import _group
 from .distributions import (
     JointDistribution,
     SymbolPermutation,
@@ -314,10 +315,43 @@ def lattice_quantize(samples, lattice: Lattice) -> LatticeQuantization:
             shrink *= 0.9
         else:
             q[i] = np.zeros(lattice.dim)
-    codebook, indices = np.unique(q, axis=0, return_inverse=True)
+    indices = _lattice_row_ranks(q, lattice.scale)
+    codebook = np.empty((int(indices.max(initial=-1)) + 1, lattice.dim))
+    codebook[indices] = q
     err = x - q
     total = float(np.mean(np.sum(err * err, axis=1)))
-    return LatticeQuantization(indices.astype(np.int64), codebook, total)
+    return LatticeQuantization(indices, codebook, total)
+
+
+def _lattice_row_ranks(q: np.ndarray, scale: float) -> np.ndarray:
+    """Each row's index among the distinct rows of the lattice points ``q``
+    in lexicographic order, the inverse of ``np.unique(q, axis=0,
+    return_inverse=True)``, which sorts the rows as void keys (150-260 ms
+    on 1e5 points of 3 to 8 dimensions). Every coordinate is an integer
+    or half-integer multiple of ``scale``, so ``t = rint(q / scale * 2)``
+    is exact, and ``-0.0`` meets ``0.0``. The offsets of each column from
+    its least value pack into one int64 key per row, mixed radix with
+    coordinate 0 the most significant, so ascending keys are the rows'
+    order and ``coding._group`` ranks them (12-14 ms). Past 2^63 keys (at
+    dim 8, a span of about 200 values per coordinate, below a scale of
+    ~0.1 sigma) rows are ranked by ``np.lexsort`` of the integer columns
+    instead, which has no width limit, and numbered by run (~90 ms)."""
+    t = np.rint(q / scale * 2).astype(np.int64)
+    lo = t.min(axis=0, initial=0)
+    spans = (t.max(axis=0, initial=0) - lo + 1).tolist()
+    if math.prod(spans) <= 1 << 63:
+        key = np.zeros(t.shape[0], dtype=np.int64)
+        for j, span in enumerate(spans):
+            key *= span
+            key += t[:, j] - lo[j]
+        return _group(key, next_bit_dimension(math.prod(spans)))[1]
+    order = np.lexsort(t.T[::-1])
+    ranked = t[order]
+    run = np.zeros(t.shape[0], dtype=np.int64)
+    np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1), out=run[1:])
+    indices = np.empty_like(run)
+    indices[order] = run
+    return indices
 
 
 def gaussian_rd(dim: int, distortion: float) -> float:

@@ -552,6 +552,31 @@ def test_codebook_symbols_round_trip_at_each_symbol_width(m):
     assert np.array_equal(back.codes, book.codes)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 255, 256, 257, 1 << 16, (1 << 16) + 1])
+def test_codebook_wire_matches_a_per_symbol_reference(m):
+    # symbol widths 1, 1, 2, 8, 8, 9, 16 and 17 bits: whole bytes of the
+    # word the symbols are unpacked from, and words cut short
+    rng = np.random.default_rng(m)
+    p = np.arange(1, m + 1, dtype=np.float64) ** -1.1
+    p = p[rng.permutation(m)]
+    p[rng.random(m) < 0.25] = 0.0  # uncoded symbols
+    p[m // 2] = 1.0
+    book = canonicalize(huffman_build(p / p.sum()), m)
+    lengths = book.lengths.tolist()
+    w = max(1, (m - 1).bit_length())
+    coded = sorted((l, s) for s, l in enumerate(lengths) if l > 0)
+    want = "".join("1" * lengths.count(l) + "0" for l in range(1, max(lengths) + 1))
+    want += "".join(format(s, f"0{w}b") for _, s in coded)
+    wire = serialize_codebook(book, m)
+    assert wire.dtype == np.uint8
+    assert "".join(map(str, wire.tolist())) == want
+    back = deserialize_codebook(wire, m, len(coded))
+    for got, ref in ((back.lengths, book.lengths), (back.codes, book.codes),
+                     (back.symbols, book.symbols), (back.counts, book.counts)):
+        assert np.array_equal(got, ref)
+    assert back.serialized_bits == book.serialized_bits == wire.size
+
+
 def test_codewords_longer_than_63_bits_are_rejected():
     p = 0.5 ** np.arange(1, 71)  # geometric: Huffman lengths 1, 2, ..., 69, 69
     with pytest.raises(ValueError, match="63"):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bicacomp import distributions
 from bicacomp.distributions import (
     JointDistribution,
     MarginalProfile,
@@ -230,13 +231,66 @@ def test_batched_bit_marginals_match_row_calls_and_matmul(d, rows, alpha, seed):
 _TIE_KEYS = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, 5e-324])
 
 
+def _planted_ulp_pair():
+    """2^16 keys in [2, 4) and one pair one ulp apart in reverse index
+    order: 1.0 + 2^-52 at index 5 and 1.0 at index 60000. The two share
+    every bit above the packed index, so the packed sort puts 5 first."""
+    keys = np.random.default_rng(16).uniform(2.0, 4.0, 1 << 16)
+    keys[5], keys[60000] = np.nextafter(1.0, 2.0), 1.0
+    return keys.tolist()
+
+
 @settings(max_examples=300, deadline=None)
 @given(keys=st.lists(_TIE_KEYS, max_size=300) | st.lists(st.floats(allow_nan=False), max_size=50))
 @example(keys=[])
 @example(keys=[-0.0])
 @example(keys=[-0.0, 0.0] * 2048)  # a signed zero ties with 0.0, as in the stable sort
+@example(keys=[np.nextafter(1.0, 2.0), 1.0])  # one ulp apart, the larger first
+@example(keys=_planted_ulp_pair())
+@example(keys=[-np.nextafter(1.0, 2.0), -1.0, -np.nextafter(1.0, 0.0)])  # ulps below zero
 def test_stable_argsort_equals_numpy_stable_sort(keys):
     k = np.array(keys, dtype=np.float64)
     got = stable_argsort(k)
     assert got.dtype == np.intp
     assert np.array_equal(got, np.argsort(k, kind="stable"))
+
+
+def _no_exact_path(monkeypatch):
+    def fail(keys):
+        raise AssertionError("stable_argsort left its packed sort")
+
+    monkeypatch.setattr(distributions, "_stable_argsort_by_runs", fail)
+
+
+def test_keys_one_ulp_apart_take_the_exact_path(monkeypatch):
+    _no_exact_path(monkeypatch)
+    for keys in ([np.nextafter(1.0, 2.0), 1.0], _planted_ulp_pair()):
+        with pytest.raises(AssertionError, match="packed sort"):
+            stable_argsort(np.array(keys))
+
+
+# far apart in their high bits: the packed sort alone orders them
+_SPREAD_KEYS = st.sampled_from([-np.inf, -3.5, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.25, 7.0,
+                                np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(_SPREAD_KEYS, max_size=200))
+def test_signed_zeros_negatives_and_infinities_sort_on_the_packed_path(keys):
+    with pytest.MonkeyPatch.context() as mp:
+        _no_exact_path(mp)
+        k = np.array(keys, dtype=np.float64)
+        assert np.array_equal(stable_argsort(k), np.argsort(k, kind="stable"))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relabelled_zipf16_keys_sort_on_the_packed_path(monkeypatch, seed):
+    # the four skews of the huffman-zipf16 benchmark, relabelled as it
+    # relabels them: distinct ranks differ far above the 16 packed bits
+    _no_exact_path(monkeypatch)
+    m = 1 << 16
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
+    for s in (0.4, 1.2, 2.0, 2.8):
+        w = np.arange(1, m + 1, dtype=np.float64) ** -s
+        p = (w / w.sum())[rng.permutation(m)]
+        assert np.array_equal(stable_argsort(p), np.argsort(p, kind="stable"))

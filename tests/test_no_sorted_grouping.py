@@ -11,7 +11,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bicacomp"
 # file:top-level definition -> why it may call np.unique with return_inverse
 ALLOWED = {
     "coding.py:_group": "the grouping helper; it sorts when 2^d is far above n",
-    "vq.py:lattice_quantize": "axis=0 groups rows of lattice coordinates, which cannot be counted",
 }
 
 

@@ -59,6 +59,35 @@ def test_order_with_many_equal_probabilities_matches_a_stable_argsort():
     assert np.array_equal(res.g.map, reference)
 
 
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 10), kind=st.sampled_from(["dirichlet", "ties", "zeros"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_order_objective_is_the_marginal_entropy_sum_bit_for_bit(d, kind, seed):
+    # the search scores the probabilities gathered in its order; marginals
+    # scatters them through the map: the same array, normalized and summed
+    # by the same calls
+    rng = np.random.default_rng(seed)
+    m = 1 << d
+    if kind == "dirichlet":
+        w = rng.dirichlet(np.full(m, 0.5))
+    elif kind == "ties":
+        w = rng.integers(1, 4, m).astype(np.float64)
+    else:  # mostly zeros, and ties among the rest
+        w = rng.choice([0.0, 0.0, 0.0, 1.0, 2.0], m)
+        w[rng.integers(m)] = 1.0
+    p = JointDistribution(d, w / w.sum())
+    res = order_permutation(p)
+    assert res.objective == marginals(p, res.g).entropy_sum()
+
+
+def test_order_objective_on_relabelled_zipf16_is_the_marginal_entropy_sum():
+    m = 1 << 16
+    w = np.arange(1, m + 1, dtype=np.float64) ** -1.2
+    p = JointDistribution(16, (w / w.sum())[np.random.default_rng(16).permutation(m)])
+    res = order_permutation(p)
+    assert res.objective == marginals(p, res.g).entropy_sum()
+
+
 def test_order_uniform():
     p = JointDistribution(3, np.full(8, 0.125))
     res = order_permutation(p)

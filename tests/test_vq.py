@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst  # `st` names fit states here
 
-from bicacomp import kernels
+from bicacomp import kernels, vq
 from bicacomp.sources import SourceSpec, sample
 from bicacomp.vq import (
     SPHERE_STD,
@@ -385,6 +385,31 @@ def test_lattice_quantize_sphere_truncation():
     sigma = math.sqrt(float(np.mean(np.var(x, axis=0))))
     radii = np.linalg.norm(q.codebook, axis=1)
     assert np.all(radii <= SPHERE_STD * sigma + 1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattice=hst.sampled_from([("cubic", 1), ("cubic", 3), ("cubic", 8), ("d4", 4), ("e8", 8)]),
+       scale=hst.sampled_from([2.0, 0.7, 0.3, 0.1, 0.03, 1e-3, 1e-6]),
+       n=hst.integers(1, 300), spread=hst.sampled_from([0.5, 1.0, 3.0]),
+       seed=hst.integers(0, 2 ** 32 - 1))
+@example(lattice=("e8", 8), scale=1e-3, n=300, spread=1.0, seed=5)  # past 2^63 keys
+@example(lattice=("cubic", 3), scale=0.5, n=300, spread=0.1, seed=6)  # many -0.0 and 0.0
+def test_lattice_grouping_matches_np_unique(lattice, scale, n, spread, seed):
+    kind, dim = lattice
+    lat = Lattice(kind, dim, scale)
+    x = np.random.default_rng(seed).standard_normal((n, dim)) * spread
+    q = lat.nearest(x)
+    codebook, inverse = np.unique(q, axis=0, return_inverse=True)
+    assert np.array_equal(vq._lattice_row_ranks(q, scale), inverse.reshape(-1))
+    # past the sphere, samples move: the quantizer's own points, read back
+    # through its codebook, give its distortion and regroup to it
+    quant = lattice_quantize(x, lat)
+    points = quant.codebook[quant.indices]
+    assert quant.distortion == float(np.mean(np.sum((x - points) ** 2, axis=1)))
+    codebook, inverse = np.unique(points, axis=0, return_inverse=True)
+    assert np.array_equal(quant.codebook, codebook)
+    assert np.array_equal(quant.indices, inverse.reshape(-1))
+    assert quant.indices.dtype == np.int64
 
 
 def test_gaussian_rd_values():

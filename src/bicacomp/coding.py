@@ -132,11 +132,11 @@ def huffman_build(probs) -> CanonicalCodebook:
     an odd last one waits for the next round. Pop order is one stable
     argsort of the round's live leaves followed by its live merges: two
     sorted runs, which NumPy's timsort merges in one linear pass, with a
-    weight tie going to the leaf, which comes first. The leaves are sorted by
-    ``stable_argsort``, an exact stable order from one SIMD sort, in which
-    the zero weights come first and are dropped. Leaves are numbered in that
-    order, so the leaves and the merges a round pops are each a run of
-    consecutive nodes, and their parents are written as two slices.
+    weight tie going to the leaf, which comes first. The leaves, the
+    positive weights alone, are sorted once by ``stable_argsort``. Leaves
+    are numbered in that order, so the leaves and the merges a round pops
+    are each a run of consecutive nodes, and their parents are written as
+    two slices.
 
     The code is the ``CanonicalCodebook`` of the lengths over ``probs``'s
     alphabet, numbered once in (length, index) order, so ``canonicalize``
@@ -147,7 +147,11 @@ def huffman_build(probs) -> CanonicalCodebook:
     k = int(np.count_nonzero(p))
     if k == 0:
         raise ValueError("empty alphabet or no symbol with positive probability")
-    leaf_id = stable_argsort(p)[p.size - k:]  # zero weights sort first: no codeword
+    if k < p.size:  # zero weights get no codeword: sort only the k others
+        coded = np.flatnonzero(p)
+        leaf_id = coded[stable_argsort(p[coded])]
+    else:
+        leaf_id = stable_argsort(p)
     leaf_w = p[leaf_id]
     merge_w = np.empty(k - 1)
     # node i < k is the i-th leaf in sorted order, node k + j the j-th merge
@@ -389,10 +393,10 @@ def quantize_counts(probs: np.ndarray) -> np.ndarray:
     diff = total - int(counts.sum())
     if diff > 0:
         frac = np.where(pos, raw - np.floor(raw), -1.0)
-        order = np.argsort(-frac, kind="stable")
+        order = stable_argsort(-frac)
         counts[order[:diff]] += 1
     elif diff < 0:
-        order = np.argsort(-counts, kind="stable")
+        order = stable_argsort(-counts)
         i = 0
         while diff < 0:
             sym = order[i % order.size]

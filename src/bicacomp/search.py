@@ -157,7 +157,7 @@ def _placements(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order_of = []
     rank = np.empty(m, dtype=rank_type)
     for regs in combos:
-        rank[np.argsort(a0 @ env.slopes[list(regs)], kind="stable")] = np.arange(m)
+        rank[stable_argsort(a0 @ env.slopes[list(regs)])] = np.arange(m)
         order_of.append(row_of.setdefault(rank.tobytes(), len(row_of)))
     tables = (np.array(combos, dtype=np.min_scalar_type(k - 1)),
               np.frombuffer(b"".join(row_of), dtype=rank_type).reshape(len(row_of), m),
@@ -248,7 +248,7 @@ def piecewise_relaxation(p: JointDistribution, k: int = DEFAULT_PIECES) -> Searc
     if _table_entries(d, k) > PIECEWISE_MAX_ENTRIES:
         raise ValueError(f"piecewise search at d={d}, k={k} needs {_table_entries(d, k)} "
                          f"order-table entries, above {PIECEWISE_MAX_ENTRIES}")
-    p_desc_idx = np.argsort(-p.probs, kind="stable")
+    p_desc_idx = stable_argsort(-p.probs)
     p_desc = p.probs[p_desc_idx]
     feasible, objs, strict = _screen(p_desc, d, k)
     regions, ranks, order_of = _placements(d, k)

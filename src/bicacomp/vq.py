@@ -13,6 +13,16 @@ still descends). That length step is one batched NumPy pass per sweep:
 the order search's map and the current map are scored side by side, and
 no distribution or permutation object is built until the fit returns.
 
+A sweep rebuilds only what its new centroids and lengths change:
+- once per fit: the samples' lifted block for the assignment screen and
+  each value's column for the centroid sums;
+- once per kept index map (bit-wise variant): the map's bit tables, which
+  index has each bit zero;
+- once per sweep: the bias (one multiply when lambda > 0), the screen's
+  cluster factor and rounding gap, the counts, the order search's
+  candidate map and both maps' scores, the lengths, the centroid sums and
+  the Lagrangian.
+
 The pinned fit histories depend on three summation orders: each bit's
 zero mass adds the cluster probabilities in index order, as a masked sum
 does; each centroid's coordinate sums add its samples in sample order, as
@@ -32,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,7 +125,9 @@ def _lloyd(x: np.ndarray, m_init: int, lam: float, seed: int, max_sweeps: int,
     retires an empty cluster), move occupied centroids to their means; stop
     once a sweep lowers the Lagrangian by less than SWEEP_TOL. The samples
     are lifted for the assignment's screen, and their values' columns
-    listed, once, before the first sweep.
+    listed, once, before the first sweep; each sweep builds the bias with
+    one multiply when lam > 0 (at lam = 0, lam * inf would be NaN) and
+    calls ``kernels.ecvq_assign`` once.
 
     All centroids' coordinate sums come from one ``bincount`` over the bins
     ``assign * dim + column``, which adds each bin's samples in sample order
@@ -131,8 +144,11 @@ def _lloyd(x: np.ndarray, m_init: int, lam: float, seed: int, max_sweeps: int,
     history = []
     prev = np.inf
     for _ in range(max_sweeps):
-        bias = np.full(m_init, np.inf)  # retired: lam * inf is NaN at lam = 0
-        np.multiply(lam, lengths, out=bias, where=np.isfinite(lengths))
+        if lam > 0:
+            bias = lam * lengths  # a retired cluster's inf stays inf
+        else:  # lam * inf is NaN
+            bias = np.full(m_init, np.inf)
+            np.multiply(lam, lengths, out=bias, where=np.isfinite(lengths))
         assign = kernels.ecvq_assign(x, centroids, bias, lifted)
         counts = np.bincount(assign, minlength=m_init)
         lengths = length_step(counts)
@@ -161,7 +177,24 @@ def ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
     return _lloyd(x, m_init, lam, seed, max_sweeps, init, ideal_lengths)
 
 
-def _index_bit_lengths(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+class _IndexMap(NamedTuple):
+    """An index map ``map`` over 2^d indices with the bit tables
+    ``_index_bit_lengths`` reads, built once per kept map by ``_index_map``:
+    ``zero[j, i]`` is whether bit j of ``map[i]`` is zero, and row j of
+    ``gather`` lists those i in index order."""
+
+    map: np.ndarray
+    zero: np.ndarray
+    gather: np.ndarray
+
+
+def _index_map(y: np.ndarray) -> _IndexMap:
+    d = y.size.bit_length() - 1
+    zero = (y >> np.arange(d)[:, None]) & 1 == 0
+    return _IndexMap(y, zero, np.nonzero(zero)[1].reshape(d, -1))
+
+
+def _index_bit_lengths(probs: np.ndarray, y: _IndexMap) -> np.ndarray:
     """Per-cluster length under bit-wise coding of the index transformed by
     the map ``y``: sum over bits of -log2 of the marginal probability of
     that bit value.
@@ -171,15 +204,12 @@ def _index_bit_lengths(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     the pinned fit histories were recorded with (``bit_zero_marginals``
     sums in another order); the bits' logs are added one bit at a time and
     subtracted from 0.0, so a zero length is +0.0."""
-    d = y.size.bit_length() - 1
-    bits = (y >> np.arange(d)[:, None]) & 1
-    zero = bits == 0
-    zero_mass = probs[np.nonzero(zero)[1].reshape(d, -1)].sum(axis=1)[:, None]
-    q = np.where(zero, zero_mass, 1.0 - zero_mass)
+    zero_mass = probs[y.gather].sum(axis=1)[:, None]
+    q = np.where(y.zero, zero_mass, 1.0 - zero_mass)
     return np.where(probs > 0, 0.0 - np.log2(np.maximum(q, 1e-300)).sum(axis=0), np.inf)
 
 
-def _bica_length_step(counts: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bica_length_step(counts: np.ndarray, y: _IndexMap) -> tuple[_IndexMap, np.ndarray]:
     """One sweep's length step of ``bica_ecvq_fit``: from the cluster counts
     and the current index map ``y`` (over 2^d >= counts.size indices),
     return the map kept and each cluster's length (inf when empty).
@@ -188,20 +218,21 @@ def _bica_length_step(counts: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
     to 2^d and normalized as ``JointDistribution`` does; it is kept when
     its sum of marginal bit entropies beats the current map's by more than
     1e-15. Both maps are scored in one pass, each summed as
-    ``marginals(...).entropy_sum()`` sums it."""
-    probs = np.zeros(y.size)
+    ``marginals(...).entropy_sum()`` sums it. The bit tables of a map are
+    built once, when it is kept, and reused while it stays."""
+    probs = np.zeros(y.map.size)
     probs[:counts.size] = counts / counts.sum()
     p = probs / float(probs.sum())
-    cand = np.empty_like(y)
-    cand[stable_argsort(p)] = np.arange(y.size)
-    rows = np.empty((2, y.size))
+    cand = np.empty_like(y.map)
+    cand[stable_argsort(p)] = np.arange(p.size)
+    rows = np.empty((2, p.size))
     rows[0, cand] = p
-    rows[1, y] = p
-    pis = bit_zero_marginals(rows / rows.sum(axis=1, keepdims=True), y.size.bit_length() - 1)
+    rows[1, y.map] = p
+    pis = bit_zero_marginals(rows / rows.sum(axis=1, keepdims=True), y.zero.shape[0])
     cand_sum, cur_sum = binary_entropy(np.minimum(np.maximum(pis, 0.0), 1.0)).sum(axis=1)
     if cand_sum < cur_sum - 1e-15:
-        y = cand
-    return y, np.where(counts > 0, _index_bit_lengths(probs, y)[:counts.size], np.inf)
+        y = _index_map(cand)
+    return y, _index_bit_lengths(probs, y)[:counts.size]
 
 
 def bica_ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
@@ -214,16 +245,16 @@ def bica_ecvq_fit(samples, m_init: int, lam: float, seed: int = 0,
     if m_init > INDEX_MAX_CLUSTERS:
         raise ValueError("cluster budget exceeds the index embedding cap")
     d_bits = next_bit_dimension(m_init)
-    gmap = np.arange(1 << d_bits)
+    kept = _index_map(np.arange(1 << d_bits))
 
     def bit_lengths(counts):
-        nonlocal gmap
-        gmap, lengths = _bica_length_step(counts, gmap)
+        nonlocal kept
+        kept, lengths = _bica_length_step(counts, kept)
         return lengths
 
     state = _lloyd(x, m_init, lam, seed, max_sweeps, np.full(m_init, float(d_bits)),
                    bit_lengths)
-    return state, SymbolPermutation(d_bits, gmap)
+    return state, SymbolPermutation(d_bits, kept.map)
 
 
 # ---------------------------------------------------------------------------

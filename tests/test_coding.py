@@ -109,6 +109,36 @@ def test_huffman_zero_prob_symbols_excluded():
     assert code.lengths[0] == 1 and code.lengths[2] == 1
 
 
+def _lengths_over_positive_weights(p):
+    """The lengths of the Huffman build over ``p``'s positive weights alone,
+    a vector with no zero weight, placed back at their symbols."""
+    coded = np.flatnonzero(p)
+    lengths = np.zeros(p.size, dtype=np.int64)
+    lengths[coded] = huffman_build(p[coded]).lengths
+    return lengths
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(2, 3000), kind=st.sampled_from(["ties", "distinct"]),
+       zero_share=st.sampled_from([0.5, 0.9, 0.999]), seed=st.integers(0, 2 ** 32 - 1))
+def test_sparse_huffman_lengths_equal_the_dense_build(m, kind, zero_share, seed):
+    # a build with zero weights sorts only the positive ones; its leaves,
+    # ties included, come out in the order of the build without the zeros
+    rng = np.random.default_rng(seed)
+    p = rng.integers(1, 4, m).astype(np.float64) if kind == "ties" else rng.dirichlet(np.ones(m))
+    p[rng.random(m) < zero_share] = 0.0
+    p[rng.integers(m)] = 1.0
+    assert np.array_equal(huffman_build(p).lengths, _lengths_over_positive_weights(p))
+
+
+def test_sparse_huffman_lengths_at_2_20_symbols():
+    # 2^18 coded symbols of 2^20, three weights: long runs of equal keys
+    rng = np.random.default_rng(20)
+    p = np.zeros(1 << 20)
+    p[rng.choice(p.size, 1 << 18, replace=False)] = rng.integers(1, 4, 1 << 18)
+    assert np.array_equal(huffman_build(p).lengths, _lengths_over_positive_weights(p))
+
+
 def test_huffman_rejects_empty():
     with pytest.raises(ValueError):
         huffman_build([])

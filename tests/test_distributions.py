@@ -250,15 +250,21 @@ def _planted_ulp_pair():
 @example(keys=[-np.nextafter(1.0, 2.0), -1.0, -np.nextafter(1.0, 0.0)])  # ulps below zero
 def test_stable_argsort_equals_numpy_stable_sort(keys):
     k = np.array(keys, dtype=np.float64)
-    got = stable_argsort(k)
-    assert got.dtype == np.intp
-    assert np.array_equal(got, np.argsort(k, kind="stable"))
+    # as called, then with every key count on the packed path
+    for plain_max in (distributions.STABLE_SORT_MAX_PLAIN, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distributions, "STABLE_SORT_MAX_PLAIN", plain_max)
+            got = stable_argsort(k)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.argsort(k, kind="stable"))
 
 
 def _no_exact_path(monkeypatch):
+    """Every key count takes the packed sort, which may not fall back."""
     def fail(keys):
         raise AssertionError("stable_argsort left its packed sort")
 
+    monkeypatch.setattr(distributions, "STABLE_SORT_MAX_PLAIN", 0)
     monkeypatch.setattr(distributions, "_stable_argsort_by_runs", fail)
 
 

@@ -263,9 +263,11 @@ def test_assign_rejects_a_block_of_other_samples():
 def assign_cases(draw):
     """Small assignment problems: Gaussian or coarse integer grids (ties),
     shifted by a shared offset and scaled toward underflow or overflow,
-    with any clusters retired, under any chunk size."""
+    with no cluster or any clusters retired, in one chunk or several, and
+    with live clusters on both sides of the two screens' threshold."""
     n = draw(st.integers(1, 25))
-    k = draw(st.integers(1, 9))
+    few = kernels._ROW_ARGMIN_MIN
+    k = draw(st.integers(1, 9) | st.integers(few - 2, few + 8))
     dim = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):  # integer grid: equal biased distances are common
@@ -283,9 +285,15 @@ def assign_cases(draw):
     x = x * scale + offset
     cents = cents * scale + offset
     bias = bias * min(scale * scale, 1e300)
-    retired = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    if draw(st.booleans()):  # none retired: the screen gathers no live subset
+        retired = [False] * k
+    else:
+        retired = draw(st.lists(st.booleans(), min_size=k, max_size=k))
     bias[np.array(retired)] = np.inf
-    cells = draw(st.sampled_from([1, 20, kernels.ASSIGN_CHUNK_CELLS]))
+    if n == 1 or draw(st.booleans()):  # one chunk holds every row
+        cells = kernels.ASSIGN_CHUNK_CELLS
+    else:  # chunks of 1 to n - 1 rows over the live clusters
+        cells = max(1, k - sum(retired)) * draw(st.integers(1, n - 1))
     return x, cents, bias, cells
 
 

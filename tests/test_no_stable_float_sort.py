@@ -1,12 +1,13 @@
-"""Whole-alphabet keys are sorted stably through ``stable_argsort``, which
-builds the stable order from one SIMD sort of packed keys. A stable
-``sort`` or ``argsort`` call elsewhere runs as timsort on floats and int64:
-6-7 ms on 2^16 float keys and ~2 ms on 2^16 int64 lengths, against 0.7 ms
-and 0.2 ms. Small keys stay with the plain stable sort, which is faster
-below about 2^10 keys (timings: best of 200 on a 2-core x86-64 machine with
-AVX-512, NumPy 2.4). So do keys that are two sorted runs, which timsort
-merges in one linear pass: each round of ``huffman_build`` (timings: best
-of 30 builds at m = 2^16 on the same machine)."""
+"""Keys are sorted stably through ``stable_argsort``, which runs NumPy's
+stable argsort up to 2^10 keys, where that timsort is as fast or faster,
+and above that builds the stable order from one SIMD sort of packed keys.
+A stable ``sort`` or ``argsort`` call elsewhere runs as timsort on floats
+and int64: 6-7 ms on 2^16 float keys and ~2 ms on 2^16 int64 lengths,
+against 0.7 ms and 0.2 ms (timings: best of 200 on a 2-core x86-64 machine
+with AVX-512, NumPy 2.4). Two more sites keep their own: codeword lengths
+sorted as uint8, and keys that are two sorted runs, which timsort merges
+in one linear pass: each round of ``huffman_build`` (timings: best of 30
+builds at m = 2^16 on the same machine)."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bicacomp"
 
 # file:top-level definition -> why it may call a stable sort
 ALLOWED = {
+    "distributions.py:stable_argsort": "its size rule: up to 2^10 keys timsort, 2 us against "
+                                       "12-18 us packed at 64 keys, 13-19 us against 15-48 us "
+                                       "at 1024 (keys one ulp apart leave the packed sort)",
     "coding.py:_length_order": "uint8 codeword lengths, which NumPy radix-sorts: "
                                "0.2 ms on 2^16 against 2 ms as int64",
     "coding.py:huffman_build": "each round's live leaves then live merges, two sorted runs "
@@ -22,14 +26,6 @@ ALLOWED = {
                                "skews 0.4-2.8, takes 3.2-3.9 ms against 4.7-5.0 ms ordering "
                                "each round by stable_argsort (and 5.1-5.7 ms merging by "
                                "searchsorted, measured before its packed sort)",
-    "coding.py:quantize_counts": "a block's 2^b symbols, 64 at b = 6: 3 us against 8-12 us "
-                                 "through stable_argsort",
-    "search.py:_placements": "2^d <= 1024 coefficients per placement, thousands of "
-                             "placements per cache build: 2 us against 8-17 us at d = 6, "
-                             "19 us against 42-51 us at d = 10 (near-equal sums take "
-                             "stable_argsort's exact path)",
-    "search.py:piecewise_relaxation": "2^d <= 1024 probabilities: 3 us against 8-12 us at "
-                                      "d = 6",
 }
 
 

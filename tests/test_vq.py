@@ -18,8 +18,15 @@ from bicacomp.vq import (
     lattice_rate_report,
     _bica_length_step,
     _index_bit_lengths,
+    _index_map,
 )
-from bicacomp.distributions import JointDistribution, SymbolPermutation, marginals
+from bicacomp.distributions import (
+    JointDistribution,
+    SymbolPermutation,
+    binary_entropy,
+    bit_zero_marginals,
+    marginals,
+)
 from bicacomp.search import block_bica
 
 
@@ -203,7 +210,7 @@ def test_index_bit_lengths_product_occupancy_equals_joint():
     # joint ideal length for every cluster
     q0, q1 = 0.3, 0.6
     probs = np.array([q0 * q1, (1 - q0) * q1, q0 * (1 - q1), (1 - q0) * (1 - q1)])
-    lens = _index_bit_lengths(probs, SymbolPermutation.identity(2).map)
+    lens = _index_bit_lengths(probs, _index_map(SymbolPermutation.identity(2).map))
     assert np.allclose(lens, -np.log2(probs), atol=1e-12)
 
 
@@ -244,13 +251,72 @@ def test_bica_length_step_matches_the_search_objects(d):
         elif trial % 3 == 1:
             y = rng.permutation(1 << d)
         want_map, want = _length_step_through_search_objects(counts, SymbolPermutation(d, y))
-        got_map, got = _bica_length_step(counts, y)
+        got_tables, got = _bica_length_step(counts, _index_map(y))
+        got_map = got_tables.map
         assert np.array_equal(got_map, want_map)
         assert got.tobytes() == want.tobytes()
         kept += not np.array_equal(got_map, y)
         y = got_map
     # at d = 1 every map has the same one-bit entropy, so none is kept
     assert kept > 0 or d == 1
+
+
+def _length_step_rebuilt_each_sweep(counts, y):
+    """The length step as it stood before its tables were kept per map:
+    every call sorts, scores both maps and rebuilds the bit tables of the
+    map it returns."""
+    probs = np.zeros(y.size)
+    probs[:counts.size] = counts / counts.sum()
+    p = probs / float(probs.sum())
+    cand = np.empty_like(y)
+    cand[np.argsort(p, kind="stable")] = np.arange(y.size)
+    rows = np.empty((2, y.size))
+    rows[0, cand] = p
+    rows[1, y] = p
+    d = y.size.bit_length() - 1
+    pis = bit_zero_marginals(rows / rows.sum(axis=1, keepdims=True), d)
+    cand_sum, cur_sum = binary_entropy(np.minimum(np.maximum(pis, 0.0), 1.0)).sum(axis=1)
+    if cand_sum < cur_sum - 1e-15:
+        y = cand
+    zero = (y >> np.arange(d)[:, None]) & 1 == 0
+    zero_mass = probs[np.nonzero(zero)[1].reshape(d, -1)].sum(axis=1)[:, None]
+    q = np.where(zero, zero_mass, 1.0 - zero_mass)
+    lengths = np.where(probs > 0, 0.0 - np.log2(np.maximum(q, 1e-300)).sum(axis=0), np.inf)
+    return y, np.where(counts > 0, lengths[:counts.size], np.inf)
+
+
+@hst.composite
+def count_sequences(draw):
+    """Cluster counts over 2^(d-1) < m <= 2^d clusters, sweep after sweep:
+    each sweep redraws the counts (the order map moves), shuffles them (it
+    moves more), or repeats them (the candidate equals the map just kept)."""
+    d = draw(hst.integers(1, 7))
+    m = draw(hst.integers((1 << d) // 2 + 1, 1 << d))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    counts = rng.integers(0, 40, m)
+    seq = []
+    for step in draw(hst.lists(hst.sampled_from(["redraw", "shuffle", "repeat"]),
+                               min_size=1, max_size=12)):
+        if step == "redraw":
+            counts = rng.integers(0, 40, m) * (rng.random(m) < 0.8)
+        elif step == "shuffle":
+            counts = rng.permutation(counts)
+        counts = counts.copy()
+        counts[rng.integers(m)] += 1
+        seq.append(counts)
+    return d, seq
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_sequences())
+def test_bica_length_step_keeps_each_maps_tables_property(case):
+    d, seq = case
+    kept, y = _index_map(np.arange(1 << d)), np.arange(1 << d)
+    for counts in seq:
+        kept, got = _bica_length_step(counts, kept)
+        y, want = _length_step_rebuilt_each_sweep(counts, y)
+        assert np.array_equal(kept.map, y)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_bica_fit_builds_no_distribution_and_one_permutation(monkeypatch):

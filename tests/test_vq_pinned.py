@@ -5,7 +5,10 @@ The digests below pin every byte of ``ecvq_fit``'s
 those plus the returned index permutation, at the shape of the benchmark's
 ECVQ sweep (n=1000 six-dimensional mixture samples, 64 initial clusters)
 and at both ends of the lambda grid. A change to the assignment kernel
-that moves a single tie or rounding shows here.
+that moves a single tie or rounding shows here. Two more lambdas pin the
+other cases of the sweep: lambda = 0, where the bias is 0 on every live
+cluster (lambda times an infinite length would be NaN), and lambda = 1.0,
+where the bit-wise fit runs 47-57 sweeps.
 
 One more pair pins both fits on one-dimensional samples, where a
 cluster's mean is summed by ``bincount`` in sample order while
@@ -31,6 +34,10 @@ ECVQ_DIGESTS = {
     (0, 10.0): "145c5d21c5979bfe1d3357cd5b330c19d2c9d394a7d9a5119ac0f68da7b915e5",
     (1, 0.01): "408cbabfe9b1f95619fa36dab17ab1eae6d0040464363485c88dc62ee26b3251",
     (1, 10.0): "4f4166ea28026a31439fa62644d9f0ae15dd6d6e360e415594058a01dc95c9aa",
+    (0, 0.0): "f973f2f68dc81c53c7cf883f5f4e95cc43afb45984c83349a07d9838fceff2d8",
+    (0, 1.0): "0a5bff15cf87caeca45693fac05e11c8b02796d9b8d13f86f9163ddeb6010acf",
+    (1, 0.0): "be183025181978510bcb04836f0a599cd356c62a82101c150f3b2260efebc435",
+    (1, 1.0): "acecfb58da5a9218a662106fcb78b2c48e7035ed0144c484908e258d1acbc3b3",
 }
 
 BICA_DIGESTS = {
@@ -38,6 +45,10 @@ BICA_DIGESTS = {
     (0, 10.0): "b8934e96c2f88fb8a9c285cb0c51cf4cd02e2b299ba850b837298e684e2ea528",
     (1, 0.01): "df273bf9e61683a1cb85c9f34ea036dceb465410f63ae6f3e162896d9e440ffd",
     (1, 10.0): "88874d6746818a5f8c07fc16dc5188ecbb5c3baf20aa3021f0c1cbdc97b5f7d9",
+    (0, 0.0): "a587803de189867d914f6a7385e2dd2e3f2c279ccf9293720b493390b6881d8e",
+    (0, 1.0): "0a51ec0b3d9f45683be0c564373dceb961972946815ecf6e9cfb8bb39eca8b07",
+    (1, 0.0): "57cc4fa5eda5c984e3c77f22c025d0dd28c0b72a856f20b7e751606e81614030",
+    (1, 1.0): "eef03c38fa63e459bb5c9a87d739c21441af11e63af67f0881fcdd90a9e4a23d",
 }
 
 # (n, m_init, lambda, seed) of the one-dimensional fits

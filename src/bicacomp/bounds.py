@@ -25,12 +25,13 @@ LOG2E = math.log2(math.e)
 MC_SHARD_DRAWS = 500     # simplex draws per seeded shard of the gap estimates
 MC_ENTROPY_BATCH = 2000  # simplex draws per batch of the joint-entropy estimate
 
-_harmonic = np.zeros(1)  # _harmonic[i] = K_i, grown on demand
+_harmonic = np.zeros(1)  # _harmonic[i] = K_i, grown on demand; read-only
+_harmonic.flags.writeable = False
 _harmonic_comp = 0.0     # Kahan compensation carried across growths
 
 
 def harmonic_numbers(m: int) -> np.ndarray:
-    """K_0..K_m with K_0 = 0, accumulated with compensated summation."""
+    """K_0..K_m with K_0 = 0 by compensated summation, as a read-only view."""
     global _harmonic, _harmonic_comp
     if m >= _harmonic.size:
         old = _harmonic.size
@@ -44,6 +45,7 @@ def harmonic_numbers(m: int) -> np.ndarray:
             c = (t - s) - y
             s = t
             grown[i] = s
+        grown.flags.writeable = False
         _harmonic, _harmonic_comp = grown, c
     return _harmonic[: m + 1]
 

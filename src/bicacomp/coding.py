@@ -450,13 +450,15 @@ def arithmetic_decode(bits, probs, n: int) -> np.ndarray:
 class BlockPartition:
     """Consecutive blocks of a symbol's bits from bit 0: block v holds the
     sizes[v] bits above blocks 0..v-1. Raises ValueError on a width outside
-    1..16 (the decoder's slot table holds ALPHABET_CAP values) and on more
-    than 63 bits, which int64 symbols and the header's byte fields cannot hold."""
+    1..16 (the decoder's slot table holds ALPHABET_CAP values) and on 0 or
+    more than 63 bits, which int64 symbols and the header's byte fields cannot hold."""
 
     sizes: tuple[int, ...]
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
+        if not sizes:
+            raise ValueError("no blocks: 0-bit symbols, not 1..63")
         if not all(0 < s and 1 << s <= ALPHABET_CAP for s in sizes):
             raise ValueError(f"block sizes {sizes} outside 1..{ALPHABET_CAP.bit_length() - 1} bits")
         if sum(sizes) > 63:

@@ -8,6 +8,7 @@ of such a source are symbol permutations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,9 +173,9 @@ class JointDistribution:
 @dataclass(frozen=True)
 class SymbolPermutation:
     """Invertible symbol-to-symbol map; ``map[i]`` is where symbol i lands.
-    Construction proves the map a bijection (``inverse_permutation``); the
-    searches, whose maps are bijections by construction, skip that proof
-    (``_bijection``)."""
+    Construction proves the map a bijection (``inverse_permutation``), and
+    every permutation is built through it: the searches return bare maps,
+    and ``SearchResult.g`` builds theirs here."""
 
     d: int
     map: np.ndarray = field(repr=False)
@@ -202,19 +203,6 @@ class SymbolPermutation:
         out = np.empty_like(p.probs)
         out[self.map] = p.probs
         return JointDistribution(self.d, out)
-
-
-def _bijection(d: int, gmap: np.ndarray) -> SymbolPermutation:
-    """The ``SymbolPermutation`` of an int64 map of 2^d entries that is a
-    bijection by construction: an inverted argsort, or one XORed with a
-    mask below 2^d. ``inverse_permutation``'s proof is skipped (~0.4 ms
-    per order search at 2^16 symbols), as ``coding.CanonicalCodebook``
-    skips ``PrefixCode``'s prefix check; the map is made read-only."""
-    gmap.flags.writeable = False
-    g = object.__new__(SymbolPermutation)
-    object.__setattr__(g, "d", d)
-    object.__setattr__(g, "map", gmap)
-    return g
 
 
 @dataclass(frozen=True)
@@ -248,10 +236,14 @@ def bit_zero_marginals(probs: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def zero_bit_matrix(d: int) -> np.ndarray:
-    """A0[y, j] = 1.0 where bit j of symbol y is zero."""
+    """A0[y, j] = 1.0 where bit j of symbol y is zero; read-only, built once
+    per d for every caller."""
     y = np.arange(1 << d, dtype=np.int64)
-    return ((y[:, None] >> np.arange(d)[None, :]) & 1 == 0).astype(np.float64)
+    a0 = ((y[:, None] >> np.arange(d)[None, :]) & 1 == 0).astype(np.float64)
+    a0.flags.writeable = False
+    return a0
 
 
 def joint_entropy(p: JointDistribution) -> float:

@@ -1,5 +1,8 @@
 """Search for invertible transforms minimizing the sum of marginal bit entropies.
 
+Each search returns a ``SearchResult``: a bare read-only int64 map, proven
+a bijection only where ``SearchResult.g`` asks for a ``SymbolPermutation``.
+
 Three routes with increasing cost/quality:
 
 * ``order_permutation`` -- greedy: sort probabilities ascending onto
@@ -19,7 +22,8 @@ Three routes with increasing cost/quality:
   entries (69 KB at (6, 8), 39 MB at (10, 8)), at most C(d+k-1, d) x 2^d:
   ``PIECEWISE_MAX_ENTRIES`` caps that count at the (10, 8) size, the
   widest ``block_bica`` searches. The placements' segment edges are
-  cached per (d, k) beside it. All placements are screened by one gather,
+  cached per (d, k) beside it, and the zero-bit table per d
+  (``zero_bit_matrix``). All placements are screened by one gather,
   one matmul and one pass of region checks; entropies are taken only for
   the placements that pass, and only those within the screen's error of
   the best are evaluated exactly. At (6, 8) a search takes about 0.37 ms
@@ -41,7 +45,6 @@ import numpy as np
 from .distributions import (
     JointDistribution,
     SymbolPermutation,
-    _bijection,
     _placed_marginals,
     binary_entropy,
     stable_argsort,
@@ -81,9 +84,19 @@ class PiecewiseLinearEnvelope:
 
 @dataclass(frozen=True)
 class SearchResult:
-    g: SymbolPermutation
+    """A search's read-only int64 map (symbol i lands on ``map[i]``)."""
+
+    map: np.ndarray
     objective: float  # sum of marginal bit entropies, bits
     fallback: bool = field(default=False)
+
+    def __post_init__(self):
+        self.map.flags.writeable = False
+
+    @property
+    def g(self) -> SymbolPermutation:
+        """The map as a ``SymbolPermutation``, which proves it a bijection."""
+        return SymbolPermutation(self.map.size.bit_length() - 1, self.map)
 
 
 def build_envelope(k: int) -> PiecewiseLinearEnvelope:
@@ -99,16 +112,15 @@ def order_permutation(p: JointDistribution) -> SearchResult:
     """Map the i-th smallest probability to codeword i-1 (ties stable by
     original symbol index). The order is ``stable_argsort``'s, an exact
     stable order from SIMD sorts; construction keeps NaN out of the
-    probabilities, which is its precondition. The map inverts that order,
-    so it is a bijection by construction and is not proven one again
-    (``_bijection``). Codeword i carries the i-th smallest probability, so
-    the objective scores the probabilities gathered in that order, which
+    probabilities, which is its precondition. The map inverts that order;
+    it is proven a bijection only when ``SearchResult.g`` is asked for.
+    Codeword i carries the i-th smallest probability, so the objective
+    scores the probabilities gathered in that order, which
     ``marginals(p, g)`` would scatter through the map."""
     order = stable_argsort(p.probs)
     gmap = np.empty(p.m, dtype=np.int64)
     gmap[order] = np.arange(p.m, dtype=np.int64)
-    g = _bijection(p.d, gmap)
-    return SearchResult(g, _placed_marginals(p.probs[order], p.d).entropy_sum())
+    return SearchResult(gmap, _placed_marginals(p.probs[order], p.d).entropy_sum())
 
 
 def _fold_marginals(dest: np.ndarray, pis: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,22 +181,21 @@ def _placements(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=8)
 def _screen_edges(d: int, k: int) -> tuple[np.ndarray, ...]:
-    """(lower, upper, inner lower, inner upper, a0) at (d, k). The first
-    four are d x placements: the segment edges of every placement's
-    marginals, widened by REGION_TOL + SCREEN_TOL, then narrowed by
-    SCREEN_TOL at inner edges only (-inf and +inf at the outer edges 0 and
-    1/2, which a folded marginal cannot cross); one row per bit, so the
-    checks reduce over rows. a0 is ``zero_bit_matrix(d)``. All depend on
-    (d, k) alone, so they are built once, next to ``_placements``, and are
-    read-only: 82 KB each at (6, 8), 1.6 MB each at (10, 8)."""
+    """(lower, upper, inner lower, inner upper) at (d, k), each d x
+    placements: the segment edges of every placement's marginals, widened
+    by REGION_TOL + SCREEN_TOL, then narrowed by SCREEN_TOL at inner edges
+    only (-inf and +inf at the outer edges 0 and 1/2, which a folded
+    marginal cannot cross); one row per bit, so the checks reduce over
+    rows. All depend on (d, k) alone, so they are built once, next to
+    ``_placements``, and are read-only: 82 KB each at (6, 8), 1.6 MB each
+    at (10, 8)."""
     regions = _placements(d, k)[0].T
     lo = regions / (2 * k)
     hi = (regions + 1.0) / (2 * k)
     slack = REGION_TOL + SCREEN_TOL
     tables = (lo - slack, hi + slack,
               np.where(regions == 0, -np.inf, lo + SCREEN_TOL),
-              np.where(regions == k - 1, np.inf, hi - SCREEN_TOL),
-              zero_bit_matrix(d))
+              np.where(regions == k - 1, np.inf, hi - SCREEN_TOL))
     tables = tuple(np.ascontiguousarray(t) for t in tables)
     for t in tables:
         t.flags.writeable = False
@@ -209,7 +220,8 @@ def _screen(p_desc: np.ndarray, d: int, k: int) -> tuple[np.ndarray, np.ndarray,
     placements that pass (a median of 3 of 1716 per ``universal-zipf``
     block)."""
     _, ranks, order_of = _placements(d, k)
-    lower, upper, inner_lower, inner_upper, a0 = _screen_edges(d, k)
+    lower, upper, inner_lower, inner_upper = _screen_edges(d, k)
+    a0 = zero_bit_matrix(d)
     n_orders, m = ranks.shape
     pis = np.empty((n_orders, d))
     rows = max(1, SCREEN_CHUNK_CELLS // m)
@@ -252,7 +264,7 @@ def piecewise_relaxation(p: JointDistribution, k: int = DEFAULT_PIECES) -> Searc
     p_desc = p.probs[p_desc_idx]
     feasible, objs, strict = _screen(p_desc, d, k)
     regions, ranks, order_of = _placements(d, k)
-    a0 = _screen_edges(d, k)[-1]
+    a0 = zero_bit_matrix(d)
     limit = np.min(objs[strict], initial=np.inf) + 2 * SCREEN_TOL
 
     best_obj = np.inf
@@ -281,10 +293,8 @@ def piecewise_relaxation(p: JointDistribution, k: int = DEFAULT_PIECES) -> Searc
         log.warning("piecewise relaxation found no region-feasible candidate "
                     "(d=%d, k=%d); falling back to order permutation", d, k)
         res = order_permutation(p)
-        return SearchResult(res.g, res.objective, fallback=True)
-    # an argsort XORed with the fold mask, placed through another argsort:
-    # a bijection by construction
-    return SearchResult(_bijection(d, best_map), best_obj)
+        return SearchResult(res.map, res.objective, fallback=True)
+    return SearchResult(best_map, best_obj)
 
 
 @functools.lru_cache(maxsize=3)
@@ -309,7 +319,7 @@ def brute_force_optimum(p: JointDistribution) -> SearchResult:
     n_best = int(np.argmin(objs))
     gmap = np.empty(m, dtype=np.int64)
     gmap[perms[n_best]] = np.arange(m, dtype=np.int64)
-    return SearchResult(SymbolPermutation(d, gmap), float(objs[n_best]))
+    return SearchResult(gmap, float(objs[n_best]))
 
 
 def block_bica(p_block: JointDistribution, method: str = "order") -> SearchResult:

@@ -23,7 +23,6 @@ ranked by their block sums alone, and only the winner's bound is taken.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -84,15 +83,6 @@ class DescentResult:
 apply_shuffle = extract_block
 
 
-@functools.lru_cache(maxsize=4)
-def _zero_bits(b: int) -> np.ndarray:
-    """``zero_bit_matrix(b)``, read-only, built once per block width (a
-    partition has at most two)."""
-    a0 = zero_bit_matrix(b)
-    a0.flags.writeable = False
-    return a0
-
-
 def _block_counts(values: np.ndarray, weights: np.ndarray, partition: BlockPartition
                   ) -> list[np.ndarray]:
     """Per-block count vectors of the distinct symbols ``values`` occurring
@@ -128,7 +118,7 @@ def _block_bounds(counts: list[np.ndarray], n: int) -> list[float]:
     A block's per-bit zero counts are one product of its integer counts
     with ``zero_bit_matrix``: sums of exact integers below 2^53, so their
     order cannot matter."""
-    return [float(np.sum(binary_entropy((c @ _zero_bits(c.size.bit_length() - 1)) / n)))
+    return [float(np.sum(binary_entropy((c @ zero_bit_matrix(c.size.bit_length() - 1)) / n)))
             for c in counts]
 
 
@@ -188,7 +178,7 @@ def descend(samples, d: int, b: int, method: str = "auto", max_iters: int = 30,
             probs = counts / n
             res = block_bica(JointDistribution(size, probs), method)
             if res.objective < ident_obj - 1e-15:
-                transforms.append(res.g.map)
+                transforms.append(res.map)
                 new_bound += res.objective
             else:
                 transforms.append(np.arange(probs.size, dtype=np.int64))

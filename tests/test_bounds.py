@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,23 @@ def test_harmonic_small_values():
     assert k[1] == 1.0
     assert k[2] == pytest.approx(1.5, abs=1e-15)
     assert k[4] == pytest.approx(25 / 12, abs=1e-14)
+
+
+def test_harmonic_numbers_are_read_only_views_of_the_cache():
+    # a write through a returned view would move every later digamma
+    with pytest.raises(ValueError):
+        harmonic_numbers(4)[2] = 99.0
+    with pytest.raises(ValueError):  # a grown cache is read-only too
+        harmonic_numbers(bounds._harmonic.size + 10)[2] = 99.0
+    assert bounds.digamma_integer(3) == pytest.approx(1.5 - EULER_GAMMA, abs=1e-15)
+    assert expected_joint_entropy(2) == pytest.approx(0.5 / math.log(2.0), abs=1e-15)
+    # before any growth the cache is the module's initial K_0 array
+    fresh = subprocess.run(
+        [sys.executable, "-c", "from bicacomp.bounds import harmonic_numbers\n"
+                               "harmonic_numbers(0)[0] = 1.0"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True, text=True, timeout=60)
+    assert fresh.returncode == 1 and "read-only" in fresh.stderr
 
 
 def test_harmonic_bracketing_property():

@@ -731,7 +731,8 @@ def test_grouping_equals_np_unique(d, n, kind, seed):
 
 def test_block_partition_validation():
     for sizes, match in (((3, 0), "outside 1..16"), ((17,), "outside 1..16"),
-                         ((16, 16, 16, 16), "64-bit symbols exceed the 63 bits")):
+                         ((16, 16, 16, 16), "64-bit symbols exceed the 63 bits"),
+                         ((), "0-bit symbols, not 1..63")):
         with pytest.raises(ValueError, match=match):
             BlockPartition(sizes)
     assert BlockPartition((16, 16, 16, 15)).d == 63

@@ -227,6 +227,15 @@ def test_batched_bit_marginals_match_row_calls_and_matmul(d, rows, alpha, seed):
     assert np.max(np.abs(got - p @ zero_bit_matrix(d))) <= 2.0 ** (d - 53)
 
 
+@pytest.mark.parametrize("d", range(1, 13))
+def test_zero_bit_matrix_is_one_read_only_table_per_width(d):
+    a0 = zero_bit_matrix(d)
+    assert zero_bit_matrix(d) is a0
+    assert a0.dtype == np.float64 and not a0.flags.writeable
+    y = np.arange(1 << d)
+    assert np.array_equal(a0, (y[:, None] >> np.arange(d)) & 1 == 0)
+
+
 # small integers, signed zeros and infinities: long runs of equal keys
 _TIE_KEYS = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, 5e-324])
 

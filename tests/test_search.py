@@ -450,8 +450,8 @@ KINDS = st.sampled_from(["dirichlet", "ties", "zeros"])
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
-# order_permutation and piecewise_relaxation skip SymbolPermutation's
-# bijection proof: their maps must be bijections all the same
+# the searches return bare maps, which only SearchResult.g proves
+# bijections: every map must be one all the same
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 12), kind=KINDS, seed=SEEDS)
@@ -473,6 +473,32 @@ def test_piecewise_map_is_a_read_only_bijection(d, kind, seed):
     # the objective sums the marginals by a matmul, as the reference scan
     # does; marginals() by bit_zero_marginals, which differs by a few ulps
     assert res.objective == pytest.approx(marginals(p, res.g).entropy_sum(), abs=1e-12)
+
+
+# each search with the widths it is drawn at; "auto" is piecewise up to
+# PIECEWISE_MAX_BITS and order above
+SEARCHES = {
+    "order": (order_permutation, st.integers(1, 12)),
+    "piecewise": (lambda p: piecewise_relaxation(p, search.DEFAULT_PIECES), st.integers(1, 6)),
+    "auto": (lambda p: block_bica(p, "auto"), st.integers(1, 6) | st.integers(11, 12)),
+    "block order": (lambda p: block_bica(p, "order"), st.integers(1, 12)),
+    "brute": (brute_force_optimum, st.integers(1, 3)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(SEARCHES)), kind=KINDS, seed=SEEDS, data=st.data())
+def test_every_search_returns_a_read_only_int64_bijection(name, kind, seed, data):
+    run, widths = SEARCHES[name]
+    d = data.draw(widths)
+    res = run(_drawn(d, kind, seed))
+    assert res.map.dtype == np.int64 and not res.map.flags.writeable
+    inverse_permutation(res.map)
+    g = res.g
+    assert isinstance(g, SymbolPermutation) and g.d == d
+    assert np.array_equal(g.map, res.map)
+    with pytest.raises(ValueError):
+        res.map[0] = 0
 
 
 # ---------------------------------------------------------------------------

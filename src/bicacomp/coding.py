@@ -638,10 +638,14 @@ def _read_block_record(reader: _Reader, b: int) -> tuple[np.ndarray, int]:
 
 
 def map_blocks(symbols: np.ndarray, maps, partition: BlockPartition) -> np.ndarray:
-    """Replace the value v of block i in every symbol by maps[i][v]."""
+    """Replace the value v of block i in every symbol by maps[i][v]. A
+    block's bits are consecutive, so each block moves with one shift, mask,
+    gather and shift-or."""
     out = np.zeros_like(symbols)
-    for gmap, positions in zip(maps, partition.groups()):
-        insert_block(out, gmap[extract_block(symbols, positions)], positions)
+    low = 0
+    for gmap, size in zip(maps, partition.sizes):
+        out |= gmap[(symbols >> low) & ((1 << size) - 1)] << low
+        low += size
     return out
 
 

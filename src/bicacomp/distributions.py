@@ -27,7 +27,7 @@ def binary_entropy(q):
     value the formula gives on that element alone.
     """
     q = np.asarray(q, dtype=np.float64)
-    if not np.all((q >= 0) & (q <= 1)):  # False on NaN
+    if not ((q >= 0) & (q <= 1)).all():  # False on NaN
         raise ValueError("binary_entropy argument must lie in [0, 1]")
     r = 1 - q
     with np.errstate(divide="ignore", invalid="ignore"):

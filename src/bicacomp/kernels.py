@@ -31,6 +31,7 @@ Importing this module also sets glibc's malloc thresholds once
 mapped for the next op.
 """
 
+import contextlib
 import ctypes
 import os
 from array import array
@@ -157,8 +158,14 @@ def lift_samples(x) -> np.ndarray:
     """The (n, dim + 2) block ``[x, |x|^2, 1]`` that ``ecvq_assign``'s
     screen multiplies; it depends on the samples alone, so a fit builds it
     once."""
-    xx = np.einsum("ij,ij->i", x, x)
-    return np.concatenate([x, xx[:, None], np.ones((x.shape[0], 1))], axis=1)
+    n, dim = x.shape
+    # column-major: the screen's product runs faster on it (~20 us against
+    # ~27 us at 1000 x 8 times 8 x 64), and the |x|^2 column is contiguous
+    lifted = np.empty((n, dim + 2), order="F")
+    lifted[:, :dim] = x
+    np.einsum("ij,ij->i", x, x, out=lifted[:, dim])
+    lifted[:, dim + 1] = 1.0
+    return lifted
 
 
 def ecvq_assign(x, centroids, bias, lifted) -> np.ndarray:
@@ -204,15 +211,17 @@ def ecvq_assign(x, centroids, bias, lifted) -> np.ndarray:
     top = cc.max() + np.abs(b).max()  # S less |x_i|^2
     coef = 2 * (5 * dim + 16)
     xx = lifted[:, dim]
-    if top + xx.max() < _SCREEN_MAX:  # False on NaN
+    if top + xx.max() < _SCREEN_MAX:  # False on NaN; no screened value overflows
         gap = np.multiply(xx, coef * _ROUNDOFF)
         gap += coef * (_ROUNDOFF * top + _TINY)
+        quiet = contextlib.nullcontext()
     else:
         scale = xx + top
         gap = np.where(scale < _SCREEN_MAX, coef * (_ROUNDOFF * scale + _TINY), np.nan)
+        quiet = np.errstate(over="ignore", invalid="ignore")  # such rows are not settled
     screen = _screen if live.size >= _ROW_ARGMIN_MIN else _screen_few
     rows = max(1, ASSIGN_CHUNK_CELLS // live.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are not settled
+    with quiet:
         parts = [screen(lifted[at:at + rows], right, gap[at:at + rows])
                  for at in range(0, n, rows)]
     best, settled = parts[0] if len(parts) == 1 else (np.concatenate(p) for p in zip(*parts))
@@ -227,14 +236,20 @@ def ecvq_assign(x, centroids, bias, lifted) -> np.ndarray:
 def _screen(lifted, right, gap) -> tuple[np.ndarray, np.ndarray]:
     """One chunk of ``ecvq_assign``'s screen: each row's screened argmin
     over the live clusters, and whether its runner-up screens above its
-    minimum by more than its gap."""
+    minimum by more than its gap. The (rows, clusters) block is read and
+    written through flat indices, row start plus column, which costs less
+    than 2-D fancy indexing."""
     s = lifted @ right
-    at = np.arange(s.shape[0])
+    rows, k = s.shape
+    flat = s.reshape(-1)
+    starts = np.arange(0, rows * k, k)
     best = np.argmin(s, axis=1)
-    low = s[at, best]
-    s[at, best] = np.inf
-    runner_up = s[at, np.argmin(s, axis=1)]
-    return best, runner_up > low + gap
+    at = best + starts
+    low = flat.take(at)
+    flat[at] = np.inf
+    at = np.argmin(s, axis=1)
+    at += starts
+    return best, flat.take(at) > low + gap
 
 
 def _screen_few(lifted, right, gap) -> tuple[np.ndarray, np.ndarray]:

@@ -27,9 +27,11 @@ The pinned fit histories depend on three summation orders: each bit's
 zero mass adds the cluster probabilities in index order, as a masked sum
 does; each centroid's coordinate sums add its samples in sample order, as
 ``bincount`` does; and each sample's distortion adds its coordinates as
-the row reduction ``np.sum(..., axis=1)`` does (NumPy sums a row of 8 or
-more with 8 partial accumulators, so a column-wise sum over a transposed
-layout is another order from dim 8 on).
+the row reduction ``np.sum(..., axis=1)`` does. Below 8 coordinates that
+reduction adds a row left to right, so adding whole columns left to right
+gives the same sums, one pass per column instead of one inner-loop call
+per row; from 8 on NumPy keeps 8 partial sums per row, another order, so
+the reduction itself runs there.
 
 Fixed quantizers: the cubic integer lattice in any dimension, the
 even-coordinate-sum lattice in four dimensions, and its eight-dimensional
@@ -67,6 +69,11 @@ SWEEP_TOL = 1e-9
 # Clusters whose indices the bit-wise variant embeds: 16-bit index words,
 # the widest block the codecs code.
 INDEX_MAX_CLUSTERS = 1 << 16
+# Below this many coordinates NumPy's row reduction adds a row left to right,
+# so adding whole columns left to right gives its sums bit for bit; from 8
+# on it keeps 8 partial sums, another order. On 1000 six-dimensional rows
+# the column adds take ~10 us against ~24 us for the row reduction.
+_COLUMN_SUM_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -106,13 +113,21 @@ def _sweep_eval(x, centroids, lengths, assign, lam):
     """Mean distortion, mean rate and Lagrangian of a sweep, equal bit for
     bit to ``np.mean(np.sum(diffs * diffs, axis=1))`` with ``diffs = x -
     centroids[assign]`` and to ``np.mean(lengths[assign])``: the same row
-    reduction and the same total divided by n, without the wrappers'
-    per-call cost."""
-    n = x.shape[0]
+    sums and the same total divided by n, without the wrappers' per-call
+    cost. Below _COLUMN_SUM_MAX coordinates each row is summed by adding
+    whole columns left to right, the row reduction's own order there, in
+    one pass per column instead of one inner-loop call per row."""
+    n, dim = x.shape
     diffs = np.take(centroids, assign, axis=0)
     np.subtract(x, diffs, out=diffs)
     np.multiply(diffs, diffs, out=diffs)
-    dist = float(np.add.reduce(diffs, axis=1).sum()) / n
+    if dim < _COLUMN_SUM_MAX:
+        rows = diffs[:, 0].copy()
+        for j in range(1, dim):
+            rows += diffs[:, j]
+    else:
+        rows = np.add.reduce(diffs, axis=1)
+    dist = float(rows.sum()) / n
     rate = float(np.take(lengths, assign).sum()) / n
     return dist, rate, dist + lam * rate
 

@@ -778,6 +778,28 @@ def test_extract_block_inverse_of_insert():
     assert np.array_equal(rebuilt, syms)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(1, 20), n=st.integers(0, 80),
+       seed=st.integers(0, 2**32 - 1))
+def test_map_blocks_equals_extract_gather_insert_property(data, d, n, seed):
+    # the one-shift-per-block form against the three steps it replaced, over
+    # random partitions of d bits and a random bijection per block
+    sizes, left = [], d
+    while left:
+        sizes.append(data.draw(st.integers(1, min(left, 16))))
+        left -= sizes[-1]
+    partition = BlockPartition(tuple(sizes))
+    rng = np.random.default_rng(seed)
+    maps = [rng.permutation(1 << s) for s in sizes]
+    symbols = rng.integers(0, 1 << d, n)
+    expect = np.zeros_like(symbols)
+    for gmap, positions in zip(maps, partition.groups()):
+        insert_block(expect, gmap[extract_block(symbols, positions)], positions)
+    got = coding.map_blocks(symbols, maps, partition)
+    assert got.dtype == symbols.dtype
+    assert np.array_equal(got, expect)
+
+
 def _random_correlated_source(rng, d, n):
     """Bits with strong pairwise correlation so blocks matter."""
     base = rng.integers(0, 2, n)

@@ -251,6 +251,45 @@ def test_lift_samples_is_the_screen_block():
     assert np.array_equal(lifted[:, 6], np.ones(40))
 
 
+def _screen_reference(s, gap):
+    """Each row's first minimum, and whether the second value of the sorted
+    row exceeds the first by more than the row's gap."""
+    ordered = np.sort(s, axis=1)
+    return np.argmin(s, axis=1), ordered[:, 1] > ordered[:, 0] + gap
+
+
+@pytest.mark.parametrize("k", [32, 64])
+def test_screen_matches_the_sorted_row_runner_up(k):
+    rng = np.random.default_rng(k)
+    s = rng.standard_normal((40, k)) * 10
+    gap = rng.random(40) * 0.5
+    s[1, 3] = s[1].min() - 1.0  # a clear winner
+    s[2, [5, 9]] = s[2].min() - 1.0  # the two smallest tie
+    s[3, 7] = s[3].min() - 1e-3  # a winner inside its gap
+    gap[3] = 1e-2
+    s[4, 0] = s[4].min() - 1.0  # a winner at the first column ...
+    s[5, k - 1] = s[5].min() - 1.0  # ... and at the last
+    gap[6] = np.nan  # a gap that cannot be bounded settles nothing
+    s[7, 11] = np.inf  # an infinite entry
+    s[8, :] = np.inf  # every entry infinite but one
+    s[8, 2] = 1.0
+    s[9, :] = np.inf  # the two smallest tie at infinity
+    want_best, want_settled = _screen_reference(s, gap)
+    assert want_settled[[1, 4, 5, 7, 8]].all() and not want_settled[[2, 3, 6, 9]].any()
+    # lifted = [1] and right = the row give the row itself as the screened
+    # values, infinities included
+    for i in range(s.shape[0]):
+        best, settled = kernels._screen(np.ones((1, 1)), s[i:i + 1], gap[i:i + 1])
+        assert settled[0] == want_settled[i]
+        if settled[0]:
+            assert best[0] == want_best[i]
+    # the finite rows at once: an identity block times the rows
+    finite = np.flatnonzero(np.isfinite(s).all(axis=1))
+    best, settled = kernels._screen(np.eye(finite.size), s[finite], gap[finite])
+    assert np.array_equal(settled, want_settled[finite])
+    assert np.array_equal(best[settled], want_best[finite][settled])
+
+
 def test_assign_rejects_a_block_of_other_samples():
     x = np.random.default_rng(8).standard_normal((30, 3))
     cents, bias = x[:4].copy(), np.zeros(4)

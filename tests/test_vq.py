@@ -179,6 +179,30 @@ def test_fits_report_their_last_sweep_property(data, dim, n, lam, grid, seed):
         assert state.lagrangian == state.history[-1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(dim=hst.integers(1, 16), n=hst.integers(1, 60), k=hst.integers(1, 12),
+       lo=hst.integers(-150, 150), span=hst.integers(0, 300),
+       lam=hst.sampled_from([0.0, 0.01, 1.0]), seed=hst.integers(0, 2**32 - 1))
+def test_sweep_eval_equals_the_numpy_formulas_property(dim, n, k, lo, span, lam, seed):
+    # every coordinate and centroid carries its own magnitude between
+    # 10^lo and 10^min(lo + span, 150), so the row sums' roundings depend on
+    # their order: column adds below 8 coordinates, the row reduction from 8 on
+    rng = np.random.default_rng(seed)
+    hi = min(lo + span, 150)
+
+    def draw(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(lo, hi, shape)
+
+    x, centroids = draw((n, dim)), draw((k, dim))
+    lengths = rng.random(k) * 10
+    assign = rng.integers(0, k, n)
+    dist, rate, lag = vq._sweep_eval(x, centroids, lengths, assign, lam)
+    diffs = x - centroids[assign]
+    assert dist == np.mean(np.sum(diffs * diffs, axis=1))
+    assert rate == np.mean(lengths[assign])
+    assert lag == dist + lam * rate
+
+
 @pytest.mark.parametrize("fit", [ecvq_fit, bica_ecvq_fit])
 @pytest.mark.parametrize("lam", [0.01, 10.0])
 def test_fits_assign_once_per_sweep(monkeypatch, fit, lam):

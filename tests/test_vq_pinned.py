@@ -17,6 +17,10 @@ cluster's mean is summed by ``bincount`` in sample order while
 One more digest pins ``bica_ecvq_fit`` at 40 initial clusters, whose
 indices are embedded in 6 bits: the 24 indices no cluster owns carry zero
 probability in every sweep's length step.
+
+Two more pairs pin both fits on 8- and 12-dimensional samples, where each
+sample's distortion is NumPy's row reduction with its 8 partial sums, not
+the left-to-right column sum that narrower samples use.
 """
 
 import hashlib
@@ -62,6 +66,16 @@ DIM1_DIGESTS = {
 PADDED_CASE = (40, 1, 0.01)
 PADDED_DIGEST = "d934c664d4ce29436e426b737c4d3a15cf0a5ed147fc47614b0ba5ac49eaaef2"
 
+# (ecvq, bica) digests of the seed-0 fits at n = 1000, 64 clusters and
+# lambda = 0.01, by sample dimension
+WIDE_LAMBDA = 0.01
+WIDE_DIGESTS = {
+    8: ("b2cf323ec530be277d8f435a27b06cd728f024a1512597ef983f0df72182db2b",
+        "4fd874666744545c2a7eba30f1321633a2852ce26510d567329aba85e09cbc57"),
+    12: ("ade55bee5360aecb1a420949a130ef314cb4e80786c3ed7e4948c2207b287bf1",
+         "eec2651eea8efee17496d7a691d7067d80cd1dbf895d26c39a4e6e3e28f0e407"),
+}
+
 
 def _samples(seed):
     return sample(SourceSpec.gaussian_mixture(DIM, seed=seed), N)
@@ -98,3 +112,12 @@ def test_bica_ecvq_fit_padded_index_tail_pinned():
     m_init, seed, lam = PADDED_CASE
     state, g = bica_ecvq_fit(_samples(seed), m_init, lam, seed=seed)
     assert _digest(state, g.map) == PADDED_DIGEST
+
+
+@pytest.mark.parametrize("dim", sorted(WIDE_DIGESTS))
+def test_wide_sample_fits_pinned(dim):
+    x = sample(SourceSpec.gaussian_mixture(dim, seed=0), N)
+    ecvq, bica = WIDE_DIGESTS[dim]
+    assert _digest(ecvq_fit(x, M_INIT, WIDE_LAMBDA, seed=0)) == ecvq
+    state, g = bica_ecvq_fit(x, M_INIT, WIDE_LAMBDA, seed=0)
+    assert _digest(state, g.map) == bica

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,7 +227,11 @@ def _mc_shards(d: int, draws: int, seed: int, ordered: bool) -> tuple[float, flo
     """Mean and standard error of the gap over ``draws`` uniform-simplex
     sources, drawn in seeded shards on one thread per usable core (no more
     than the shards); the shard sums are added in order, so the estimate
-    does not depend on the thread count. Raises ValueError on no draws."""
+    does not depend on the thread count. Raises ValueError on no draws.
+    The thread pool is imported here, since no other program path needs
+    it."""
+    from concurrent.futures import ThreadPoolExecutor
+
     if draws < 1:
         raise ValueError(f"need at least one draw, got {draws}")
     m = 1 << d

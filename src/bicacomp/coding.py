@@ -70,7 +70,7 @@ def _symbols(samples, alphabet_size: int) -> np.ndarray:
 # Prefix codes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrefixCode:
     """Codeword lengths and values per symbol; length 0 marks a symbol that
     is absent from the code (zero probability). Construction checks that
@@ -218,7 +218,7 @@ def _code_offsets(counts: np.ndarray) -> np.ndarray:
     return np.array(first, dtype=np.int64) - (np.cumsum(counts) - counts)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CanonicalCodebook(PrefixCode):
     """The canonical prefix code of codeword ``lengths`` over
     ``alphabet_size`` symbols (Schwartz & Kallick, 1964), its lengths
@@ -675,7 +675,7 @@ def write_container(coded: np.ndarray, partition: BlockPartition, symbol_map=Non
         nbits for _, _, nbits in blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParsedContainer:
     """A container's ``SECTIONS`` as (name, bytes) pairs and their fields,
     all checked: the d-bit map's inverse (None without one), (inverse

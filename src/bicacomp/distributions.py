@@ -65,31 +65,40 @@ def inverse_permutation(perm) -> np.ndarray:
     return inv
 
 
-# Up to this many keys, ``stable_argsort`` is NumPy's own stable argsort.
+# Rows of up to this many keys ``stable_argsort`` hands to NumPy's own
+# stable argsort.
 STABLE_SORT_MAX_PLAIN = 1 << 10
 
 
 def stable_argsort(keys) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` of NaN-free 1-D keys, at the speed
-    of the SIMD sorts: NumPy runs a stable sort of floats as timsort, 6-9 ms
-    on 2^16 keys, and an unstable argsort in ~1 ms, against 0.6-0.7 ms here.
+    """``np.argsort(keys, axis=-1, kind="stable")`` of NaN-free keys, each
+    row along the last axis ordered on its own, at the speed of the SIMD
+    sorts: NumPy runs a stable sort of floats as timsort, 6-9 ms on 2^16
+    keys, and an unstable argsort in ~1 ms, against 0.6-0.7 ms here.
 
-    Up to STABLE_SORT_MAX_PLAIN keys that timsort is as fast or faster: 2 us
+    Rows of up to STABLE_SORT_MAX_PLAIN keys are sorted by that timsort,
+    every row in one call, because there it is as fast or faster: 2 us
     against 12-18 us at 64 keys, and 13-19 us against 15-48 us at 1024, the
     slow case being keys one ulp apart, which leave the packed sort (best of
-    9 x 1000 on a 2-core x86-64 machine with AVX-512, NumPy 2.4). Above it,
-    one ``sort`` of packed int64 keys: each key's float64 bits made to order
-    as the floats do (``-0.0`` folded into ``0.0``, a negative's magnitude
-    bits flipped), with the low b bits replaced by the key's index (2^b >=
-    the key count). Equal keys share every bit, so they come out in index
-    order; when the keys gathered in that order do not decrease, it is the
-    stable order. Keys that differ only below bit b can come out reversed,
-    and then ``_stable_argsort_by_runs`` orders them exactly. A NaN has no
-    place in either order, so the caller keeps them out."""
+    9 x 1000 on a 2-core x86-64 machine with AVX-512, NumPy 2.4). Longer
+    rows are sorted one at a time, each by one ``sort`` of packed int64
+    keys: each key's float64 bits made to order as the floats do (``-0.0``
+    folded into ``0.0``, a negative's magnitude bits flipped), with the low
+    b bits replaced by the key's index (2^b >= the key count). Equal keys
+    share every bit, so they come out in index order; when the keys
+    gathered in that order do not decrease, it is the stable order. Keys
+    that differ only below bit b can come out reversed, and then
+    ``_stable_argsort_by_runs`` orders them exactly. A NaN has no place in
+    either order, so the caller keeps them out."""
     keys = np.asarray(keys)
-    n = keys.size
+    n = keys.shape[-1] if keys.ndim else keys.size
     if n <= STABLE_SORT_MAX_PLAIN:
-        return np.argsort(keys, kind="stable")
+        return np.argsort(keys, axis=-1, kind="stable")
+    if keys.ndim > 1:
+        out = np.empty(keys.shape, dtype=np.intp)
+        for row, dest in zip(keys.reshape(-1, n), out.reshape(-1, n)):
+            dest[...] = stable_argsort(row)
+        return out
     b = max(n - 1, 0).bit_length()
     bits = np.add(keys, 0.0, dtype=np.float64).view(np.int64)  # -0.0 + 0.0 is 0.0
     packed = bits >> 63  # all ones on a negative: flip its magnitude bits
@@ -123,7 +132,7 @@ def _stable_argsort_by_runs(keys: np.ndarray) -> np.ndarray:
     return run
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Probability vector over m = 2^d symbols with bit-indexed marginals.
 
@@ -170,7 +179,7 @@ class JointDistribution:
         return entropy_bits(self.probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolPermutation:
     """Invertible symbol-to-symbol map; ``map[i]`` is where symbol i lands.
     Construction proves the map a bijection (``inverse_permutation``), and
@@ -205,7 +214,7 @@ class SymbolPermutation:
         return JointDistribution(self.d, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginalProfile:
     """Per-bit zero-probabilities: pis[j] = P(Y_j = 0), bit 0 = lsb."""
 

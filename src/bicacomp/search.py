@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -51,8 +50,6 @@ from .distributions import (
     zero_bit_matrix,
 )
 
-log = logging.getLogger(__name__)
-
 REGION_TOL = 1e-12  # boundary points belong to both regions
 DEFAULT_PIECES = 8
 PIECEWISE_MAX_BITS = 10
@@ -64,7 +61,7 @@ SCREEN_TOL = 1e-9
 SCREEN_CHUNK_CELLS = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinearEnvelope:
     """k tangent lines to h_b at midpoints of equal subintervals of [0, 1/2],
     mirrored onto (1/2, 1] by the symmetry of h_b. Tangency plus concavity
@@ -82,7 +79,7 @@ class PiecewiseLinearEnvelope:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     """A search's read-only int64 map (symbol i lands on ``map[i]``)."""
 
@@ -146,6 +143,13 @@ def _table_entries(d: int, k: int) -> int:
 PIECEWISE_MAX_ENTRIES = _table_entries(PIECEWISE_MAX_BITS, DEFAULT_PIECES)
 
 
+# Placements x symbols whose coefficients and orders are built at once (8
+# bytes each): 256 placements at (6, 8), 16 at (10, 8). One pass over every
+# placement would hold 300 MB of them at (10, 8); at this size the set-up's
+# peak RSS is no higher than when each placement was built on its own.
+PLACEMENT_CHUNK_CELLS = 1 << 14
+
+
 @functools.lru_cache(maxsize=8)
 def _placements(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(regions, ranks, order_of) of every placement of d marginals into k
@@ -153,25 +157,35 @@ def _placements(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     segment of each bit. Its allocation order, the stable argsort of its
     coefficients ``a0 @ slopes``, is row ``order_of[i]`` of ``ranks``,
     stored inverted: ``ranks[r, y]`` is the position in descending
-    probability order whose probability lands on codeword y. Each order is
-    computed on its own, as in the exact re-evaluation, so tied
-    coefficients sort the same way (a batched product sums in another
-    order), and is stored once however many placements share it. All three
-    tables are unsigned integers of the smallest width that holds them, and
+    probability order whose probability lands on codeword y. The orders
+    are built in chunks of PLACEMENT_CHUNK_CELLS coefficients: one stacked
+    ``matmul`` of a0 with each placement's slopes as a column, which runs
+    the same matrix-vector product per placement as ``a0 @ slopes`` of one
+    placement, so every coefficient, and so every tie, is that product's
+    (a matrix-matrix product sums in another order and moves ties); one
+    ``stable_argsort`` of the chunk's rows; and one ``put_along_axis`` that
+    inverts them. Each order is stored once, in first-seen order, however
+    many placements share it. All three tables
+    are unsigned integers of the smallest width that holds them, and
     read-only; ``ranks`` is (distinct orders) x 2^d, 1083 x 64 bytes at
     (6, 8) and 19189 x 1024 x 2 bytes at (10, 8)."""
-    env = build_envelope(k)
+    slopes = build_envelope(k).slopes
     a0 = zero_bit_matrix(d)
     m = 1 << d
     rank_type = np.min_scalar_type(m - 1)
-    combos = list(itertools.combinations_with_replacement(range(k), d))
+    regions = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(k), d)),
+        dtype=np.min_scalar_type(k - 1)).reshape(-1, d)
     row_of: dict[bytes, int] = {}  # a distinct order's ranks -> its row
     order_of = []
-    rank = np.empty(m, dtype=rank_type)
-    for regs in combos:
-        rank[stable_argsort(a0 @ env.slopes[list(regs)])] = np.arange(m)
-        order_of.append(row_of.setdefault(rank.tobytes(), len(row_of)))
-    tables = (np.array(combos, dtype=np.min_scalar_type(k - 1)),
+    rows = max(1, PLACEMENT_CHUNK_CELLS // m)
+    positions = np.arange(m, dtype=rank_type)
+    for start in range(0, len(regions), rows):
+        coeffs = np.matmul(a0, slopes[regions[start:start + rows]][:, :, None])[:, :, 0]
+        rank = np.empty(coeffs.shape, dtype=rank_type)
+        np.put_along_axis(rank, stable_argsort(coeffs), positions, axis=1)
+        order_of.extend(row_of.setdefault(r.tobytes(), len(row_of)) for r in rank)
+    tables = (regions,
               np.frombuffer(b"".join(row_of), dtype=rank_type).reshape(len(row_of), m),
               np.array(order_of, dtype=np.min_scalar_type(len(row_of) - 1)))
     for t in tables:
@@ -289,8 +303,11 @@ def piecewise_relaxation(p: JointDistribution, k: int = DEFAULT_PIECES) -> Searc
 
     if best_map is None:
         # cannot occur for tangent envelopes, but guarded: the placement
-        # matching any feasible permutation is itself feasible
-        log.warning("piecewise relaxation found no region-feasible candidate "
+        # matching any feasible permutation is itself feasible; logging is
+        # imported only here, since no other program path needs it
+        import logging
+
+        logging.getLogger(__name__).warning("piecewise relaxation found no region-feasible candidate "
                     "(d=%d, k=%d); falling back to order permutation", d, k)
         res = order_permutation(p)
         return SearchResult(res.map, res.objective, fallback=True)

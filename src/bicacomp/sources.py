@@ -25,7 +25,7 @@ def zipf_distribution(m: int, s: float) -> JointDistribution:
     return JointDistribution.from_probs(w / w.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AliasSampler:
     """Walker alias table: O(m) build, O(1) per draw."""
 

@@ -46,7 +46,7 @@ from .search import block_bica
 DESCENT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineStep:
     """One recorded iteration: the bit shuffle applied, the per-block
     transform maps, and the objective values after applying them."""
@@ -57,7 +57,7 @@ class PipelineStep:
     block_sum: float   # sum of empirical block entropies, bits/symbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DescentResult:
     """The descent's history: the coded symbols are the samples pushed
     through ``steps`` in order."""
@@ -244,7 +244,7 @@ def _transform_description_bits(sizes: tuple[int, ...]) -> float:
     return float(sum(s * (1 << s) for s in sizes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostReport:
     iterations: np.ndarray
     bounds: np.ndarray

@@ -76,7 +76,7 @@ INDEX_MAX_CLUSTERS = 1 << 16
 _COLUMN_SUM_MAX = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantizerState:
     """Converged coder: centroids, sample assignment, per-cluster ideal
     codeword lengths (inf = retired), the final Lagrangian, and the
@@ -332,7 +332,7 @@ def _nearest_even_sum(pts: np.ndarray) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeQuantization:
     indices: np.ndarray       # per-sample index into the occupied codebook
     codebook: np.ndarray      # occupied lattice points, (n_occ, dim)

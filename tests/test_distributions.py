@@ -268,6 +268,21 @@ def test_stable_argsort_equals_numpy_stable_sort(keys):
         assert np.array_equal(got, np.argsort(k, kind="stable"))
 
 
+
+def test_stable_argsort_orders_each_row_along_the_last_axis():
+    # rows up to STABLE_SORT_MAX_PLAIN keys in one call, longer rows through
+    # the packed sort one at a time, one of them past it to the exact path
+    rng = np.random.default_rng(67)
+    ulp_row = np.array(_planted_ulp_pair()[:3000])
+    ulp_row[7], ulp_row[2500] = np.nextafter(1.0, 2.0), 1.0
+    for keys in (rng.integers(0, 9, size=(40, 64)) * 0.5,
+                 rng.integers(0, 9, size=(2, 3, 1500)) * 0.5,
+                 np.stack([rng.uniform(size=3000), ulp_row]),
+                 np.empty((0, 3000)), np.empty((4, 0))):
+        got = stable_argsort(keys)
+        assert got.dtype == np.intp and got.shape == keys.shape
+        assert np.array_equal(got, np.argsort(keys, axis=-1, kind="stable"))
+
 def _no_exact_path(monkeypatch):
     """Every key count takes the packed sort, which may not fall back."""
     def fail(keys):

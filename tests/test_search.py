@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -359,6 +361,61 @@ def test_piecewise_d10_runtime_seconds():
     elapsed = time.time() - t0
     assert elapsed < 60
     assert res.objective >= joint_entropy(p) - 1e-9
+
+
+# SHA-256 of each (d, k) rank table's three arrays (dtype, shape and bytes
+# of each, in turn), recorded when each placement's order was built on its
+# own: building them in chunks must not move a byte
+PINNED_TABLES = {
+    (10, 8): "60d298f3cc252b9a00ea785af5f2dda71b0b49f69ee8e9d5be35cbb2743d1602",
+    (1, 8): "c4372609256191c983a97f2ff0f75d0d25913721246bd740f1583cd57b8baa51",
+    (2, 8): "fc58b3970755491bfcd4ed3491c4b9cf82da8a056eeed5383874770b16a166fc",
+    (3, 8): "ed271c117e581097be78c297ec21cb5ec8e81671c3a1d0ad325f84f6f5c8e346",
+    (4, 8): "ad8420aef0ba588512590a2b6a3ca53c1ead6daf792a9f041f57e34faf4fa730",
+    (5, 8): "5da5451dda0e9f084471cea41c44ff50d5efc2f71aa8d0459c7025f380103626",
+    (6, 8): "7fb49f61b6d200f499ea4450fc77513f3c620d9f9df1f8504aebf4d9443e110d",
+    (7, 8): "cb157ec49cb73f7eca893bba4199cb5133b6f3a34c931fa884efeb18297d7aff",
+    (8, 8): "776b800a527a77e7a96566b62163e708563113a9f85336d745a2f4537b2e82a8",
+    (9, 8): "ded9461ef7cc6335fc5a5726bd4d0ec642494200fc26784c03b4cf7c2b106e1a",
+    (17, 1): "1adff14912f4c4257b340492b46aa396bda41d21cba20ec057e2d7948fc8e5f7",
+}
+
+
+def _table_digest(tables):
+    h = hashlib.sha256()
+    for t in tables:
+        h.update(f"{t.dtype.str}{t.shape}".encode())
+        h.update(t.tobytes())
+    return h.hexdigest()
+
+
+def test_rank_tables_are_pinned():
+    for (d, k), digest in PINNED_TABLES.items():
+        # the d = 10 search above has cached its table; every other one is
+        # built past the 8-entry cache, so that the test evicts nothing
+        build = search._placements if (d, k) == (10, 8) else search._placements.__wrapped__
+        assert _table_digest(build(d, k)) == digest, (d, k)
+
+
+@pytest.mark.parametrize("cells", [1, 100, 1 << 20])
+def test_rank_tables_do_not_depend_on_the_chunk_size(monkeypatch, cells):
+    # one placement a chunk, chunks that end mid-table, and one chunk
+    monkeypatch.setattr(search, "PLACEMENT_CHUNK_CELLS", cells)
+    assert _table_digest(search._placements.__wrapped__(6, 8)) == PINNED_TABLES[(6, 8)]
+
+
+def test_no_feasible_placement_falls_back_to_order(monkeypatch, caplog):
+    nothing = (np.array([], dtype=np.intp), np.array([]), np.array([], dtype=bool))
+    monkeypatch.setattr(search, "_screen", lambda p_desc, d, k: nothing)
+    p = JointDistribution(4, np.random.default_rng(61).dirichlet(np.ones(16)))
+    with caplog.at_level(logging.WARNING, logger="bicacomp.search"):
+        res = piecewise_relaxation(p, 8)
+    ordered = order_permutation(p)
+    assert res.fallback
+    assert np.array_equal(res.map, ordered.map)
+    assert res.objective == ordered.objective
+    assert [(r.name, r.levelno) for r in caplog.records] == [("bicacomp.search", logging.WARNING)]
+    assert "falling back to order permutation" in caplog.text
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import argparse
 import ast
+import contextlib
+import hashlib
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -437,3 +440,176 @@ def test_determinism_same_seed_same_csv(tmp_path):
     assert run_main(args + ["--csv", str(a)]) == 0
     assert run_main(args + ["--csv", str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs: every subcommand and every non-default choice, pinned
+# ---------------------------------------------------------------------------
+
+# Each row runs in order, in-process, in one directory that holds in.bin (a
+# seeded Zipf byte file), words.txt (a frequency list) and garbage.bac. A
+# row pins its exit code and the SHA-256 of its stdout, its stderr and every
+# file it writes or changes, by name. A change that moves an output
+# re-records only the rows it moved.
+EMPTY = hashlib.sha256(b"").hexdigest()
+GOLDEN = [
+    (["classic-zipf", "--m", "256", "--s-grid", "0.6:1.4:0.4"], {
+        "rc": 0,
+        "stdout": "fc944f4bfa2228c1c3c7e6db26523f368158d2c33bc6db80bc8657fdb7b43c61",
+        "stderr": EMPTY,
+    }),
+    (["classic-zipf", "--m", "64", "--s-grid", "1.0,2.5", "--csv", "cz.csv"], {
+        "rc": 0,
+        "stdout": EMPTY,
+        "stderr": EMPTY,
+        "cz.csv": "f14f92b0c2dd0d9b7ef7cc5089a73f830e6d1096ed4da30f9d1bf6bbab86d7d5",
+    }),
+    (["classic-zipf", "--m", "256", "--s-grid", "12"], {
+        "rc": 2,
+        "stdout": EMPTY,
+        "stderr": "ef31f190ee5701cbfbbf241a3780350bbdd1f2a72aa4f73a9b1a98509120ac45",
+    }),
+    (["theory-bounds", "--d", "6", "--draws", "200", "--seed", "7"], {
+        "rc": 0,
+        "stdout": "c47fe7aac56378f13c99313fc21c61a83e967dc92c1e1796ce938ccbc96e1559",
+        "stderr": EMPTY,
+    }),
+    (["theory-bounds", "--d", "4", "--draws", "50", "--csv", "tb.csv"], {
+        "rc": 0,
+        "stdout": EMPTY,
+        "stderr": EMPTY,
+        "tb.csv": "a7fdb8dfdc9094b35321bacedbdba63d161f576f89d69a36a704aa93b151d680",
+    }),
+    (["universal", "run", "--zipf", "m=4096,s=1.2", "--d", "12", "--b", "6", "--n", "20000",
+      "--iters", "5"], {
+        "rc": 0,
+        "stdout": "4678a587483fe58c80092617a869b75d968d28ec8a9146dff315ab8eb480931f",
+        "stderr": "bba1f0f107555ca4067651fc2d8fd10a76e770276c21420e93b7f430a480ea36",
+    }),
+    (["universal", "run", "--zipf", "m=256,s=1.0", "--d", "8", "--b", "4", "--n", "3000",
+      "--iters", "4", "--seed", "9", "--method", "order", "--csv", "un.csv"], {
+        "rc": 0,
+        "stdout": EMPTY,
+        "stderr": "4e8849cab9528b0fe35b53e6e4030ac031c43f24543321f9e55932ecde07a27c",
+        "un.csv": "a25aaddd342ce1b4aed81726e226ee253b3a46d7a866be99b9beccc05d4369a5",
+    }),
+    (["universal", "run", "--input", "words.txt", "--d", "8", "--b", "3", "--n", "2000",
+      "--iters", "3", "--seed", "2"], {
+        "rc": 0,
+        "stdout": "30a77bdf543d57ed3ebe28747ec04e66eb4cd86d5695e04fac6dc37a8162bdfb",
+        "stderr": "5801d624051f8b8fca9de7ff1af294429ebfc6ee2fd67efa2ab558ead96637a2",
+    }),
+    (["universal", "run", "--d", "8", "--b", "4"], {
+        "rc": 2,
+        "stdout": EMPTY,
+        "stderr": "aa1b0043fc02fde327c72df7b77638c1e6e8ea8c0de2efc01988dc640ec9669b",
+    }),
+    (["vq", "ecvq", "--dim", "3", "--n", "300", "--m-init", "16", "--lambdas", "0,0.1,1.0",
+      "--seed", "5"], {
+        "rc": 0,
+        "stdout": "6389d9433910681006ca33bba4c622ac97a64730c0fac9f951d223dc604a041e",
+        "stderr": EMPTY,
+    }),
+    (["vq", "ecvq", "--dim", "2", "--n", "200", "--m-init", "8", "--lambda-min", "0.05",
+      "--lambda-max", "2.0", "--lambda-count", "3", "--csv", "ve.csv"], {
+        "rc": 0,
+        "stdout": EMPTY,
+        "stderr": EMPTY,
+        "ve.csv": "8a3047c0cd9e5c8b48bccaba1a455dfc2aea9c6d8443adae5a3a4b4891effc19",
+    }),
+    (["vq", "bica-ecvq", "--dim", "3", "--n", "300", "--m-init", "16", "--lambdas", "0,0.5",
+      "--seed", "5", "--csv", "vb.csv"], {
+        "rc": 0,
+        "stdout": EMPTY,
+        "stderr": EMPTY,
+        "vb.csv": "e375eded21616c15e64c4237a70ad09f41d743ab9d90d963c5cb27704b19f80a",
+    }),
+    (["vq", "lattice", "--dim", "3", "--n", "3000", "--scales", "0.5,1.0", "--seed", "5"], {
+        "rc": 0,
+        "stdout": "16c60c2990a6964596ef356d92009c5c2666d2e881e74c30d7407d5294213329",
+        "stderr": EMPTY,
+    }),
+    (["vq", "lattice", "--kind", "d4", "--dim", "4", "--n", "2000", "--scales", "0.8",
+      "--seed", "5", "--csv", "d4.csv"], {
+        "rc": 0,
+        "stdout": EMPTY,
+        "stderr": EMPTY,
+        "d4.csv": "e987717b21074958974ca7d851874c835592495bf7b087aa35272a8c28b01bf9",
+    }),
+    (["vq", "lattice", "--kind", "e8", "--dim", "8", "--n", "500", "--scales", "0.8,1.5",
+      "--seed", "5"], {
+        "rc": 0,
+        "stdout": "eded17e7e769a2cb9f084751e7be0b7c5c46d917827c92bbf674cb281ce7a1f5",
+        "stderr": EMPTY,
+    }),
+    (["compress", "in.bin", "two.bac"], {
+        "rc": 0,
+        "stdout": EMPTY,
+        "stderr": "684d8d973c891e2811f854a45dc82e1d89b637c6e69396f7f7722e4be63ac177",
+        "two.bac": "a91723519841448e6b1ea8778e8de6f66228fed82c065a8cf1ee0793a6282a8c",
+    }),
+    (["compress", "in.bin", "three.bac", "--blocks", "3"], {
+        "rc": 0,
+        "stdout": EMPTY,
+        "stderr": "b70af2b0e2bb430893743a530500ce3c2fc5a41e68b8656293d0d6fe63a5abed",
+        "three.bac": "61b5b11ee7b4ce036b97ebe9a253f8e31cc0dc792fff05d25d4724b5334a724d",
+    }),
+    (["decompress", "two.bac", "two.out"], {
+        "rc": 0,
+        "stdout": EMPTY,
+        "stderr": EMPTY,
+        "two.out": "1cbde8cd308d43285f0da445c7753c0007abf9f5f441596375a62d6a0777152a",
+    }),
+    (["decompress", "three.bac", "three.out"], {
+        "rc": 0,
+        "stdout": EMPTY,
+        "stderr": EMPTY,
+        "three.out": "1cbde8cd308d43285f0da445c7753c0007abf9f5f441596375a62d6a0777152a",
+    }),
+    (["decompress", "garbage.bac", "garbage.out"], {
+        "rc": 3,
+        "stdout": EMPTY,
+        "stderr": "0c349633cc632b1b833fe601483c86fe96886c99d1e768bb8136ea0d0581d999",
+    }),
+]
+
+
+def _golden_outputs(root):
+    """{argv: {"rc", "stdout", "stderr", and each file written: SHA-256}} of
+    the GOLDEN rows run in order in the directory ``root``, which must be
+    the working directory."""
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    probs = np.arange(1, 257) ** -1.1
+    rng = np.random.default_rng(np.random.SeedSequence(17))
+    (root / "in.bin").write_bytes(rng.choice(256, 6000, p=probs / probs.sum()).astype(np.uint8))
+    (root / "words.txt").write_text("".join(f"w{i} {1000 // (i + 1)}\n" for i in range(150)))
+    (root / "garbage.bac").write_bytes(b"not a container at all")
+    got = {}
+    for argv, _ in GOLDEN:
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        row = {"rc": rc, "stdout": sha(out.getvalue().encode()),
+               "stderr": sha(err.getvalue().encode())}
+        row.update((p.name, sha(p.read_bytes())) for p in sorted(root.iterdir())
+                   if before.get(p.name) != p.read_bytes())
+        got[" ".join(argv)] = row
+    return got
+
+
+def test_cli_outputs_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _golden_outputs(tmp_path) == {" ".join(argv): want for argv, want in GOLDEN}
+
+
+def test_the_golden_rows_cover_every_subcommand_and_choice():
+    argvs = [argv for argv, _ in GOLDEN]
+    paths = {path for path, _ in _subcommand_actions(cli.build_parser())}
+    assert [p for p in paths if not any(tuple(a[:len(p)]) == p for a in argvs)] == []
+    unset = [(path, value) for path, action in _subcommand_actions(cli.build_parser())
+             for value in action.choices or () if value != action.default
+             if not any(tuple(a[:len(path)]) == path and value in a for a in argvs)]
+    assert unset == []

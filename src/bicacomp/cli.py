@@ -17,9 +17,9 @@ from .search import block_bica, order_permutation
 
 
 GRID_MAX_POINTS = 10_000  # points a start:stop:step grid may hold
-# Sample values (n x dim) a vq ecvq sweep may fit: 2^23 float64 take 64 MiB,
-# and a fit's working arrays peak near six times its samples.
-ECVQ_MAX_VALUES = 1 << 23
+# Sample values (n x dim) a vq subcommand may take: an ECVQ fit peaks near 48
+# bytes a value and a lattice run (any kind, dim 1-64) at 44-60, ~500 MiB.
+VQ_MAX_VALUES = 1 << 23
 THEORY_MAX_BITS = 14  # a Monte Carlo shard, 500 x 2^d float64s, peaks near 200 MiB per core
 THEORY_MAX_DRAWS = 10 ** 6  # 10^5 draws take 2.4 s at d = 10, and the shard list grows with them
 # Whole-alphabet Huffman and order search over classic-zipf's --m and universal
@@ -127,8 +127,6 @@ def run_universal(samples: np.ndarray, d: int, b: int, iters: int, seed: int,
 
 def run_vq_ecvq(dim: int, n: int, m_init: int, lambdas, seed: int, variant: str,
                 csv: str | None = None) -> list[list]:
-    if n * dim > ECVQ_MAX_VALUES:
-        raise ValueError(f"--n x --dim = {n * dim} sample values exceed {ECVQ_MAX_VALUES}")
     if m_init > vq.INDEX_MAX_CLUSTERS:
         raise ValueError(f"--m-init must be at most {vq.INDEX_MAX_CLUSTERS}, got {m_init}")
     spec = sources.SourceSpec.gaussian_mixture(dim, seed)
@@ -315,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
             samples, d = _universal_samples(args)
             run_universal(samples, d, args.b, args.iters, args.seed, args.csv, args.method)
         elif args.cmd == "vq":
+            if args.n * args.dim > VQ_MAX_VALUES:
+                raise ValueError(f"--n x --dim = {args.n * args.dim} sample values exceed "
+                                 f"{VQ_MAX_VALUES}")
             if args.vq_cmd in ("ecvq", "bica-ecvq"):
                 if args.lambdas:
                     lambdas = _parse_grid(args.lambdas)

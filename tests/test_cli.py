@@ -5,6 +5,7 @@ import hashlib
 import io
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -291,10 +292,30 @@ def test_empty_or_zero_step_grids_exit_2(capsys, argv):
     # exited 0 with a nan distortion row
     (["vq", "lattice", "--dim", "3", "--n", "100", "--scales", "nan"], "scale must be positive"),
     (["vq", "lattice", "--dim", "3", "--n", "100", "--scales", "inf"], "scale must be positive"),
+    # asked for 224 GiB and 745 GiB, and exited 1 with NumPy's memory error
+    (["vq", "lattice", "--dim", "3", "--n", "10000000000"], "--n x --dim"),
+    (["vq", "lattice", "--dim", "100000000", "--n", "1000"], "--n x --dim"),
 ])
 def test_out_of_range_options_exit_2(capsys, argv, named):
     assert run_main(argv) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["vq", "ecvq", "--dim", "1", "--n", "8388609", "--lambdas", "1"],
+    ["vq", "lattice", "--dim", "1", "--n", "8388609", "--scales", "1"],
+])
+def test_a_sample_count_past_the_cap_allocates_nothing(capsys, argv):
+    # one value past 2^23, whose 64 MiB of samples would be drawn unchecked
+    assert cli.VQ_MAX_VALUES == 8388608
+    tracemalloc.start()
+    try:
+        assert run_main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "--n x --dim" in capsys.readouterr().err
 
 
 def test_a_grid_past_the_point_cap_exits_2(capsys):

@@ -278,14 +278,19 @@ def test_screen_matches_the_sorted_row_runner_up(k):
     assert want_settled[[1, 4, 5, 7, 8]].all() and not want_settled[[2, 3, 6, 9]].any()
     # lifted = [1] and right = the row give the row itself as the screened
     # values, infinities included
+    def screen(lifted, right, gap):
+        best, settled = np.empty(gap.size, dtype=np.intp), np.empty(gap.size, dtype=bool)
+        kernels._screen(lifted, right, gap, best, settled)
+        return best, settled
+
     for i in range(s.shape[0]):
-        best, settled = kernels._screen(np.ones((1, 1)), s[i:i + 1], gap[i:i + 1])
+        best, settled = screen(np.ones((1, 1)), s[i:i + 1], gap[i:i + 1])
         assert settled[0] == want_settled[i]
         if settled[0]:
             assert best[0] == want_best[i]
     # the finite rows at once: an identity block times the rows
     finite = np.flatnonzero(np.isfinite(s).all(axis=1))
-    best, settled = kernels._screen(np.eye(finite.size), s[finite], gap[finite])
+    best, settled = screen(np.eye(finite.size), s[finite], gap[finite])
     assert np.array_equal(settled, want_settled[finite])
     assert np.array_equal(best[settled], want_best[finite][settled])
 
@@ -324,7 +329,7 @@ def assign_cases(draw):
     x = x * scale + offset
     cents = cents * scale + offset
     bias = bias * min(scale * scale, 1e300)
-    if draw(st.booleans()):  # none retired: the screen gathers no live subset
+    if draw(st.booleans()):  # none retired, as in a fit's first sweeps
         retired = [False] * k
     else:
         retired = draw(st.lists(st.booleans(), min_size=k, max_size=k))

@@ -313,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
             samples, d = _universal_samples(args)
             run_universal(samples, d, args.b, args.iters, args.seed, args.csv, args.method)
         elif args.cmd == "vq":
+            for flag, value in (("--n", args.n), ("--dim", args.dim)):
+                if value < 1:
+                    raise ValueError(f"{flag} must be at least 1, got {value}")
             if args.n * args.dim > VQ_MAX_VALUES:
                 raise ValueError(f"--n x --dim = {args.n * args.dim} sample values exceed "
                                  f"{VQ_MAX_VALUES}")

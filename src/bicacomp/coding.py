@@ -30,8 +30,8 @@ from .distributions import (
     stable_argsort,
 )
 
-CONTAINER_MAGIC = b"BAC3"
-CONTAINER_VERSION = 3
+CONTAINER_MAGIC = b"BAC4"
+CONTAINER_VERSION = 4
 FREQ_TOTAL_BITS = kernels.FREQ_BITS
 ALPHABET_CAP = 1 << 16  # symbols the decoder's uint16 slot table can hold
 

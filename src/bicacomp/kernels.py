@@ -4,19 +4,35 @@ Each kernel is one plain Python/NumPy function that returns its output.
 
 The coder is a single-lane static rANS coder (Duda, *Asymmetric numeral
 systems*, arXiv:1311.2540) over frequency tables with a total of
-``2**FREQ_BITS``. Its state is a Python int below 2^64 and it emits 32-bit
-words. ``ac_encode`` codes the symbols from the last to the first, starting
-from state 1, and emits the low word whenever the next step would carry the
-state past 2^64; ``ac_decode`` reads the words back in the opposite order
-whenever the state falls below 2^32, while words remain. The stream is the
-words in the order the decoder reads them (big-endian), then the final
-state's bits below its leading 1, most significant first; its exact length
-``32 * W + r`` fixes both the word count W and the state bit count r,
-because once a word is emitted the final state is at least 2^32 (r >= 32).
+``2**FREQ_BITS``, renormalized a byte at a time (the byte-wise variant of
+Giesen, arXiv:1402.3392). Its state stays below 2^30, so every operation on
+it works on one 30-bit CPython digit. ``ac_encode`` codes the symbols from
+the last to the first, starting from state 1, and emits the state's low
+byte while the state is at least ``f << 14`` for the next symbol's
+frequency f (at most two bytes a step); after the step the state lies below
+2^30. ``ac_decode`` reads a byte back, in the opposite order, while the
+state lies below L = 2^22 and bytes remain. The stream is the bytes in the
+order the decoder reads them, then the final state's bits below its leading
+1, most significant first; its exact length ``8 * B + r`` fixes both the
+byte count B and the state bit count r, because once a byte is emitted the
+final state lies in [2^22, 2^30) (22 <= r <= 29), and with no byte r <= 29.
 There are no wasted start-up bits and no flush beyond the final state. A
 symbol with the whole frequency total (a lone symbol) is an identity step,
 so a block that holds one value codes to 0 bits. The decoder fails unless
-it ends in state 1 with every word consumed.
+it ends in state 1 with every byte consumed.
+
+Starting at state 1 rather than at L is correct for this reason. The
+decoder retraces the encoder's states in reverse. The shift that ends an
+emission starts at ``f << 14`` or more, so it leaves at least ``f << 6``,
+which the coding step lifts to at least ``2**6 * 2**16 = L``; a step
+without an emission never lowers the state. So every state after the
+encoder's first emission is at least L, and there the decoder reads back
+exactly the bytes the encoder wrote: a state of at least L needs no byte,
+and each byte shifted off a state below 2^30 leaves it below L. Only the
+first emission can start below L, and then with one byte, since one shift
+takes its state below 2^14, the lowest threshold. The decoder reads that
+byte last; the states it then passes through may lie below L, but no bytes
+remain, so the guard stops any further read.
 
 The coder loops are sequential and run in the interpreter on Python ints.
 The assignment screens chunks of samples with one matrix product, whose
@@ -34,15 +50,15 @@ mapped for the next op.
 import contextlib
 import ctypes
 import os
-from array import array
 
 import numpy as np
 
 FREQ_BITS = 16
 _SLOT_MASK = (1 << FREQ_BITS) - 1
-_WORD_BITS = 32
-_WORD_MASK = (1 << _WORD_BITS) - 1
-_STATE_LOW = 1 << _WORD_BITS  # the decoder reads a word below this state
+_STATE_LOW_BITS = 22
+_STATE_LOW = 1 << _STATE_LOW_BITS  # the decoder reads a byte below this state
+# the encoder emits a byte while the state is at least f << _EMIT_SHIFT
+_EMIT_SHIFT = _STATE_LOW_BITS + 8 - FREQ_BITS
 
 # Samples x clusters values held at once by ecvq_assign's screen and by its
 # exact path (8 bytes each).
@@ -103,36 +119,38 @@ def ac_encode(symbols, cum) -> tuple[bytes, int]:
     The last byte is zero-padded below the stream's final bit."""
     total = 1 << FREQ_BITS
     # per symbol: start, frequency, total - frequency, emit threshold
-    table = [(c, f, total - f, f << (2 * _WORD_BITS - FREQ_BITS))
+    table = [(c, f, total - f, f << _EMIT_SHIFT)
              for c, f in zip(cum.tolist(), np.diff(cum).tolist())]
     x = 1
-    words = array("I")  # 32-bit words in the order they are emitted
-    emit = words.append
+    out = bytearray()  # bytes in the order they are emitted
+    emit = out.append
     for s in reversed(memoryview(np.ascontiguousarray(symbols, dtype=np.int64))):
         c, f, rest, top = table[s]
         if x >= top:
-            emit(x & _WORD_MASK)
-            x >>= _WORD_BITS
+            emit(x & 0xFF)
+            x >>= 8
+            if x >= top:
+                emit(x & 0xFF)
+                x >>= 8
         x += c + (x // f) * rest  # (x // f) * total + x % f + c
     r = x.bit_length() - 1
-    nbytes = (r + 7) // 8
-    tail = ((x ^ (1 << r)) << (8 * nbytes - r)).to_bytes(nbytes, "big")
-    data = np.frombuffer(words, dtype=np.uint32)[::-1].astype(">u4").tobytes() + tail
-    return data, _WORD_BITS * len(words) + r
+    tail_bytes = (r + 7) // 8
+    tail = ((x ^ (1 << r)) << (8 * tail_bytes - r)).to_bytes(tail_bytes, "big")
+    return bytes(out[::-1] + tail), 8 * len(out) + r
 
 
 def ac_decode(data, n, cum, nbits) -> np.ndarray:
     """Decode n symbols from the first ``nbits`` bits of an ``ac_encode``
     stream; raises ValueError when the stream is shorter than ``nbits`` or
-    does not end in state 1 with every word consumed."""
+    does not end in state 1 with every byte consumed."""
     if len(data) * 8 < nbits:
         raise ValueError("rANS stream is shorter than its bit count")
-    n_words = max(0, nbits // _WORD_BITS - 1)
-    r = nbits - _WORD_BITS * n_words
-    nbytes = (r + 7) // 8
-    at = n_words * _WORD_BITS // 8
-    x = (1 << r) | (int.from_bytes(data[at:at + nbytes], "big") >> (8 * nbytes - r))
-    words = memoryview(np.frombuffer(data, dtype=">u4", count=n_words).astype(np.uint32))
+    n_bytes = max(0, (nbits - _STATE_LOW_BITS) // 8)
+    r = nbits - 8 * n_bytes
+    tail_bytes = (r + 7) // 8
+    tail = int.from_bytes(data[n_bytes:n_bytes + tail_bytes], "big")
+    x = (1 << r) | (tail >> (8 * tail_bytes - r))
+    stream = bytes(data[:n_bytes])
     freq = np.diff(cum)
     sym_of = memoryview(np.repeat(np.arange(freq.size, dtype=np.uint16), freq))  # slot -> symbol
     total = 1 << FREQ_BITS
@@ -145,11 +163,11 @@ def ac_decode(data, n, cum, nbits) -> np.ndarray:
         symbols[t] = s
         rest, c = info[s]
         x -= (x >> FREQ_BITS) * rest + c  # f * (x >> 16) + (x & 0xFFFF) - c
-        if x < _STATE_LOW and pos < n_words:
-            x = (x << _WORD_BITS) | words[pos]
+        while x < _STATE_LOW and pos < n_bytes:
+            x = (x << 8) | stream[pos]
             pos += 1
-    if x != 1 or pos != n_words:
-        raise ValueError("rANS stream does not end in state 1 with every word read")
+    if x != 1 or pos != n_bytes:
+        raise ValueError("rANS stream does not end in state 1 with every byte read")
     return out
 
 

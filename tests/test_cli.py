@@ -6,6 +6,8 @@ import io
 import subprocess
 import sys
 import tracemalloc
+import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -295,9 +297,17 @@ def test_empty_or_zero_step_grids_exit_2(capsys, argv):
     # asked for 224 GiB and 745 GiB, and exited 1 with NumPy's memory error
     (["vq", "lattice", "--dim", "3", "--n", "10000000000"], "--n x --dim"),
     (["vq", "lattice", "--dim", "100000000", "--n", "1000"], "--n x --dim"),
+    # printed two NumPy RuntimeWarnings, then "m and n must be positive"
+    (["vq", "lattice", "--dim", "3", "--n", "0"], "--n"),
+    (["vq", "lattice", "--dim", "3", "--n", "-1"], "--n"),  # "negative dimensions are not allowed"
+    (["vq", "lattice", "--dim", "0", "--n", "100"], "--dim"),  # named no option
+    (["vq", "ecvq", "--dim", "2", "--n", "0", "--lambdas", "1"], "--n"),
+    (["vq", "bica-ecvq", "--dim", "0", "--n", "100", "--lambdas", "1"], "--dim"),
 ])
 def test_out_of_range_options_exit_2(capsys, argv, named):
-    assert run_main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning raises instead of printing
+        assert run_main(argv) == 2
     assert named in capsys.readouterr().err
 
 
@@ -415,6 +425,19 @@ def test_decompress_garbage_is_data_error(tmp_path):
     bad.write_bytes(b"not a container at all")
     rc = run_main(["decompress", str(bad), str(tmp_path / "out.bin")])
     assert rc == 3
+
+
+def test_decompress_of_a_version_3_container_is_data_error(tmp_path, capsys):
+    # version 3 held the 64-bit-state coder's streams, which this reader cannot decode
+    enc = coding.marginal_encode([1, 2, 3], SymbolPermutation.identity(8),
+                                 coding.BlockPartition.contiguous(8, 4))
+    body = b"BAC3\x03" + enc.container[5:-4]
+    packed = tmp_path / "old.bac"
+    packed.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    restored = tmp_path / "out.bin"
+    assert run_main(["decompress", str(packed), str(restored)]) == 3
+    assert "not a BAC" in capsys.readouterr().err
+    assert not restored.exists()
 
 
 def test_decompress_of_symbols_wider_than_a_byte_is_data_error(tmp_path, capsys):
@@ -566,14 +589,14 @@ GOLDEN = [
     (["compress", "in.bin", "two.bac"], {
         "rc": 0,
         "stdout": EMPTY,
-        "stderr": "684d8d973c891e2811f854a45dc82e1d89b637c6e69396f7f7722e4be63ac177",
-        "two.bac": "a91723519841448e6b1ea8778e8de6f66228fed82c065a8cf1ee0793a6282a8c",
+        "stderr": "2fc9e7ad271d667a71dfff581e5fb3a9141cd91657b4a92bef665b28330a1c95",
+        "two.bac": "aa7f6115f38c9d986c23597987b7b83f9ff96a3be3c7cf4595ab4655762000f0",
     }),
     (["compress", "in.bin", "three.bac", "--blocks", "3"], {
         "rc": 0,
         "stdout": EMPTY,
         "stderr": "b70af2b0e2bb430893743a530500ce3c2fc5a41e68b8656293d0d6fe63a5abed",
-        "three.bac": "61b5b11ee7b4ce036b97ebe9a253f8e31cc0dc792fff05d25d4724b5334a724d",
+        "three.bac": "109a187042aa1c9a614ffaf4e888a7db3f60656cab735d913c1ba05ae594f968",
     }),
     (["decompress", "two.bac", "two.out"], {
         "rc": 0,
@@ -590,7 +613,7 @@ GOLDEN = [
     (["decompress", "garbage.bac", "garbage.out"], {
         "rc": 3,
         "stdout": EMPTY,
-        "stderr": "0c349633cc632b1b833fe601483c86fe96886c99d1e768bb8136ea0d0581d999",
+        "stderr": "c872e7c3581c0b3f6312de44faa65e42cbefa122bef45f8e39f1d7eaf6246b4c",
     }),
 ]
 

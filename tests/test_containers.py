@@ -68,18 +68,19 @@ def _marginal_d10():
 
 
 # case: (inputs, container length, SHA-256); the lengths are those of the
-# version-2 containers, since the version-3 layout only moves fields
+# version-2 containers, since the version-3 layout only moves fields and the
+# version-4 byte-renormalized coder writes streams of the same lengths
 MARGINAL_CASES = {
     "n0": (_marginal_empty, 314,
-           "4f51232d90aef82711dda7b49d9ffc09dba58412f78a75d886dcd44f90b7a2d9"),
+           "e6e497978e92aeb4d30064e4fc1d05fe79778e648a5ade0dee88b4a7a07f228b"),
     "n1": (_marginal_one, 326,
-           "e27357ce172576f7d217ca1ddafc8e84af6aab40bfe2c1f61cab7e173825b8f4"),
+           "96a0966a12ff4d69382671900d1aa050d10851f056bd8a2ab379c6fbf9b91256"),
     "lone": (_marginal_lone, 666,
-             "ccab9596c460069740d5b08c8d0f3ca2693e0a7ba06b835e0162077b292c9f7d"),
+             "9ba56913d71bea4875c4854a17aee55a02f140a0c74d8f8a2e94be9677ba85d9"),
     "b3_d8": (_marginal_b3_d8, 1933,
-              "a8cfd507ed890c3312e0b8dc0d33ed3a2f11163af215031943bd7d835b6f31ca"),
+              "01a1292a8a240890a583e37d20d33e0f573260beef3e24385aa38932adb62fd6"),
     "d10": (_marginal_d10, 4670,
-            "64f07191b943dde5844d18cf12bd2398175b9a60a2ccf9fd42abfcf444e6dc2d"),
+            "7a922907ab73afb6df3714ea082b717e9976c00d63b56b469837f4e5cc09230c"),
 }
 
 
@@ -107,13 +108,13 @@ def _universal_lone():
 
 UNIVERSAL_CASES = {
     "piecewise": (_universal_piecewise, 2671,
-                  "7aadb85821798753346f03616321705250938986491d3f5f1e976c0d73875479"),
+                  "f28ec93a810976adae3117e06d54da224a1f205f003ab8355c993035692a38a8"),
     "piecewise_d12": (_universal_piecewise_d12, 5892,
-                      "5abe32538622bfaadb917b5e8523841ffac515d33acff8389215d2dad378c2bb"),
+                      "6b3d9428371bc73f84a83e4612ed5ff34e48aeafee2f8e138747d30b84c8b7b5"),
     "order": (_universal_order, 4004,
-              "a76766c60f820ef318081fee883b13f706d32240fe4e17923000ef839d907442"),
+              "f1101260fe2d482c06d240486523ebe5676b10be716567859e383dd9ff19596b"),
     "lone": (_universal_lone, 751,
-             "91e78ba24cec75fffa973c170690e3bd777dd5b1a5368de65c43d775bb11405e"),
+             "185946b96aa495c81cf86cac9c591ae6a1dce5c817e7916bc8cf04e2b8e2e892"),
 }
 
 
@@ -251,6 +252,8 @@ def test_old_versions_and_foreign_containers_raise(fmt, formats):
     for bad in (_reseal(b"BAC2\x02" + blob[5:-4]),  # the two version-2 formats
                 _reseal(b"BAU2\x02" + blob[5:-4]),
                 _reseal(blob[:4] + b"\x02" + blob[5:-4]),  # version byte 2
+                _reseal(b"BAC3\x03" + blob[5:-4]),  # version 3: the 64-bit-state coder
+                _reseal(blob[:4] + b"\x03" + blob[5:-4]),  # version byte 3
                 b"", blob[:20]):
         with pytest.raises(ContainerError, match="not a|version"):
             decode(bad)
@@ -314,7 +317,7 @@ def test_a_container_cut_anywhere_raises(fmt, formats, monkeypatch):
 def test_a_map_longer_than_the_container_raises_before_allocating():
     # d = 28 in blocks of 16 and 12 bits with the map flag announces a
     # 2^30-byte map on all d bits; 64 bytes follow the sizes and assignment
-    header = struct.pack("<4sBBBBQI", b"BAC3", 3, 28, 2, 1, 10, 0)
+    header = struct.pack("<4sBBBBQI", b"BAC4", 4, 28, 2, 1, 10, 0)
     body = header + bytes([16, 12]) + bytes(range(28)) + bytes(64)
     tracemalloc.start()
     try:
@@ -356,7 +359,7 @@ def test_a_step_count_past_the_bytes_left_raises_at_once(formats):
     many = bytearray(blob[:-4])
     many[_HEAD - 4:_HEAD] = struct.pack("<I", 2 ** 32 - 1)
     # d = 0 would make every step 0 bytes long
-    empty = struct.pack("<4sBBBBQI", b"BAC3", 3, 0, 0, 0, 0, 2 ** 32 - 1)
+    empty = struct.pack("<4sBBBBQI", b"BAC4", 4, 0, 0, 0, 0, 2 ** 32 - 1)
     for bad, match in ((many, "steps run past the end"), (empty, "0-bit")):
         start = time.perf_counter()
         with pytest.raises(ContainerError, match=match):
@@ -409,7 +412,7 @@ def test_symbols_wider_than_int64_raise_container_error():
     # block's symbol 5 sets bits 63 and 65, which used to decode into the
     # sign bit and vanish, giving five copies of -2^63
     d, b, n = 70, 7, 5
-    body = struct.pack("<4sBBBBQI", b"BAC3", 3, d, d // b, 0, n, 0)
+    body = struct.pack("<4sBBBBQI", b"BAC4", 4, d, d // b, 0, n, 0)
     body += bytes([b] * (d // b)) + bytes(range(d))
     for symbol in [0] * (d // b - 1) + [5]:
         body += struct.pack("<IQIH", 1, 0, symbol, 0xFFFF)

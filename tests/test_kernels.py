@@ -135,11 +135,17 @@ def test_full_alphabet_with_every_count_one():
 def coded_streams(draw):
     """(symbols, cum): n in {0, 1, 2, small}, alphabets of 1..2^16 symbols
     (including the full 2^16 support where every count is 1), symbols drawn
-    from the quantized table, sometimes one lone symbol."""
+    from the quantized table, sometimes one lone symbol. The "ones" tables
+    hold m - 1 counts of 1 and one of 2^16 - m + 1 (2^16 - 1 at m = 2),
+    with symbols drawn uniformly, so that count-1 steps, which emit two
+    bytes once the state has emitted any, are common."""
     m = draw(st.sampled_from([1, 2, 256, 257, 1 << 16]) | st.integers(1, 1 << 16))
     n = draw(st.sampled_from([0, 1, 2]) | st.integers(3, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    shape = draw(st.sampled_from(["lone", "flat", "skewed", "sparse"]))
+    shape = draw(st.sampled_from(["lone", "flat", "skewed", "sparse", "ones"]))
+    if shape == "ones":
+        counts = rng.permutation(np.r_[np.ones(m - 1, dtype=np.int64), (1 << 16) - m + 1])
+        return rng.integers(0, m, n), np.r_[0, np.cumsum(counts)]
     if shape == "lone":
         w = np.zeros(m)
         w[rng.integers(m)] = 1.0
@@ -155,7 +161,7 @@ def coded_streams(draw):
     return rng.choice(m, size=n, p=q).astype(np.int64), cum
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(src=coded_streams())
 def test_round_trip_property(src):
     syms, cum = src
@@ -176,21 +182,71 @@ def test_decode_rejects_truncated_or_flipped_streams():
     data, nbits = kernels.ac_encode(syms, cum)
     assert np.array_equal(kernels.ac_decode(data, syms.size, cum, nbits), syms)
     assert kernels.ac_decode(b"", 0, np.array([0, 1 << 16]), 0).size == 0
-    n_words = nbits // 32 - 1
-    assert n_words > 10
+    n_bytes = (nbits - 22) // 8  # the renormalization bytes before the final state
+    assert n_bytes > 40
     # a bit count past the bytes held
     with pytest.raises(ValueError, match="shorter"):
         kernels.ac_decode(data[:-1], syms.size, cum, nbits)
-    # streams cut short by whole words or by single bits
-    for cut in (1, 2, 3, 7, 8, 31, 32, 33, 64, 32 * n_words):
+    # streams cut short by whole bytes, by single bits, and by the whole byte run
+    for cut in (1, 2, 3, 7, 8, 31, 32, 33, 64, 8 * n_bytes):
         with pytest.raises(ValueError, match="state 1"):
             kernels.ac_decode(data, syms.size, cum, nbits - cut)
-    # every word, and the final state, with one bit flipped
+    # every byte, and the final state, with one bit flipped
     for at in range(len(data) - 1):
         bad = bytearray(data)
         bad[at] ^= 1 << (at % 8)
         with pytest.raises(ValueError, match="state 1"):
             kernels.ac_decode(bytes(bad), syms.size, cum, nbits)
+
+
+# The byte renormalization's edges. Under counts [2^16 - 1, 1] symbol 0 codes
+# in ~2e-5 bits and symbol 1 in 16; from state 1, one step of symbol 1 leaves
+# 131071, so the next one emits its byte below 2^22.
+NEAR_TOTAL = np.array([0, (1 << 16) - 1, 1 << 16])
+
+# case: (symbols, cum, exact stream bits)
+RENORM_CASES = {
+    # symbol 1 leaves 2^17 - 1, which 100 steps of symbol 0 lift just past 2^17
+    "no_byte": ([0] * 100 + [1], NEAR_TOTAL, 17),
+    # 131071 >> 8 = 511, coded to 2^25 - 1: one byte and 24 state bits
+    "first_byte_below_2^22": ([1, 1], NEAR_TOTAL, 32),
+    # every step after the first byte emits two
+    "f1_two_bytes": ([1] * 6, NEAR_TOTAL, 8 + 16 * 4 + 24),
+    # under counts [1, 2^16 - 1], coded from the last symbol: 16382 steps of
+    # symbol 1 leave 16383, symbol 0 lifts it to 2^30 - 2^16, and three more
+    # steps of symbol 1 reach 2^30 - 2^14, which the fourth's byte leaves
+    "f_total_minus_1": ([1] * 4 + [0] + [1] * 16382, np.array([0, 1, 1 << 16]), 8 + 22),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENORM_CASES))
+def test_renormalization_edges_round_trip(case):
+    syms, cum, want = RENORM_CASES[case]
+    syms = np.array(syms, dtype=np.int64)
+    data, nbits = kernels.ac_encode(syms, cum)
+    assert nbits == want
+    assert len(data) == (nbits + 7) // 8
+    assert np.array_equal(kernels.ac_decode(data, syms.size, cum, nbits), syms)
+
+
+def test_every_stream_length_from_0_to_40_bits_round_trips():
+    # 0..29 bits hold no byte, 30..37 one and 38..45 two: B = 0 / B = 1 lies
+    # between 29 and 30. Short streams over tables with log-uniform starts
+    # reach every length; each one found must decode
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(20000):
+        m = int(rng.integers(2, 5))
+        cuts = np.unique((2.0 ** rng.uniform(0, 16, m - 1)).astype(np.int64))
+        cum = np.concatenate(([0], cuts, [1 << 16]))
+        syms = rng.integers(0, cum.size - 1, int(rng.integers(1, 6)))
+        data, nbits = kernels.ac_encode(syms, cum)
+        if nbits <= 40 and nbits not in seen:
+            assert np.array_equal(kernels.ac_decode(data, syms.size, cum, nbits), syms)
+            seen.add(nbits)
+            if len(seen) == 41:
+                return
+    pytest.fail(f"no stream of {sorted(set(range(41)) - seen)} bits was drawn")
 
 
 def test_assign_matches_reference_on_random_input():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HEADER_LAYOUT = "<4sBBBBQI"  # magic, version, d, n_blocks, flags, n, n_steps
-MAGIC = b"BAC3"
+MAGIC = b"BAC4"
 NAMES = {"CONTAINER_MAGIC", "_HEADER"}
 
 # file:top-level definition -> why it may spell out the header
